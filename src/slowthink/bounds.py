@@ -41,25 +41,6 @@ _NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
-class BoundInput:
-    """Bundle of one evaluated configuration, as emitted in CSV reports."""
-
-    decay: DecayModel
-    selector: SelectorModel
-    L: int
-    k: int = 1
-    b: int = 1
-    N: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("L", "k", "b", "N"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
-
-
-@dataclass(frozen=True)
 class CostEntry:
     """Total reasoning cost (step count) of the budget-matched pairing."""
 

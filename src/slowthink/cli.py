@@ -3,7 +3,13 @@
 Subcommands: bounds, simulate, fano-suite, calibrate, hsic, fit, reproduce.
 Every run resolves one configuration dict (JSON config file values overridden
 by explicit flags), emits CSV plus a JSON manifest recording the resolved
-configuration, and exits 0 only when all requested checks pass.
+configuration, and exits 0 when all requested checks pass, 1 when one fails
+and 2 on invalid input.
+
+Each flag's ``dest`` is the config key it sets, and a dotted dest such as
+``strategy.N`` sets a key inside that config section. Flags left unset are
+absent from the parsed arguments (``argparse.SUPPRESS``), so ``_merge``
+overlays exactly the flags given.
 """
 
 from __future__ import annotations
@@ -21,16 +27,6 @@ from . import __version__, bounds, calibration, hsic, info_theory, reporting, si
 from .errors import SlowthinkError, ValidationError
 from .models import DecayModel, SelectorModel, WrongModel
 
-_BOUND_STRATEGIES = (
-    "single",
-    "beam-exact",
-    "beam-simplified",
-    "bon",
-    "mcts-best",
-    "mcts-worst",
-    "lookahead",
-)
-
 # Reference tree-search statistics (avg_b, avg_p, avg_L) and previously
 # published budget-matched N values for the calibration preset.
 CALIBRATION_REFERENCE = (
@@ -39,58 +35,91 @@ CALIBRATION_REFERENCE = (
     ("game24", 4.56, 3.99, 3.00, 18.24, 6.08),
 )
 
+# Parsed arguments that choose what to run or where output goes; every
+# other argument sets a config key.
+_NOT_CONFIG = ("command", "preset", "path", "config", "out", "manifest")
+
 
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON: {exc}")
     if not isinstance(cfg, dict):
-        raise ValidationError("config file must hold a JSON object")
+        raise ValidationError(f"{path}: must hold a JSON object")
     return cfg
 
 
-def _resolve(config: dict, **flags) -> dict:
+def _merge(config: dict, args: argparse.Namespace) -> dict:
+    """Overlay the given flags on the config. Plain keys go first, so
+    ``--strategy`` replaces the config's whole strategy section before the
+    dotted ``strategy.*`` flags fill it in."""
     resolved = dict(config)
-    for key, value in flags.items():
-        if value is not None:
-            resolved[key] = value
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    for key in sorted(flags, key=lambda k: "." in k):
+        section, _, name = key.rpartition(".")
+        if section:
+            resolved[section] = {**resolved.get(section, {}), name: flags[key]}
+        else:
+            resolved[key] = flags[key]
     return resolved
 
 
-def _parse_selector(text: str) -> dict:
+# argparse type= converters: each turns one flag's text into its config value.
+
+
+def _selector(text: str) -> dict:
     name, _, params = text.partition(":")
-    if name == "ideal":
-        return {"kind": "ideal"}
-    if name == "constant":
-        return {"kind": "constant", "epsilon": float(params)}
-    if name in ("noisy", "noisy_score"):
-        margin, noise = params.split(",")
-        return {"kind": "noisy_score", "margin": float(margin), "noise_std": float(noise)}
-    raise ValidationError(
+    try:
+        if name == "ideal":
+            return {"kind": "ideal"}
+        if name == "constant":
+            return {"kind": "constant", "epsilon": float(params)}
+        if name in ("noisy", "noisy_score"):
+            margin, noise = params.split(",")
+            return {"kind": "noisy_score", "margin": float(margin), "noise_std": float(noise)}
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
         f"selector must be ideal, constant:EPS or noisy:MARGIN,STD; got {text!r}"
     )
 
 
-def _parse_floats(text: str) -> list[float]:
+def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",") if v != ""]
 
 
-def _parse_ints(text: str) -> list[int]:
-    if ":" in text:
-        parts = [int(v) for v in text.split(":")]
-        lo, hi = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(lo, hi + 1, step))
-    return [int(v) for v in text.split(",") if v != ""]
+def _exponential_decay(text: str) -> dict:
+    return {"kind": "exponential", "lambda_tau": float(text)}
 
 
-def _decay_from(resolved: dict) -> DecayModel:
-    return DecayModel.from_config(resolved.get("decay", {"lambda_tau": 1.0}))
+def _tabulated_decay(text: str) -> dict:
+    return {"kind": "tabulated", "table": _floats(text)}
 
 
-def _selector_from(resolved: dict) -> SelectorModel:
-    return SelectorModel.from_config(resolved.get("selector", {"kind": "ideal"}))
+def _sweep(text: str) -> dict:
+    param, _, values = text.partition("=")
+    try:
+        if ":" in values:
+            lo, hi, *step = (int(v) for v in values.split(":"))
+            ints = list(range(lo, hi + 1, *step[:1]))
+        else:
+            ints = [int(v) for v in values.split(",") if v != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"sweep must be PARAM=V1,V2,... or PARAM=LO:HI[:STEP] over integers; got {text!r}"
+        )
+    return {"param": param.strip(), "values": ints}
+
+
+def _stats(text: str) -> list[float]:
+    stats = _floats(text)
+    if len(stats) != 3:
+        raise argparse.ArgumentTypeError(f"stats must be avg_b,avg_p,avg_L; got {text!r}")
+    return stats
 
 
 class _RunOutput:
@@ -106,41 +135,51 @@ class _RunOutput:
 # ---------------------------------------------------------------------------
 
 
+def _lookahead_bound(decay, selector, L, k, b, N, resolved) -> float:
+    if "lambda_delta" not in resolved:
+        raise ValidationError("the lookahead bound requires --lambda-delta")
+    lam = decay.lambda_tau if decay.kind == "exponential" else float("nan")
+    wrong = WrongModel(float(resolved["lambda_delta"]))
+    return bounds.lookahead_distinguishability_bound(
+        lam, wrong, float(resolved.get("depth", L))
+    )
+
+
+# bounds --strategy NAME -> bound(decay, selector, L, k, b, N, resolved)
+_BOUNDS = {
+    "single": lambda d, s, L, k, b, N, r: bounds.single_path_bound(d, L),
+    "beam-exact": lambda d, s, L, k, b, N, r: bounds.width_expansion_bound_exact(
+        d, s, L, k, b
+    ),
+    "beam-simplified": lambda d, s, L, k, b, N, r: bounds.width_expansion_bound_simplified(
+        d, s, L, k, b
+    ),
+    "bon": lambda d, s, L, k, b, N, r: bounds.bon_bound(d, s, L, N),
+    "mcts-best": lambda d, s, L, k, b, N, r: bounds.mcts_best_bound(d, s, L, b),
+    "mcts-worst": lambda d, s, L, k, b, N, r: bounds.mcts_worst_bound(d, s, L, b),
+    "lookahead": _lookahead_bound,
+}
+
+
 def _cmd_bounds(resolved: dict) -> _RunOutput:
-    decay = _decay_from(resolved)
-    selector = _selector_from(resolved)
+    decay = DecayModel.from_config(resolved.get("decay", {"lambda_tau": 1.0}))
+    selector = SelectorModel.from_config(resolved.get("selector", {"kind": "ideal"}))
     L = int(resolved.get("L", 1))
     k = int(resolved.get("k", 1))
     b = int(resolved.get("b", 1))
     N = int(resolved.get("N", 1))
     wanted = resolved.get("strategy", "single")
-    names = list(_BOUND_STRATEGIES[:-1]) if wanted == "all" else [wanted]
+    names = [n for n in _BOUNDS if n != "lookahead"] if wanted == "all" else [wanted]
     lam = decay.lambda_tau if decay.kind == "exponential" else float("nan")
-    eps_kind = selector.kind
     rows = []
     for name in names:
-        if name == "single":
-            value = bounds.single_path_bound(decay, L)
-        elif name == "beam-exact":
-            value = bounds.width_expansion_bound_exact(decay, selector, L, k, b)
-        elif name == "beam-simplified":
-            value = bounds.width_expansion_bound_simplified(decay, selector, L, k, b)
-        elif name == "bon":
-            value = bounds.bon_bound(decay, selector, L, N)
-        elif name == "mcts-best":
-            value = bounds.mcts_best_bound(decay, selector, L, b)
-        elif name == "mcts-worst":
-            value = bounds.mcts_worst_bound(decay, selector, L, b)
-        elif name == "lookahead":
-            wrong = WrongModel(float(resolved["lambda_delta"]))
-            depth = float(resolved.get("depth", L))
-            value = bounds.lookahead_distinguishability_bound(lam, wrong, depth)
-        else:
+        if name not in _BOUNDS:
             raise ValidationError(
-                f"strategy must be one of {_BOUND_STRATEGIES} or 'all', got {name!r}"
+                f"strategy must be one of {tuple(_BOUNDS)} or 'all', got {name!r}"
             )
+        value = _BOUNDS[name](decay, selector, L, k, b, N, resolved)
         rows.append(
-            (name, lam, L, k, b, N, eps_kind, value, bounds.is_vacuous(value))
+            (name, lam, L, k, b, N, selector.kind, value, bounds.is_vacuous(value))
         )
     header = ("strategy", "lambda_tau", "L", "k", "b", "N", "epsilon_kind", "bound", "vacuous")
     return _RunOutput(header, rows)
@@ -159,6 +198,8 @@ def _simulate_one(cfg, spec, trials, seed):
 
 
 def _cmd_simulate(resolved: dict) -> _RunOutput:
+    if "strategy" not in resolved:
+        raise ValidationError("simulate requires --strategy or a config strategy")
     cfg = simulate.ProcessConfig.from_config(resolved)
     strategy_cfg = resolved["strategy"]
     trials = int(resolved.get("trials", 10_000))
@@ -242,7 +283,7 @@ def _cmd_fano_suite(resolved: dict) -> _RunOutput:
 
 
 def _cmd_calibrate(resolved: dict) -> _RunOutput:
-    if "stats" in resolved and resolved["stats"] is not None:
+    if resolved.get("stats") is not None:
         b, p, L = (float(v) for v in resolved["stats"])
         stats = calibration.TraceStats(avg_b=b, avg_p=p, avg_L=L)
     elif "traces" in resolved and resolved["traces"]:
@@ -293,9 +334,12 @@ def _read_feature_csv(path) -> hsic.SampleSet:
                 )
             if group_idx is not None:
                 groups.append(row[group_idx])
-            if length_idx is not None:
-                lengths.append(float(row[length_idx]))
-            vectors.append([float(row[i]) for i in feature_idx])
+            try:
+                if length_idx is not None:
+                    lengths.append(float(row[length_idx]))
+                vectors.append([float(row[i]) for i in feature_idx])
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}")
     return hsic.SampleSet(
         vectors=np.asarray(vectors, dtype=np.float64),
         group_ids=tuple(groups) if group_idx is not None else None,
@@ -304,6 +348,9 @@ def _read_feature_csv(path) -> hsic.SampleSet:
 
 
 def _cmd_hsic(resolved: dict) -> _RunOutput:
+    for key in ("x", "y"):
+        if not resolved.get(key):
+            raise ValidationError(f"hsic requires --{key} FILE")
     x = _read_feature_csv(resolved["x"])
     y = _read_feature_csv(resolved["y"])
     cfg = hsic.HsicConfig(sigma=float(resolved.get("sigma", hsic.DEFAULT_SIGMA)))
@@ -380,11 +427,16 @@ def _read_points_csv(
                 continue
             if len(row) <= max(xi, yi):
                 raise ValidationError(f"{path}:{lineno}: missing x/y columns")
-            pts.append((float(row[xi]), float(row[yi])))
+            try:
+                pts.append((float(row[xi]), float(row[yi])))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}")
     return pts
 
 
 def _cmd_fit(resolved: dict) -> _RunOutput:
+    if not resolved.get("points"):
+        raise ValidationError("fit requires --points FILE")
     points = _read_points_csv(
         resolved["points"], resolved.get("x_col"), resolved.get("y_col")
     )
@@ -628,8 +680,11 @@ _PRESETS = {
 }
 
 
-def _emit(command: str, resolved: dict, output: _RunOutput, args) -> int:
-    elapsed = time.perf_counter() - resolved.get("_t0", time.perf_counter())
+_RUNNERS = {**_COMMANDS, **{f"reproduce:{name}": run for name, run in _PRESETS.items()}}
+
+
+def _emit(command: str, resolved: dict, output: _RunOutput, args, t0: float) -> int:
+    elapsed = time.perf_counter() - t0
     text = reporting.format_csv(output.header, output.rows)
     out_path = getattr(args, "out", None)
     if out_path:
@@ -641,11 +696,10 @@ def _emit(command: str, resolved: dict, output: _RunOutput, args) -> int:
     if manifest_path is None and out_path:
         manifest_path = str(out_path) + ".manifest.json"
     if manifest_path:
-        clean = {k: v for k, v in resolved.items() if not k.startswith("_")}
         reporting.write_manifest(
             manifest_path,
             reporting.manifest_dict(
-                command, clean, clean.get("seed"), __version__, elapsed
+                command, resolved, resolved.get("seed"), __version__, elapsed
             ),
         )
     if output.summary:
@@ -659,6 +713,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", help="manifest path (default: OUT.manifest.json)")
 
 
+def _add_process(p: argparse.ArgumentParser) -> None:
+    decay = p.add_mutually_exclusive_group()
+    decay.add_argument(
+        "--lambda", dest="decay", type=_exponential_decay, metavar="LAMBDA_TAU",
+        help="exponential decay rate",
+    )
+    decay.add_argument(
+        "--table", dest="decay", type=_tabulated_decay, metavar="P1,P2,...",
+        help="tabulated decay, comma separated",
+    )
+    p.add_argument("--selector", type=_selector, help="ideal | constant:EPS | noisy:MARGIN,STD")
+    p.add_argument("--L", type=int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slowthink",
@@ -670,39 +738,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bounds", help="evaluate closed-form strategy bounds")
+    def add_command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+
+    p = add_command("bounds", "evaluate closed-form strategy bounds")
     _add_common(p)
-    p.add_argument("--strategy", choices=_BOUND_STRATEGIES + ("all",))
-    p.add_argument("--lambda", dest="lambda_tau", type=float, help="exponential decay rate")
-    p.add_argument("--table", help="tabulated decay, comma separated")
-    p.add_argument("--selector", help="ideal | constant:EPS | noisy:MARGIN,STD")
-    p.add_argument("--L", type=int)
+    _add_process(p)
+    p.add_argument("--strategy", choices=(*_BOUNDS, "all"))
     p.add_argument("--k", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--N", type=int)
     p.add_argument("--lambda-delta", dest="lambda_delta", type=float)
     p.add_argument("--depth", type=float, help="evaluation depth for the lookahead bound")
 
-    p = sub.add_parser("simulate", help="Monte Carlo simulation of a strategy")
+    p = add_command("simulate", "Monte Carlo simulation of a strategy")
     _add_common(p)
-    p.add_argument("--strategy", help="single_path|bon|beam|mcts_best|mcts_worst|lookahead")
-    p.add_argument("--rule", help="bon rule: self_consistency|orm_vote|orm_max")
-    p.add_argument("--lambda", dest="lambda_tau", type=float)
-    p.add_argument("--table", help="tabulated decay, comma separated")
-    p.add_argument("--selector", help="ideal | constant:EPS | noisy:MARGIN,STD")
-    p.add_argument("--L", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--gamma", type=int)
-    p.add_argument("--answer-space", dest="answer_space", type=int)
-    p.add_argument("--score-noise", dest="score_noise", type=float)
+    _add_process(p)
+    p.add_argument(
+        "--strategy", type=lambda kind: {"kind": kind}, metavar="KIND",
+        help="single_path|bon|beam|mcts_best|mcts_worst|lookahead; "
+        "replaces the config's strategy section",
+    )
+    p.add_argument("--rule", dest="strategy.rule", help="bon rule: self_consistency|orm_vote|orm_max")
+    p.add_argument("--N", dest="strategy.N", type=int)
+    p.add_argument("--k", dest="strategy.k", type=int)
+    p.add_argument("--b", dest="strategy.b", type=int)
+    p.add_argument("--gamma", dest="strategy.gamma", type=int)
+    p.add_argument("--answer-space", dest="answer.answer_space_size", type=int)
+    p.add_argument("--score-noise", dest="score_noise_std", type=float)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--sweep", help="PARAM=V1,V2,... over a strategy parameter")
+    p.add_argument("--sweep", type=_sweep, help="PARAM=V1,V2,... over a strategy parameter")
     p.add_argument("--plot", help="write an SVG of the sweep here")
 
-    p = sub.add_parser("fano-suite", help="randomized decoder-error lower-bound suite")
+    p = add_command("fano-suite", "randomized decoder-error lower-bound suite")
     _add_common(p)
     p.add_argument("--instances", type=int)
     p.add_argument("--support-min", dest="support_min", type=int)
@@ -715,31 +784,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="conditions a layer must satisfy to be checked (default: both)",
     )
 
-    p = sub.add_parser("calibrate", help="budget-matching N from stats or traces")
+    p = add_command("calibrate", "budget-matching N from stats or traces")
     _add_common(p)
-    p.add_argument("--stats", help="avg_b,avg_p,avg_L")
+    p.add_argument("--stats", type=_stats, help="avg_b,avg_p,avg_L")
     p.add_argument("--traces", help="JSON Lines trace file")
 
-    p = sub.add_parser("hsic", help="kernel dependence between two feature files")
+    p = add_command("hsic", "kernel dependence between two feature files")
     _add_common(p)
-    p.add_argument("--x", required=False)
-    p.add_argument("--y", required=False)
+    p.add_argument("--x")
+    p.add_argument("--y")
     p.add_argument("--sigma", type=float)
-    p.add_argument("--per-token", dest="per_token", action="store_true", default=None)
+    p.add_argument("--per-token", dest="per_token", action="store_true")
     p.add_argument("--mean-length", dest="mean_length", type=float)
     p.add_argument("--permutation-test", dest="permutation_test", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--svg", help="write the permutation-null curve here")
 
-    p = sub.add_parser("fit", help="exponential-decay and linear fits of (x, y) points")
+    p = add_command("fit", "exponential-decay and linear fits of (x, y) points")
     _add_common(p)
-    p.add_argument("--points", required=False, help="CSV with header; first two columns by default")
+    p.add_argument("--points", help="CSV with header; first two columns by default")
     p.add_argument("--x-col", dest="x_col", help="name of the x column")
     p.add_argument("--y-col", dest="y_col", help="name of the y column")
     p.add_argument("--svg", help="write a scatter-with-fits SVG here")
 
-    p = sub.add_parser("reproduce", help="named preset analyses")
-    p.add_argument("preset", choices=tuple(sorted(_PRESETS)) + ("from-manifest",))
+    p = add_command("reproduce", "named preset analyses")
+    p.add_argument("preset", choices=(*sorted(_PRESETS), "from-manifest"))
     _add_common(p)
     p.add_argument("--path", help="manifest path for from-manifest")
     p.add_argument("--b", type=int)
@@ -754,83 +823,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _decay_config(args) -> dict | None:
-    table = getattr(args, "table", None)
-    if table:
-        return {"kind": "tabulated", "table": _parse_floats(table)}
-    lam = getattr(args, "lambda_tau", None)
-    if lam is not None:
-        return {"kind": "exponential", "lambda_tau": lam}
-    return None
-
-
-def _resolved_for(args) -> tuple[str, dict]:
-    command = args.command
-    config = _load_config(getattr(args, "config", None))
-    if command == "bounds":
-        resolved = _resolve(
-            config,
-            strategy=args.strategy,
-            decay=_decay_config(args),
-            selector=_parse_selector(args.selector) if args.selector else None,
-            L=args.L, k=args.k, b=args.b, N=args.N,
-            lambda_delta=args.lambda_delta, depth=args.depth,
-        )
-    elif command == "simulate":
-        strategy = None
-        if args.strategy:
-            strategy = {"kind": args.strategy}
-            for key in ("N", "k", "b", "gamma", "rule"):
-                value = getattr(args, key, None)
-                if value is not None:
-                    strategy[key] = value
-        sweep = None
-        if args.sweep:
-            param, _, values = args.sweep.partition("=")
-            sweep = {"param": param.strip(), "values": _parse_ints(values)}
-        resolved = _resolve(
-            config,
-            strategy=strategy,
-            decay=_decay_config(args),
-            selector=_parse_selector(args.selector) if args.selector else None,
-            L=args.L,
-            answer={"answer_space_size": args.answer_space} if args.answer_space else None,
-            score_noise_std=args.score_noise,
-            trials=args.trials, seed=args.seed, sweep=sweep, plot=args.plot,
-        )
-        if "strategy" not in resolved:
-            raise ValidationError("simulate requires --strategy or a config entry")
-    elif command == "fano-suite":
-        resolved = _resolve(
-            config,
-            instances=args.instances, support_min=args.support_min,
-            support_max=args.support_max, max_L=args.max_L,
-            seed=args.seed, assumption=args.assumption,
-        )
-    elif command == "calibrate":
-        stats = _parse_floats(args.stats) if args.stats else None
-        if stats is not None and len(stats) != 3:
-            raise ValidationError("--stats needs exactly avg_b,avg_p,avg_L")
-        resolved = _resolve(config, stats=stats, traces=args.traces)
-    elif command == "hsic":
-        resolved = _resolve(
-            config,
-            x=args.x, y=args.y, sigma=args.sigma, per_token=args.per_token,
-            mean_length=args.mean_length,
-            permutation_test=args.permutation_test, seed=args.seed, svg=args.svg,
-        )
-        for key in ("x", "y"):
-            if not resolved.get(key):
-                raise ValidationError(f"hsic requires --{key} FILE")
-    elif command == "fit":
-        resolved = _resolve(
-            config, points=args.points, svg=args.svg, x_col=args.x_col, y_col=args.y_col
-        )
-        if not resolved.get("points"):
-            raise ValidationError("fit requires --points FILE")
-    else:
-        raise ValidationError(f"unknown command {command!r}")
-    return command, resolved
+def _from_manifest(path: str | None) -> tuple[str, dict]:
+    if not path:
+        raise ValidationError("from-manifest requires --path MANIFEST")
+    manifest = _load_config(path)
+    command, config = manifest.get("command"), manifest.get("config")
+    if command not in _RUNNERS or not isinstance(config, dict):
+        raise ValidationError(f"{path}: not a manifest written by this tool")
+    return command, config
 
 
 def dispatch(argv) -> int:
@@ -841,37 +841,15 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     t0 = time.perf_counter()
     try:
-        if args.command == "reproduce":
-            if args.preset == "from-manifest":
-                if not args.path:
-                    raise ValidationError("from-manifest requires --path MANIFEST")
-                manifest = reporting.read_manifest(args.path)
-                command = manifest["command"]
-                resolved = dict(manifest["config"])
-                runner = (
-                    _PRESETS[command.removeprefix("reproduce:")]
-                    if command.startswith("reproduce:")
-                    else _COMMANDS[command]
-                )
-                resolved["_t0"] = t0
-                return _emit(command, resolved, runner(resolved), args)
-            runner = _PRESETS[args.preset]
-            config = _load_config(args.config)
-            resolved = _resolve(
-                config,
-                b=args.b, L=args.L, trials=args.trials, seed=args.seed,
-                lambda_tau=args.lambda_tau, lambda_delta=args.lambda_delta,
-                layer=args.layer, instances=args.instances, plot=args.plot,
-            )
-            resolved["_t0"] = t0
-            return _emit(f"reproduce:{args.preset}", resolved, runner(resolved), args)
-        command, resolved = _resolved_for(args)
-        resolved["_t0"] = t0
-        return _emit(command, resolved, _COMMANDS[command](resolved), args)
-    except SlowthinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        if getattr(args, "preset", None) == "from-manifest":
+            command, resolved = _from_manifest(getattr(args, "path", None))
+        else:
+            command = args.command
+            if command == "reproduce":
+                command = f"reproduce:{args.preset}"
+            resolved = _merge(_load_config(getattr(args, "config", None)), args)
+        return _emit(command, resolved, _RUNNERS[command](resolved), args, t0)
+    except (SlowthinkError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

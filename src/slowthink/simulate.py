@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as _bounds
-from .errors import RangeError, ResourceLimitError, ValidationError
+from .errors import PreconditionError, RangeError, ResourceLimitError, ValidationError
 from .models import (
     IDEAL,
     NOISY_SCORE,
@@ -60,6 +60,18 @@ BLOCK_TRIALS = 32_768
 _BLOCK_CELLS = 1 << 23
 
 Z95 = 1.959963984540054  # normal 97.5% quantile
+
+# Parameters each strategy kind takes: StrategySpec fields and config keys.
+_PARAMS = {
+    SINGLE_PATH: (),
+    BON: ("N", "rule"),
+    BEAM: ("k", "b"),
+    MCTS_BEST: ("b",),
+    MCTS_WORST: ("b",),
+    LOOKAHEAD: ("b", "gamma", "count_rollout_steps"),
+}
+# Values StrategySpec.from_config supplies for parameters a config leaves out.
+_DEFAULTS = {"rule": ORM_MAX, "gamma": 0, "count_rollout_steps": True}
 
 
 @dataclass(frozen=True)
@@ -113,36 +125,25 @@ class StrategySpec:
     count_rollout_steps: bool = True
 
     def __post_init__(self) -> None:
-        def positive(name):
-            v = getattr(self, name)
-            if v is None or int(v) < 1:
-                raise ValidationError(f"{self.kind} requires {name} >= 1, got {v!r}")
-            object.__setattr__(self, name, int(v))
-
-        if self.kind == SINGLE_PATH:
-            pass
-        elif self.kind == BON:
-            positive("N")
-            if self.rule not in _RULES:
-                raise ValidationError(
-                    f"bon rule must be one of {_RULES}, got {self.rule!r}"
-                )
-        elif self.kind == BEAM:
-            positive("k")
-            positive("b")
-            if self.k < self.b:
-                raise ValidationError(
-                    f"beam requires k >= b, got k={self.k}, b={self.b}"
-                )
-        elif self.kind in (MCTS_BEST, MCTS_WORST):
-            positive("b")
-        elif self.kind == LOOKAHEAD:
-            positive("b")
+        params = _PARAMS.get(self.kind)
+        if params is None:
+            raise ValidationError(
+                f"strategy kind must be one of {tuple(_PARAMS)}, got {self.kind!r}"
+            )
+        for name in ("N", "k", "b"):
+            if name in params:
+                v = getattr(self, name)
+                if v is None or int(v) < 1:
+                    raise ValidationError(f"{self.kind} requires {name} >= 1, got {v!r}")
+                object.__setattr__(self, name, int(v))
+        if "rule" in params and self.rule not in _RULES:
+            raise ValidationError(f"bon rule must be one of {_RULES}, got {self.rule!r}")
+        if "k" in params and self.k < self.b:
+            raise ValidationError(f"beam requires k >= b, got k={self.k}, b={self.b}")
+        if "gamma" in params:
             if self.gamma is None or int(self.gamma) < 0:
                 raise ValidationError(f"lookahead requires gamma >= 0, got {self.gamma!r}")
             object.__setattr__(self, "gamma", int(self.gamma))
-        else:
-            raise ValidationError(f"unknown strategy kind {self.kind!r}")
 
     @classmethod
     def single_path(cls) -> "StrategySpec":
@@ -174,22 +175,17 @@ class StrategySpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "StrategySpec":
-        kind = cfg["kind"]
-        if kind == SINGLE_PATH:
-            return cls.single_path()
-        if kind == BON:
-            return cls.bon(cfg["N"], cfg.get("rule", ORM_MAX))
-        if kind == BEAM:
-            return cls.beam(cfg["k"], cfg["b"])
-        if kind == MCTS_BEST:
-            return cls.mcts_best(cfg["b"])
-        if kind == MCTS_WORST:
-            return cls.mcts_worst(cfg["b"])
-        if kind == LOOKAHEAD:
-            return cls.lookahead(
-                cfg["b"], cfg.get("gamma", 0), cfg.get("count_rollout_steps", True)
+        """Spec from a config section: ``kind`` plus the parameters that kind
+        takes; a parameter the kind does not take is rejected."""
+        kind = cfg.get("kind")
+        params = _PARAMS.get(kind, ())
+        stray = sorted(set(cfg) - {"kind", *params})
+        if kind in _PARAMS and stray:
+            raise ValidationError(
+                f"{kind} takes no parameter {', '.join(stray)}; "
+                f"its parameters are {', '.join(params) or 'none'}"
             )
-        raise ValidationError(f"unknown strategy kind {kind!r}")
+        return cls(kind, **{name: cfg.get(name, _DEFAULTS.get(name)) for name in params})
 
     def describe(self) -> str:
         parts = [self.kind]
@@ -730,17 +726,21 @@ def verify_bounds(report: MonteCarloReport, bound: float) -> bool:
 
 def matching_bound(cfg: ProcessConfig, strategy: StrategySpec) -> float | None:
     """Closed-form upper bound paired with a strategy, or None when the
-    strategy has no success bound (lookahead)."""
-    if strategy.kind == SINGLE_PATH:
-        return _bounds.single_path_bound(cfg.decay, cfg.L)
-    if strategy.kind == BON:
-        return _bounds.bon_bound(cfg.decay, cfg.selector, cfg.L, strategy.N)
-    if strategy.kind == BEAM:
-        return _bounds.width_expansion_bound_exact(
-            cfg.decay, cfg.selector, cfg.L, strategy.k, strategy.b
-        )
-    if strategy.kind == MCTS_BEST:
-        return _bounds.mcts_best_bound(cfg.decay, cfg.selector, cfg.L, strategy.b)
-    if strategy.kind == MCTS_WORST:
-        return _bounds.mcts_worst_bound(cfg.decay, cfg.selector, cfg.L, strategy.b)
+    strategy has no success bound (lookahead) or its bound is undefined for
+    the decay model (simplified forms under tabulated decay or lambda > e)."""
+    try:
+        if strategy.kind == SINGLE_PATH:
+            return _bounds.single_path_bound(cfg.decay, cfg.L)
+        if strategy.kind == BON:
+            return _bounds.bon_bound(cfg.decay, cfg.selector, cfg.L, strategy.N)
+        if strategy.kind == BEAM:
+            return _bounds.width_expansion_bound_exact(
+                cfg.decay, cfg.selector, cfg.L, strategy.k, strategy.b
+            )
+        if strategy.kind == MCTS_BEST:
+            return _bounds.mcts_best_bound(cfg.decay, cfg.selector, cfg.L, strategy.b)
+        if strategy.kind == MCTS_WORST:
+            return _bounds.mcts_worst_bound(cfg.decay, cfg.selector, cfg.L, strategy.b)
+    except PreconditionError:
+        pass
     return None

@@ -11,7 +11,6 @@ import mpmath as mp
 import pytest
 
 from slowthink.bounds import (
-    BoundInput,
     CostEntry,
     bon_bound,
     cost_table,
@@ -296,11 +295,3 @@ class TestLookahead:
                     v = lookahead_distinguishability_bound(1.0, w, layer + gamma)
                     assert peak >= v - 1e-12
 
-
-class TestBoundInput:
-    def test_validates_counts(self):
-        BoundInput(EXP1, IDEAL, L=3, k=2, b=2, N=4)
-        with pytest.raises(ValidationError):
-            BoundInput(EXP1, IDEAL, L=0)
-        with pytest.raises(ValidationError):
-            BoundInput(EXP1, IDEAL, L=1, k=-1)

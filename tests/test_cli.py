@@ -137,6 +137,31 @@ class TestSimulateCommand:
         assert rc == 0
         assert rows[0]["trials"] == "2500"
 
+    def test_strategy_flag_sets_key_inside_config_strategy(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {"L": 2, "strategy": {"kind": "bon", "N": 2, "rule": "orm_max"},
+                 "trials": 500}
+            )
+        )
+        rc, _, rows = run(tmp_path, "simulate", "--config", str(cfg), "--N", "8")
+        assert rc == 0
+        assert rows[0]["N"] == "8" and rows[0]["rule"] == "orm_max"
+
+    @pytest.mark.parametrize(
+        "strategy", [["bon", "--N", "2"], ["mcts_best", "--b", "2"], ["mcts_worst", "--b", "2"]]
+    )
+    @pytest.mark.parametrize("decay", [["--table", "0.9,0.8,0.7"], ["--lambda", "3"]])
+    def test_undefined_simplified_bound_leaves_cells_empty(self, tmp_path, strategy, decay):
+        rc, _, rows = run(
+            tmp_path, "simulate", "--strategy", *strategy, "--L", "3",
+            "--trials", "500", *decay,
+        )
+        assert rc == 0
+        assert float(rows[0]["estimate"]) > 0.0
+        assert (rows[0]["bound"], rows[0]["vacuous"], rows[0]["verify"]) == ("", "", "")
+
 
 class TestFanoSuiteCommand:
     def test_small_suite_passes(self, tmp_path, capsys):
@@ -283,3 +308,46 @@ class TestDeterminismAndManifests:
         )
         assert rc == rc2 == 0
         assert replay.read_bytes() == out.read_bytes()
+
+
+class TestMalformedInput:
+    """Every malformed input exits 2 with an error line, never a traceback."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "nokind.json").write_text(
+            json.dumps({"strategy": {"N": 2}, "L": 2, "trials": 100})
+        )
+        (tmp_path / "x.csv").write_text("f0,f1\n1,2\n3,oops\n")
+        (tmp_path / "y.csv").write_text("f0,f1\n1,2\n3,4\n")
+        (tmp_path / "pts.csv").write_text("x,y\n1,2\nnan?,4\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--strategy", "single_path", "--selector", "constant"], "selector"),
+            (["simulate", "--strategy", "single_path", "--selector", "noisy:1"], "selector"),
+            (["simulate", "--strategy", "beam", "--b", "1", "--sweep", "N=a:b"], "sweep"),
+            (["simulate", "--strategy", "beam", "--k", "4"], "requires b >= 1"),
+            (["simulate", "--config", "nokind.json"], "strategy kind"),
+            (["simulate", "--strategy", "beam", "--k", "4", "--b", "2",
+              "--sweep", "N=1,2"], "beam takes no parameter N"),
+            (["simulate", "--strategy", "single_path", "--lambda", "1",
+              "--table", "0.9"], "not allowed with"),
+            (["calibrate", "--stats", "1,2"], "stats"),
+            (["simulate", "--config", "bad.json"], "bad.json: invalid JSON"),
+            (["reproduce", "from-manifest", "--path", "bad.json"], "bad.json: invalid JSON"),
+            (["reproduce", "from-manifest", "--path", "nokind.json"], "not a manifest"),
+            (["hsic", "--x", "x.csv", "--y", "y.csv"], "x.csv:3:"),
+            (["fit", "--points", "pts.csv"], "pts.csv:3:"),
+            (["bounds", "--strategy", "lookahead"], "--lambda-delta"),
+        ],
+    )
+    def test_exits_2(self, inputs, capsys, argv, message):
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
+
