@@ -93,6 +93,12 @@ CASES = {
     "fano-suite-mi-only": ["fano-suite", "--instances", "30", "--seed", "11",
                            "--assumption", "mi-only", "--support-min", "2",
                            "--support-max", "4", "--max-L", "5"],
+    # prefixes longer than 8 layers, where numpy's mean sums pairwise
+    "fano-suite-long": ["fano-suite", "--instances", "200", "--seed", "4", "--max-L", "12",
+                        "--support-min", "2", "--support-max", "5"],
+    "fano-suite-long-mi-only": ["fano-suite", "--instances", "200", "--seed", "4",
+                                "--max-L", "12", "--support-min", "2",
+                                "--support-max", "5", "--assumption", "mi-only"],
     "calibrate-stats": ["calibrate", "--stats", "1.67,9.45,4.00"],
     "calibrate-traces": ["calibrate", "--traces", "traces.jsonl"],
     "reproduce-table1": ["reproduce", "table1", "--b", "4", "--L", "2"],
@@ -155,6 +161,18 @@ GOLDEN = {
         0,
         "1a88b56ffa576d1215724ec10a72350b2e65b13738906355218a7709527fc3bd",
         "04eca3fc89da97aca2efce839e360bd4d4da3e01ece4df91c9f3dbee2cb54ba3",
+        None,
+    ),
+    "fano-suite-long": (
+        0,
+        "a8f38aa442f009f088b1bcce88a7515d5486e3f7925f2c5424ef6b9583ba2cb1",
+        "eef3946169453b45476ba1e533285c359b5fff7d0228f465f7b5fe46be2b6391",
+        None,
+    ),
+    "fano-suite-long-mi-only": (
+        1,
+        "4427d6c0c2cb57ca6debd0b475d4ecb0a3b901b06e655b812bebd946a940edd7",
+        "ea1459ed531a01e6d093201d53b0b644b1b701d483004c58d508071c94a7d24c",
         None,
     ),
     "fano-suite-mi-only": (
