@@ -142,7 +142,12 @@ def per_token_hsic(value: float, mean_length: float) -> float:
 def permutation_null(
     x, y, cfg: HsicConfig = HsicConfig(), count: int = 1000, seed: int = 0
 ) -> np.ndarray:
-    """Null distribution of the statistic under row shuffles of y."""
+    """Null distribution of the statistic under row shuffles of y.
+
+    Each value is sum(Kc * Lc[perm][:, perm]) / (n-1)^2, evaluated as one
+    einsum over two ``take`` gathers; it can differ from the elementwise
+    product's sum in the last bits, because einsum adds in another order.
+    """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
     mx = _as_matrix(x)
@@ -158,7 +163,8 @@ def permutation_null(
     out = np.empty(count, dtype=np.float64)
     for i in range(count):
         perm = rng.permutation(n)
-        out[i] = max(float((kc * lc[np.ix_(perm, perm)]).sum()) / (n - 1) ** 2, 0.0)
+        shuffled = lc.take(perm, axis=0).take(perm, axis=1)
+        out[i] = max(float(np.einsum("ij,ij->", kc, shuffled)) / (n - 1) ** 2, 0.0)
     return out
 
 

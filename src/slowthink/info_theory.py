@@ -10,7 +10,9 @@ a multi-step process is a sequence of such joints.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -142,20 +144,57 @@ def entropy(dist) -> float:
     return _ent(_validated_dist(dist))
 
 
+def _layer_terms(joint: FiniteJoint) -> tuple[float, float, float]:
+    """H(t), I(t; r) and H(t | r) of one joint, from three entropies."""
+    h_t = _ent(joint.t_marginal())
+    h_r = _ent(joint.r_marginal())
+    h_tr = _ent(joint.probs.ravel())
+    return h_t, max(h_t + h_r - h_tr, 0.0), max(h_tr - h_r, 0.0)
+
+
 def conditional_entropy(joint: FiniteJoint) -> float:
     """H(t | r): the per-step information loss."""
-    v = _ent(joint.probs.ravel()) - _ent(joint.r_marginal())
-    return max(v, 0.0)
+    return _layer_terms(joint)[2]
 
 
 def mutual_information(joint: FiniteJoint) -> float:
     """I(t; r) = H(t) + H(r) - H(t, r)."""
-    v = (
-        _ent(joint.t_marginal())
-        + _ent(joint.r_marginal())
-        - _ent(joint.probs.ravel())
-    )
-    return max(v, 0.0)
+    return _layer_terms(joint)[1]
+
+
+@dataclass(frozen=True)
+class _Prefix:
+    """What the checks at layer l read, accumulated over layers 1..l."""
+
+    l: int
+    layer: FiniteJoint
+    loss: float  # H(t_l | r_l)
+    snowball: float  # sum of H(t_i | r_i) over i < l, added in layer order
+    mi_nonincreasing: bool  # I(t_i; r_i) nonincreasing over i <= l
+    entropy_condition: bool  # H(t_l) >= mean of H(t_i) over i < l
+
+
+def _prefixes(seq: ChannelSequence) -> Iterator[_Prefix]:
+    """Walk the layers once: each layer's terms are computed once, and the
+    snowball sum and the mutual-information condition are carried forward.
+    The entropy condition's mean stays ``np.mean`` over the prefix, whose
+    pairwise summation a running sum would not reproduce beyond 8 terms."""
+    ents: list[float] = []
+    snow = 0.0
+    mi_prev = math.inf
+    mi_noninc = True
+    for l, layer in enumerate(seq.layers, start=1):
+        h_t, mi, loss = _layer_terms(layer)
+        mi_noninc = mi_noninc and mi <= mi_prev
+        entropy_cond = l == 1 or h_t >= float(np.mean(ents))
+        yield _Prefix(l, layer, loss, snow, mi_noninc, entropy_cond)
+        ents.append(h_t)
+        snow += loss
+        mi_prev = mi
+
+
+def _prefix_at(seq: ChannelSequence, l: int) -> _Prefix:
+    return next(islice(_prefixes(seq), l - 1, None))
 
 
 def snowball(seq: ChannelSequence, l: int) -> float:
@@ -163,13 +202,15 @@ def snowball(seq: ChannelSequence, l: int) -> float:
     H(t_i | r_i). Defined for 2 <= l <= len(seq) + 1."""
     if not 2 <= l <= len(seq) + 1:
         raise RangeError(f"l must be in 2..{len(seq) + 1}, got {l}")
-    return sum(conditional_entropy(seq.layers[i]) for i in range(l - 1))
+    last = _prefix_at(seq, l - 1)
+    return last.snowball + last.loss
 
 
 def map_decoder_error(joint: FiniteJoint) -> float:
     """Error probability of the maximum-a-posteriori decoder t_hat(r), the
-    minimum achievable over all decoders: 1 - sum_r max_t p(t, r)."""
-    return float(1.0 - joint.probs.max(axis=0).sum())
+    minimum achievable over all decoders: 1 - sum_r max_t p(t, r), clamped at
+    0 against rounding when every column has a single nonzero cell."""
+    return max(float(1.0 - joint.probs.max(axis=0).sum()), 0.0)
 
 
 def binary_entropy(p: float) -> float:
@@ -181,64 +222,51 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log(p) - (1.0 - p) * math.log1p(-p))
 
 
-def _prefix_conditions(seq: ChannelSequence, l: int) -> tuple[bool, bool]:
-    mis = [mutual_information(seq.layers[i]) for i in range(l)]
-    mi_noninc = all(mis[i] <= mis[i - 1] for i in range(1, l))
-    ents = [_ent(seq.layers[i].t_marginal()) for i in range(l)]
-    entropy_cond = ents[l - 1] >= float(np.mean(ents[: l - 1]))
-    return mi_noninc, entropy_cond
-
-
 def check_info_loss_inequality(seq: ChannelSequence, l: int) -> InfoLossReport:
     """Check H(t_l | r_l) >= (sum of earlier losses) / (l - 1) and report the
-    two assumptions it rests on separately."""
+    two assumptions it rests on separately. One pass over layers 1..l."""
     if not 2 <= l <= len(seq):
         raise RangeError(f"l must be in 2..{len(seq)}, got {l}")
-    mi_noninc, entropy_cond = _prefix_conditions(seq, l)
-    lhs = conditional_entropy(seq.layers[l - 1])
-    rhs = snowball(seq, l) / (l - 1)
+    p = _prefix_at(seq, l)
+    rhs = p.snowball / (l - 1)
     return InfoLossReport(
         l=l,
+        lhs=p.loss,
+        rhs=rhs,
+        mi_nonincreasing=p.mi_nonincreasing,
+        entropy_condition=p.entropy_condition,
+        holds=p.loss >= rhs - _HOLD_TOL,
+    )
+
+
+def _fano_report(p: _Prefix) -> FanoReport:
+    lhs = map_decoder_error(p.layer)
+    h_b = binary_entropy(lhs)
+    size = p.layer.t_support_size
+    defined = size > 2
+    rhs = (p.snowball / (p.l - 1) - h_b) / math.log(size - 1) if defined else float("nan")
+    return FanoReport(
+        l=p.l,
         lhs=lhs,
         rhs=rhs,
-        mi_nonincreasing=mi_noninc,
-        entropy_condition=entropy_cond,
-        holds=lhs >= rhs - _HOLD_TOL,
+        h_b=h_b,
+        assumption_holds=p.mi_nonincreasing,
+        entropy_condition=p.entropy_condition,
+        defined=defined,
+        holds=not defined or lhs >= rhs - _HOLD_TOL,
     )
 
 
 def fano_check(seq: ChannelSequence, l: int) -> FanoReport:
     """Compare the exact optimal-decoder error at layer l against its
     information-theoretic lower bound
-    ``[snowball/(l-1) - H_b(error)] / ln(|T_l| - 1)``."""
+    ``[snowball/(l-1) - H_b(error)] / ln(|T_l| - 1)``.
+
+    Cost: one pass over layers 1..l, three entropies per layer (O(l)).
+    """
     if not 2 <= l <= len(seq):
         raise RangeError(f"l must be in 2..{len(seq)}, got {l}")
-    layer = seq.layers[l - 1]
-    mi_noninc, entropy_cond = _prefix_conditions(seq, l)
-    lhs = map_decoder_error(layer)
-    if layer.t_support_size == 2:
-        return FanoReport(
-            l=l,
-            lhs=lhs,
-            rhs=float("nan"),
-            h_b=binary_entropy(lhs),
-            assumption_holds=mi_noninc,
-            entropy_condition=entropy_cond,
-            defined=False,
-            holds=True,
-        )
-    h_b = binary_entropy(lhs)
-    rhs = (snowball(seq, l) / (l - 1) - h_b) / math.log(layer.t_support_size - 1)
-    return FanoReport(
-        l=l,
-        lhs=lhs,
-        rhs=rhs,
-        h_b=h_b,
-        assumption_holds=mi_noninc,
-        entropy_condition=entropy_cond,
-        defined=True,
-        holds=lhs >= rhs - _HOLD_TOL,
-    )
+    return _fano_report(_prefix_at(seq, l))
 
 
 def random_joint(rng: np.random.Generator, t_size: int, r_size: int) -> FiniteJoint:
@@ -299,6 +327,9 @@ def fano_suite(
     and satisfies the mutual-information condition (plus, by default, the
     entropy condition; without it the bound is not guaranteed and violations
     are expected). Sequences are drawn until ``instances`` qualify.
+
+    Cost per sequence: one pass over its layers, three entropies per layer
+    (O(L)), stopped at the first layer where the mutual information rises.
     """
     if instances < 1:
         raise ValidationError(f"instances must be >= 1, got {instances}")
@@ -315,9 +346,11 @@ def fano_suite(
         length = int(rng.integers(2, max_len + 1))
         seq = random_sequence(rng, length, support_range)
         qualifying = []
-        for l in range(2, length + 1):
-            rep = fano_check(seq, l)
-            if not (rep.defined and rep.assumption_holds):
+        for p in islice(_prefixes(seq), 1, None):
+            rep = _fano_report(p)
+            if not rep.assumption_holds:
+                break  # the condition then fails for every longer prefix too
+            if not rep.defined:
                 continue
             if require_entropy_condition and not rep.entropy_condition:
                 continue

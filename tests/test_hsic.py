@@ -8,6 +8,7 @@ import pytest
 from slowthink.errors import FitError, ValidationError
 from slowthink.hsic import (
     HsicConfig,
+    _center,
     SampleSet,
     fit_decay,
     gaussian_gram,
@@ -102,6 +103,30 @@ class TestHsic:
         stat = hsic(x, y)
         null = permutation_null(x, y, count=1000, seed=2)
         assert stat < np.quantile(null, 0.95)
+
+
+class TestPermutationNull:
+    def test_matches_elementwise_product_over_ix_gathers(self):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(80, 3))
+        y = x[:, :2] + rng.normal(size=(80, 2))
+        cfg = HsicConfig(sigma=2.0)
+        null = permutation_null(x, y, cfg, count=50, seed=4)
+        kc = _center(gaussian_gram(x, cfg))
+        lc = _center(gaussian_gram(y, cfg))
+        perms = np.random.default_rng(4)
+        for value in null:
+            perm = perms.permutation(80)
+            expected = float((kc * lc[np.ix_(perm, perm)]).sum()) / 79**2
+            assert value == pytest.approx(max(expected, 0.0), rel=1e-12, abs=0.0)
+
+    def test_seeded_and_nonnegative(self):
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(40, 2))
+        y = rng.normal(size=(40, 2))
+        a = permutation_null(x, y, count=30, seed=7)
+        assert np.array_equal(a, permutation_null(x, y, count=30, seed=7))
+        assert a.shape == (30,) and np.all(a >= 0.0)
 
 
 class TestSampleSet:

@@ -7,11 +7,15 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slowthink import info_theory
 from slowthink.errors import RangeError, ValidationError
 from slowthink.info_theory import (
     ChannelSequence,
     FiniteJoint,
+    InfoLossReport,
     binary_entropy,
     check_info_loss_inequality,
     conditional_entropy,
@@ -219,6 +223,13 @@ class TestMapDecoder:
     def test_perfect_channel_decodes_exactly(self):
         assert map_decoder_error(perfect_channel(4)) == pytest.approx(0.0, abs=1e-12)
 
+    def test_noiseless_channel_error_is_not_negative(self):
+        # the column maxima of this joint sum to 1 + 2**-52 in floating point
+        joint = FiniteJoint(np.array([[1, 0, 2, 0, 1], [0, 1, 0, 1, 0]]) / 6)
+        assert map_decoder_error(joint) == 0.0
+        rep = fano_check(ChannelSequence((joint, joint)), 2)
+        assert rep.lhs == 0.0 and rep.h_b == 0.0
+
     def test_independent_binary_is_coin_flip(self):
         assert map_decoder_error(independent_uniform(2, 3)) == pytest.approx(
             0.5, rel=1e-12
@@ -311,6 +322,99 @@ class TestFanoCheck:
         # the suite gates on both conditions by default
         result = fano_suite(instances=300, seed=123, require_entropy_condition=False)
         assert result.violations > 0
+
+
+@st.composite
+def joints(draw) -> FiniteJoint:
+    """Joints on supports 2..6 from small integer or float weights, so that
+    zero cells and exactly tied layers come up often."""
+    t = draw(st.integers(2, 6))
+    r = draw(st.integers(2, 6))
+    weight = st.one_of(st.integers(0, 4), st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(weight, min_size=t * r, max_size=t * r)), dtype=float)
+    w = w.reshape(t, r)
+    for i in range(max(t, r)):  # every row and column keeps some mass
+        w[i % t, i % r] += 1.0
+    return FiniteJoint(w / w.sum())
+
+
+@st.composite
+def sequences(draw) -> ChannelSequence:
+    pool = draw(st.lists(joints(), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+    return ChannelSequence(tuple(picks))
+
+
+def per_prefix(seq: ChannelSequence, l: int):
+    """The layer-l terms recomputed from scratch over layers 1..l."""
+    layers = seq.layers[:l]
+    mis = [mutual_information(j) for j in layers]
+    # entropy() renormalizes its argument, which moves the last bit of about
+    # one marginal in ten; the checks take H(t) of the marginal as it is
+    ents = [info_theory._ent(j.t_marginal()) for j in layers]
+    snow = 0
+    for j in layers[:-1]:  # in layer order, as sum() did before Python 3.12
+        snow += conditional_entropy(j)
+    mi_noninc = all(b <= a for a, b in zip(mis, mis[1:]))
+    entropy_cond = ents[-1] >= float(np.mean(ents[:-1]))
+    return snow, mi_noninc, entropy_cond
+
+
+class TestOnePassEquivalence:
+    """fano_check, check_info_loss_inequality and snowball read one pass over
+    the layers; each must equal a per-prefix recomputation exactly."""
+
+    @given(sequences())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_prefix_recomputation(self, seq):
+        for l in range(2, len(seq) + 1):
+            snow, mi_noninc, entropy_cond = per_prefix(seq, l)
+            layer = seq.layers[l - 1]
+            assert snowball(seq, l) == snow
+
+            loss = conditional_entropy(layer)
+            assert check_info_loss_inequality(seq, l) == InfoLossReport(
+                l=l, lhs=loss, rhs=snow / (l - 1), mi_nonincreasing=mi_noninc,
+                entropy_condition=entropy_cond, holds=loss >= snow / (l - 1) - 1e-12,
+            )
+
+            err = map_decoder_error(layer)
+            h_b = binary_entropy(err)
+            rep = fano_check(seq, l)
+            assert (rep.l, rep.lhs, rep.h_b) == (l, err, h_b)
+            assert (rep.assumption_holds, rep.entropy_condition) == (mi_noninc, entropy_cond)
+            size = layer.t_support_size
+            assert rep.defined == (size > 2)
+            if rep.defined:
+                rhs = (snow / (l - 1) - h_b) / math.log(size - 1)
+                assert rep.rhs == rhs
+                assert rep.holds == (err >= rhs - 1e-12)
+            else:
+                assert math.isnan(rep.rhs) and rep.holds
+        total = 0
+        for j in seq.layers:
+            total += conditional_entropy(j)
+        assert snowball(seq, len(seq) + 1) == total
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=10, deadline=None)
+    def test_suite_keeps_every_qualifying_check(self, seed, both):
+        result = fano_suite(
+            instances=5, support_range=(2, 4), max_len=12, seed=seed,
+            require_entropy_condition=both,
+        )
+        # replay the draws and select the qualifying layers through fano_check
+        rng = np.random.default_rng(seed)
+        expected = []
+        for attempt in range(result.reports[-1][0] + 1):
+            seq = random_sequence(rng, int(rng.integers(2, 13)), (2, 4))
+            expected += [
+                (attempt, rep)
+                for rep in (fano_check(seq, l) for l in range(2, len(seq) + 1))
+                if rep.defined and rep.assumption_holds
+                and (rep.entropy_condition or not both)
+            ]
+        assert result.reports == tuple(expected)
 
 
 class TestGenerators:
