@@ -24,7 +24,13 @@ import time
 import numpy as np
 
 from . import __version__, bounds, calibration, hsic, info_theory, reporting, simulate
-from .errors import SlowthinkError, ValidationError
+from .errors import (
+    PreconditionError,
+    SlowthinkError,
+    ValidationError,
+    checked_number,
+    checked_section,
+)
 from .models import DecayModel, SelectorModel, WrongModel
 
 # Reference tree-search statistics (avg_b, avg_p, avg_L) and previously
@@ -62,10 +68,16 @@ def _merge(config: dict, args: argparse.Namespace) -> dict:
     for key in sorted(flags, key=lambda k: "." in k):
         section, _, name = key.rpartition(".")
         if section:
-            resolved[section] = {**resolved.get(section, {}), name: flags[key]}
+            base = checked_section(resolved.get(section, {}), section)
+            resolved[section] = {**base, name: flags[key]}
         else:
             resolved[key] = flags[key]
     return resolved
+
+
+def _number(resolved: dict, key: str, default, kind=int):
+    """A scalar config value as ``kind``; ValidationError when not a number."""
+    return checked_number(resolved.get(key, default), key, kind)
 
 
 # argparse type= converters: each turns one flag's text into its config value.
@@ -139,9 +151,9 @@ def _lookahead_bound(decay, selector, L, k, b, N, resolved) -> float:
     if "lambda_delta" not in resolved:
         raise ValidationError("the lookahead bound requires --lambda-delta")
     lam = decay.lambda_tau if decay.kind == "exponential" else float("nan")
-    wrong = WrongModel(float(resolved["lambda_delta"]))
+    wrong = WrongModel(_number(resolved, "lambda_delta", None, float))
     return bounds.lookahead_distinguishability_bound(
-        lam, wrong, float(resolved.get("depth", L))
+        lam, wrong, _number(resolved, "depth", L, float)
     )
 
 
@@ -164,23 +176,29 @@ _BOUNDS = {
 def _cmd_bounds(resolved: dict) -> _RunOutput:
     decay = DecayModel.from_config(resolved.get("decay", {"lambda_tau": 1.0}))
     selector = SelectorModel.from_config(resolved.get("selector", {"kind": "ideal"}))
-    L = int(resolved.get("L", 1))
-    k = int(resolved.get("k", 1))
-    b = int(resolved.get("b", 1))
-    N = int(resolved.get("N", 1))
+    L = _number(resolved, "L", 1)
+    k = _number(resolved, "k", 1)
+    b = _number(resolved, "b", 1)
+    N = _number(resolved, "N", 1)
     wanted = resolved.get("strategy", "single")
+    if wanted not in (*_BOUNDS, "all"):
+        raise ValidationError(
+            f"strategy must be one of {tuple(_BOUNDS)} or 'all', got {wanted!r}"
+        )
     names = [n for n in _BOUNDS if n != "lookahead"] if wanted == "all" else [wanted]
     lam = decay.lambda_tau if decay.kind == "exponential" else float("nan")
     rows = []
     for name in names:
-        if name not in _BOUNDS:
-            raise ValidationError(
-                f"strategy must be one of {tuple(_BOUNDS)} or 'all', got {name!r}"
-            )
-        value = _BOUNDS[name](decay, selector, L, k, b, N, resolved)
-        rows.append(
-            (name, lam, L, k, b, N, selector.kind, value, bounds.is_vacuous(value))
-        )
+        try:
+            value = _BOUNDS[name](decay, selector, L, k, b, N, resolved)
+            cells = (value, bounds.is_vacuous(value))
+        except PreconditionError:
+            # under "all", a bound undefined for this decay model leaves its
+            # cells empty, as simulate does; asked for by name, it is an error
+            if wanted != "all":
+                raise
+            cells = ("", "")
+        rows.append((name, lam, L, k, b, N, selector.kind, *cells))
     header = ("strategy", "lambda_tau", "L", "k", "b", "N", "epsilon_kind", "bound", "vacuous")
     return _RunOutput(header, rows)
 
@@ -201,14 +219,17 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
     if "strategy" not in resolved:
         raise ValidationError("simulate requires --strategy or a config strategy")
     cfg = simulate.ProcessConfig.from_config(resolved)
-    strategy_cfg = resolved["strategy"]
-    trials = int(resolved.get("trials", 10_000))
-    seed = int(resolved.get("seed", 0))
+    strategy_cfg = checked_section(resolved["strategy"], "strategy")
+    trials = _number(resolved, "trials", 10_000)
+    seed = _number(resolved, "seed", 0)
     sweep = resolved.get("sweep")
     if sweep:
+        param, values = checked_section(sweep, "sweep").get("param"), sweep.get("values")
+        if not (isinstance(param, str) and isinstance(values, list)):
+            raise ValidationError('sweep must be {"param": NAME, "values": [V1, ...]}')
         specs = [
-            simulate.StrategySpec.from_config({**strategy_cfg, sweep["param"]: value})
-            for value in sweep["values"]
+            simulate.StrategySpec.from_config({**strategy_cfg, param: value})
+            for value in values
         ]
     else:
         specs = [simulate.StrategySpec.from_config(strategy_cfg)]
@@ -249,10 +270,10 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
 
 
 def _cmd_fano_suite(resolved: dict) -> _RunOutput:
-    instances = int(resolved.get("instances", 1000))
-    support = (int(resolved.get("support_min", 3)), int(resolved.get("support_max", 6)))
-    max_len = int(resolved.get("max_L", 8))
-    seed = int(resolved.get("seed", 0))
+    instances = _number(resolved, "instances", 1000)
+    support = (_number(resolved, "support_min", 3), _number(resolved, "support_max", 6))
+    max_len = _number(resolved, "max_L", 8)
+    seed = _number(resolved, "seed", 0)
     assumption = resolved.get("assumption", "both")
     if assumption not in ("both", "mi-only"):
         raise ValidationError(f"assumption must be 'both' or 'mi-only', got {assumption!r}")
@@ -284,7 +305,10 @@ def _cmd_fano_suite(resolved: dict) -> _RunOutput:
 
 def _cmd_calibrate(resolved: dict) -> _RunOutput:
     if resolved.get("stats") is not None:
-        b, p, L = (float(v) for v in resolved["stats"])
+        given = resolved["stats"]
+        if not isinstance(given, list) or len(given) != 3:
+            raise ValidationError(f"stats must be [avg_b, avg_p, avg_L], got {given!r}")
+        b, p, L = (checked_number(v, "stats") for v in given)
         stats = calibration.TraceStats(avg_b=b, avg_p=p, avg_L=L)
     elif "traces" in resolved and resolved["traces"]:
         stats = calibration.ingest_traces(resolved["traces"])
@@ -353,9 +377,11 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
             raise ValidationError(f"hsic requires --{key} FILE")
     x = _read_feature_csv(resolved["x"])
     y = _read_feature_csv(resolved["y"])
-    cfg = hsic.HsicConfig(sigma=float(resolved.get("sigma", hsic.DEFAULT_SIGMA)))
+    cfg = hsic.HsicConfig(sigma=_number(resolved, "sigma", hsic.DEFAULT_SIGMA, float))
     value = hsic.hsic(x, y, cfg)
     mean_length = resolved.get("mean_length")
+    if mean_length is not None:
+        mean_length = checked_number(mean_length, "mean_length")
     if mean_length is None and resolved.get("per_token"):
         mean_length = x.mean_length() or y.mean_length()
         if mean_length is None:
@@ -364,12 +390,14 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
                 "or an explicit --mean-length"
             )
     per_token = (
-        hsic.per_token_hsic(value, float(mean_length))
+        hsic.per_token_hsic(value, mean_length)
         if mean_length is not None
         else ""
     )
-    perm_count = int(resolved.get("permutation_test", 0) or 0)
-    seed = int(resolved.get("seed", 0))
+    perm_count = checked_number(
+        resolved.get("permutation_test") or 0, "permutation_test", int
+    )
+    seed = _number(resolved, "seed", 0)
     p95 = pvalue = ""
     if perm_count:
         null = hsic.permutation_null(x, y, cfg, count=perm_count, seed=seed)
@@ -396,7 +424,7 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
     rows = [
         (
             x.n, cfg.sigma, value,
-            "" if mean_length is None else float(mean_length), per_token,
+            "" if mean_length is None else mean_length, per_token,
             perm_count or "", p95, pvalue,
         )
     ]
@@ -475,8 +503,8 @@ def _cmd_fit(resolved: dict) -> _RunOutput:
 
 
 def _preset_table1(resolved: dict) -> _RunOutput:
-    b = int(resolved.get("b", 4))
-    L = int(resolved.get("L", 2))
+    b = _number(resolved, "b", 4)
+    L = _number(resolved, "L", 2)
     best, worst = bounds.cost_table(b, L)
     header = ("case", "b", "L", "bon_cost", "mcts_cost")
     rows = [
@@ -515,10 +543,10 @@ def _preset_nmin(resolved: dict) -> _RunOutput:
     header = ("b", "L", "case", "n_min", "equality_solution", "rel_err")
     rows = []
     ok = True
-    for b in b_values:
-        for L in L_values:
+    for b in (checked_number(v, "b_values", int) for v in b_values):
+        for L in (checked_number(v, "L_values", int) for v in L_values):
             for case in ("best", "worst"):
-                value = bounds.n_min(int(b), int(L), case)
+                value = bounds.n_min(b, L, case)
                 expected = float(b) if case == "best" else float(b) ** ((L + 1) / 2)
                 err = abs(value - expected) / expected
                 ok = ok and err <= 1e-9
@@ -527,12 +555,12 @@ def _preset_nmin(resolved: dict) -> _RunOutput:
 
 
 def _preset_gamma_sweep(resolved: dict) -> _RunOutput:
-    lambda_tau = float(resolved.get("lambda_tau", 1.0))
-    wrong = WrongModel(float(resolved.get("lambda_delta", math.e**3 / 2)))
-    layer = int(resolved.get("layer", 1))
-    gammas = resolved.get("gammas", list(range(0, 7)))
-    trials = int(resolved.get("trials", 100_000))
-    seed = int(resolved.get("seed", 0))
+    lambda_tau = _number(resolved, "lambda_tau", 1.0, float)
+    wrong = WrongModel(_number(resolved, "lambda_delta", math.e**3 / 2, float))
+    layer = _number(resolved, "layer", 1)
+    gammas = [checked_number(g, "gammas", int) for g in resolved.get("gammas", range(7))]
+    trials = _number(resolved, "trials", 100_000)
+    seed = _number(resolved, "seed", 0)
     gamma_star = bounds.optimal_rollout(wrong, layer)
     results = simulate.lookahead_gamma_sweep(
         lambda_tau, wrong, layer, gammas, trials, seed
@@ -555,8 +583,8 @@ def _preset_gamma_sweep(resolved: dict) -> _RunOutput:
 
 
 def _preset_dominance(resolved: dict) -> _RunOutput:
-    trials = int(resolved.get("trials", 100_000))
-    seed = int(resolved.get("seed", 31_000))
+    trials = _number(resolved, "trials", 100_000)
+    seed = _number(resolved, "seed", 31_000)
     header = (
         "lambda_tau", "L", "strategy", "estimate", "ci_low", "ci_high",
         "bound", "vacuous", "verify",
@@ -596,16 +624,16 @@ def _preset_dominance(resolved: dict) -> _RunOutput:
 
 
 def _preset_bon_vs_mcts(resolved: dict) -> _RunOutput:
-    b = int(resolved.get("b", 2))
-    L = int(resolved.get("L", 3))
-    trials = int(resolved.get("trials", 100_000))
-    seed = int(resolved.get("seed", 0))
-    margin = float(resolved.get("margin", 1.0))
-    noise = float(resolved.get("noise_std", 0.25))
+    b = _number(resolved, "b", 2)
+    L = _number(resolved, "L", 3)
+    trials = _number(resolved, "trials", 100_000)
+    seed = _number(resolved, "seed", 0)
+    margin = _number(resolved, "margin", 1.0, float)
+    noise = _number(resolved, "noise_std", 0.25, float)
     cfg = simulate.ProcessConfig(
-        decay=DecayModel.exponential(float(resolved.get("lambda_tau", 1.0))),
+        decay=DecayModel.exponential(_number(resolved, "lambda_tau", 1.0, float)),
         selector=SelectorModel.noisy_score(margin, noise),
-        answer=simulate.AnswerModel(int(resolved.get("answer_space_size", 100))),
+        answer=simulate.AnswerModel(_number(resolved, "answer_space_size", 100)),
         L=L,
         score_noise_std=noise,
     )

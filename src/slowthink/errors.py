@@ -27,3 +27,20 @@ class TraceParseError(SlowthinkError, ValueError):
 
 class FitError(SlowthinkError, RuntimeError):
     """A curve fit has too few usable points to proceed."""
+
+
+def checked_number(value, name: str, kind=float):
+    """``kind(value)``, or a ValidationError naming ``name`` when the value
+    (say, from a JSON config) is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+
+
+def checked_section(value, name: str) -> dict:
+    """``value`` when it is a dict, else a ValidationError naming the config
+    section ``name``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"config section {name!r} must be an object, got {value!r}")
+    return value

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import RangeError, ValidationError
+from .errors import RangeError, ValidationError, checked_number, checked_section
 
 EXPONENTIAL = "exponential"
 TABULATED = "tabulated"
@@ -62,7 +62,9 @@ class DecayModel:
                 raise ValidationError("tabulated decay does not take lambda_tau")
             if not self.table:
                 raise ValidationError("tabulated decay requires a nonempty table")
-            table = tuple(float(v) for v in self.table)
+            table = tuple(
+                checked_number(v, f"table entry {i + 1}") for i, v in enumerate(self.table)
+            )
             for i, v in enumerate(table):
                 if not 0.0 <= v <= 1.0:
                     raise ValidationError(
@@ -74,7 +76,11 @@ class DecayModel:
 
     @classmethod
     def exponential(cls, lambda_tau: float, tau_label: str = "") -> "DecayModel":
-        return cls(kind=EXPONENTIAL, lambda_tau=float(lambda_tau), tau_label=tau_label)
+        return cls(
+            kind=EXPONENTIAL,
+            lambda_tau=checked_number(lambda_tau, "lambda_tau"),
+            tau_label=tau_label,
+        )
 
     @classmethod
     def tabulated(cls, values, tau_label: str = "") -> "DecayModel":
@@ -82,11 +88,14 @@ class DecayModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DecayModel":
-        kind = cfg.get("kind", EXPONENTIAL)
+        kind = checked_section(cfg, "decay").get("kind", EXPONENTIAL)
         if kind == EXPONENTIAL:
-            return cls.exponential(cfg["lambda_tau"], cfg.get("tau_label", ""))
+            return cls.exponential(cfg.get("lambda_tau"), cfg.get("tau_label", ""))
         if kind == TABULATED:
-            return cls.tabulated(cfg["table"], cfg.get("tau_label", ""))
+            table = cfg.get("table")
+            if not isinstance(table, list):
+                raise ValidationError(f"tabulated decay table must be a list, got {table!r}")
+            return cls.tabulated(table, cfg.get("tau_label", ""))
         raise ValidationError(f"unknown decay kind {kind!r}")
 
     @property
@@ -160,21 +169,25 @@ class SelectorModel:
 
     @classmethod
     def constant(cls, epsilon: float) -> "SelectorModel":
-        return cls(kind=CONSTANT, epsilon=float(epsilon))
+        return cls(kind=CONSTANT, epsilon=checked_number(epsilon, "epsilon"))
 
     @classmethod
     def noisy_score(cls, margin: float, noise_std: float) -> "SelectorModel":
-        return cls(kind=NOISY_SCORE, margin=float(margin), noise_std=float(noise_std))
+        return cls(
+            kind=NOISY_SCORE,
+            margin=checked_number(margin, "margin"),
+            noise_std=checked_number(noise_std, "noise_std"),
+        )
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SelectorModel":
-        kind = cfg.get("kind", IDEAL)
+        kind = checked_section(cfg, "selector").get("kind", IDEAL)
         if kind == IDEAL:
             return cls.ideal()
         if kind == CONSTANT:
-            return cls.constant(cfg["epsilon"])
+            return cls.constant(cfg.get("epsilon"))
         if kind == NOISY_SCORE:
-            return cls.noisy_score(cfg["margin"], cfg["noise_std"])
+            return cls.noisy_score(cfg.get("margin"), cfg.get("noise_std"))
         raise ValidationError(f"unknown selector kind {kind!r}")
 
 
@@ -188,15 +201,14 @@ class AnswerModel:
     answer_space_size: int = 1
 
     def __post_init__(self) -> None:
-        if int(self.answer_space_size) < 1:
-            raise ValidationError(
-                f"answer_space_size must be >= 1, got {self.answer_space_size!r}"
-            )
-        object.__setattr__(self, "answer_space_size", int(self.answer_space_size))
+        size = checked_number(self.answer_space_size, "answer_space_size", int)
+        if size < 1:
+            raise ValidationError(f"answer_space_size must be >= 1, got {size!r}")
+        object.__setattr__(self, "answer_space_size", size)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AnswerModel":
-        return cls(int(cfg.get("answer_space_size", 1)))
+        return cls(checked_section(cfg, "answer").get("answer_space_size", 1))
 
 
 def step_correct_prob(model: DecayModel, l: int) -> float:

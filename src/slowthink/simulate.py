@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as _bounds
-from .errors import PreconditionError, RangeError, ResourceLimitError, ValidationError
+from .errors import (
+    PreconditionError,
+    RangeError,
+    ResourceLimitError,
+    ValidationError,
+    checked_number,
+    checked_section,
+)
 from .models import (
     IDEAL,
     NOISY_SCORE,
@@ -85,9 +92,10 @@ class ProcessConfig:
     score_noise_std: float = 0.0
 
     def __post_init__(self) -> None:
-        if int(self.L) < 1:
-            raise ValidationError(f"L must be >= 1, got {self.L!r}")
-        object.__setattr__(self, "L", int(self.L))
+        L = checked_number(self.L, "L", int)
+        if L < 1:
+            raise ValidationError(f"L must be >= 1, got {L!r}")
+        object.__setattr__(self, "L", L)
         if self.score_noise_std < 0:
             raise ValidationError(
                 f"score_noise_std must be >= 0, got {self.score_noise_std!r}"
@@ -107,8 +115,10 @@ class ProcessConfig:
             decay=DecayModel.from_config(cfg.get("decay", {"lambda_tau": 1.0})),
             selector=SelectorModel.from_config(cfg.get("selector", {})),
             answer=AnswerModel.from_config(cfg.get("answer", {})),
-            L=int(cfg.get("L", 1)),
-            score_noise_std=float(cfg.get("score_noise_std", 0.0)),
+            L=cfg.get("L", 1),
+            score_noise_std=checked_number(
+                cfg.get("score_noise_std", 0.0), "score_noise_std"
+            ),
         )
 
 
@@ -130,20 +140,19 @@ class StrategySpec:
             raise ValidationError(
                 f"strategy kind must be one of {tuple(_PARAMS)}, got {self.kind!r}"
             )
-        for name in ("N", "k", "b"):
+        for name, least in (("N", 1), ("k", 1), ("b", 1), ("gamma", 0)):
             if name in params:
                 v = getattr(self, name)
-                if v is None or int(v) < 1:
-                    raise ValidationError(f"{self.kind} requires {name} >= 1, got {v!r}")
-                object.__setattr__(self, name, int(v))
+                v = None if v is None else checked_number(v, name, int)
+                if v is None or v < least:
+                    raise ValidationError(
+                        f"{self.kind} requires {name} >= {least}, got {v!r}"
+                    )
+                object.__setattr__(self, name, v)
         if "rule" in params and self.rule not in _RULES:
             raise ValidationError(f"bon rule must be one of {_RULES}, got {self.rule!r}")
         if "k" in params and self.k < self.b:
             raise ValidationError(f"beam requires k >= b, got k={self.k}, b={self.b}")
-        if "gamma" in params:
-            if self.gamma is None or int(self.gamma) < 0:
-                raise ValidationError(f"lookahead requires gamma >= 0, got {self.gamma!r}")
-            object.__setattr__(self, "gamma", int(self.gamma))
 
     @classmethod
     def single_path(cls) -> "StrategySpec":
@@ -177,7 +186,7 @@ class StrategySpec:
     def from_config(cls, cfg: dict) -> "StrategySpec":
         """Spec from a config section: ``kind`` plus the parameters that kind
         takes; a parameter the kind does not take is rejected."""
-        kind = cfg.get("kind")
+        kind = checked_section(cfg, "strategy").get("kind")
         params = _PARAMS.get(kind, ())
         stray = sorted(set(cfg) - {"kind", *params})
         if kind in _PARAMS and stray:

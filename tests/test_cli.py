@@ -42,6 +42,23 @@ class TestBoundsCommand:
             "single", "beam-exact", "beam-simplified", "bon", "mcts-best", "mcts-worst"
         }
 
+    @pytest.mark.parametrize("decay", [["--table", "0.9,0.8"], ["--lambda", "3"]])
+    def test_all_leaves_undefined_simplified_bounds_empty(self, tmp_path, decay):
+        rc, _, rows = run(tmp_path, "bounds", "--strategy", "all", "--L", "2", *decay)
+        assert rc == 0
+        cells = {r["strategy"]: (r["bound"], r["vacuous"]) for r in rows}
+        assert len(cells) == 6
+        for name in ("beam-simplified", "bon", "mcts-best", "mcts-worst"):
+            assert cells[name] == ("", "")
+        for name in ("single", "beam-exact"):
+            assert float(cells[name][0]) > 0.0 and cells[name][1] == "false"
+
+    def test_named_undefined_bound_still_exits_2(self, tmp_path, capsys):
+        rc, _, rows = run(tmp_path, "bounds", "--strategy", "bon", "--table", "0.9,0.8",
+                          "--L", "2")
+        assert rc == 2 and rows == []
+        assert "exponential decay" in capsys.readouterr().err
+
     def test_vacuous_flagged(self, tmp_path):
         rc, _, rows = run(
             tmp_path, "bounds", "--lambda", "1", "--L", "1", "--k", "8",
@@ -324,6 +341,18 @@ class TestMalformedInput:
         (tmp_path / "x.csv").write_text("f0,f1\n1,2\n3,oops\n")
         (tmp_path / "y.csv").write_text("f0,f1\n1,2\n3,4\n")
         (tmp_path / "pts.csv").write_text("x,y\n1,2\nnan?,4\n")
+        configs = {
+            "strategy_str": {"strategy": "beam"},
+            "strategy_k_str": {"strategy": {"kind": "beam", "k": "x", "b": 2}},
+            "decay_num": {"decay": 2},
+            "decay_lambda_str": {"decay": {"lambda_tau": "fast"}},
+            "selector_str": {"selector": "ideal"},
+            "answer_num": {"answer": 5},
+            "L_str": {"strategy": {"kind": "single_path"}, "L": "two"},
+            "sweep_num": {"strategy": {"kind": "bon"}, "sweep": 3},
+        }
+        for name, cfg in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -344,6 +373,18 @@ class TestMalformedInput:
             (["hsic", "--x", "x.csv", "--y", "y.csv"], "x.csv:3:"),
             (["fit", "--points", "pts.csv"], "pts.csv:3:"),
             (["bounds", "--strategy", "lookahead"], "--lambda-delta"),
+            (["simulate", "--config", "strategy_str.json"], "section 'strategy'"),
+            (["simulate", "--config", "strategy_str.json", "--N", "3"], "section 'strategy'"),
+            (["simulate", "--config", "strategy_k_str.json"], "k must be a number"),
+            (["bounds", "--config", "decay_num.json"], "section 'decay'"),
+            (["simulate", "--strategy", "single_path", "--config", "decay_lambda_str.json"],
+             "lambda_tau must be a number"),
+            (["bounds", "--config", "selector_str.json"], "section 'selector'"),
+            (["simulate", "--strategy", "single_path", "--config", "answer_num.json"],
+             "section 'answer'"),
+            (["simulate", "--config", "L_str.json"], "L must be a number"),
+            (["simulate", "--config", "sweep_num.json"], "section 'sweep'"),
+            (["bounds", "--config", "strategy_k_str.json"], "strategy must be one of"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):
