@@ -78,6 +78,12 @@ CASES = {
                             "--L", "3", "--seed", "7", "--selector", "ideal"],
     "sim-mcts-worst-noisy": SIM + ["--strategy", "mcts_worst", "--b", "2", "--lambda", "2",
                                    "--L", "3", "--seed", "8", "--selector", "noisy:1,0.25"],
+    "sim-mcts-best-constant": SIM + ["--strategy", "mcts_best", "--b", "3", "--lambda", "2",
+                                     "--L", "3", "--seed", "12", "--selector", "constant:0.8"],
+    "sim-mcts-best-noisy": SIM + ["--strategy", "mcts_best", "--b", "3", "--lambda", "2",
+                                  "--L", "3", "--seed", "13", "--selector", "noisy:1,0.25"],
+    "sim-mcts-worst-constant": SIM + ["--strategy", "mcts_worst", "--b", "2", "--lambda", "2",
+                                      "--L", "3", "--seed", "14", "--selector", "constant:0.8"],
     "sim-lookahead-noisy": SIM + ["--strategy", "lookahead", "--b", "3", "--gamma", "2",
                                   "--lambda", "2.5", "--L", "3", "--seed", "9",
                                   "--selector", "noisy:1,0.25"],
@@ -299,6 +305,24 @@ GOLDEN = {
         0,
         "5be13523fb629fc2fb4175cec3e5cbe575972564cce41ed0fe96ee64c40c10da",
         "aa4bd221e332f9c9d3ba1ce1553e930997efff151783fa520c5ddb6913750095",
+        None,
+    ),
+    "sim-mcts-best-constant": (
+        0,
+        "7eba37333c7c70fca41da0bfaa0e5db26f874da19072771cc7c7444069e22908",
+        "70737f90b758b2ef5acaddc569fb87bb4f1663a1c13f8d84d4113d7109ccbd61",
+        None,
+    ),
+    "sim-mcts-best-noisy": (
+        0,
+        "2d0eed0a7ba26f143d9f3180e89ad9eafc9b0a1b3de84f549095966cce2deb45",
+        "3075de7f01b97384c7a6429b0bf908523f56c8ec926a0894ca97164cf52274df",
+        None,
+    ),
+    "sim-mcts-worst-constant": (
+        0,
+        "53e92cfaaa9bd9c50dda232f5c61093793c9c5d90a88bb6460b0515d74af91ec",
+        "084e78185121a0763e6a151debcaff7e58c9c32b27afbc238d0b7ab023139c6e",
         None,
     ),
     "sim-mcts-worst-noisy": (
