@@ -15,16 +15,22 @@ Sibling candidates are sampled independently given their shared parent.
 ``monte_carlo`` aggregates trials through vectorized engines: trials are
 processed in fixed-size blocks, each drawing from its own counter-based
 stream keyed by (master_seed, block index), so results are bit-identical for
-fixed inputs and independent of execution order. The ``run_*`` functions are
-the single-trial reference implementations of the same process.
+fixed inputs and independent of execution order. ``exact_success`` computes
+the same success probabilities exactly, as small Markov chains over
+correct-candidate counts, and is the independent reference the engines are
+tested against.
+
+Everything that varies by strategy kind is one row of ``_REGISTRY``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import gammaln, log_ndtr, xlog1py, xlogy
 
 from . import bounds as _bounds
 from .errors import (
@@ -59,7 +65,8 @@ ORM_VOTE = "orm_vote"
 ORM_MAX = "orm_max"
 _RULES = (SELF_CONSISTENCY, ORM_VOTE, ORM_MAX)
 
-# Complete-tree simulation refuses to materialize more nodes than this.
+# monte_carlo refuses a strategy whose per-trial arrays (tree leaves, paths,
+# candidates or answer labels) are wider than this.
 NODE_LIMIT = 10**6
 
 # Trials per block in monte_carlo; blocks shrink when per-trial arrays are wide.
@@ -68,15 +75,6 @@ _BLOCK_CELLS = 1 << 23
 
 Z95 = 1.959963984540054  # normal 97.5% quantile
 
-# Parameters each strategy kind takes: StrategySpec fields and config keys.
-_PARAMS = {
-    SINGLE_PATH: (),
-    BON: ("N", "rule"),
-    BEAM: ("k", "b"),
-    MCTS_BEST: ("b",),
-    MCTS_WORST: ("b",),
-    LOOKAHEAD: ("b", "gamma", "count_rollout_steps"),
-}
 # Values StrategySpec.from_config supplies for parameters a config leaves out.
 _DEFAULTS = {"rule": ORM_MAX, "gamma": 0, "count_rollout_steps": True}
 
@@ -135,11 +133,12 @@ class StrategySpec:
     count_rollout_steps: bool = True
 
     def __post_init__(self) -> None:
-        params = _PARAMS.get(self.kind)
-        if params is None:
+        row = _REGISTRY.get(self.kind)
+        if row is None:
             raise ValidationError(
-                f"strategy kind must be one of {tuple(_PARAMS)}, got {self.kind!r}"
+                f"strategy kind must be one of {tuple(_REGISTRY)}, got {self.kind!r}"
             )
+        params = row.params
         for name, least in (("N", 1), ("k", 1), ("b", 1), ("gamma", 0)):
             if name in params:
                 v = getattr(self, name)
@@ -187,9 +186,9 @@ class StrategySpec:
         """Spec from a config section: ``kind`` plus the parameters that kind
         takes; a parameter the kind does not take is rejected."""
         kind = checked_section(cfg, "strategy").get("kind")
-        params = _PARAMS.get(kind, ())
+        params = _REGISTRY[kind].params if kind in _REGISTRY else ()
         stray = sorted(set(cfg) - {"kind", *params})
-        if kind in _PARAMS and stray:
+        if kind in _REGISTRY and stray:
             raise ValidationError(
                 f"{kind} takes no parameter {', '.join(stray)}; "
                 f"its parameters are {', '.join(params) or 'none'}"
@@ -203,17 +202,6 @@ class StrategySpec:
             if v is not None:
                 parts.append(f"{name}={v}")
         return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    success: bool
-    steps_generated: int
-    model_calls: int
-
-    def __post_init__(self) -> None:
-        if self.steps_generated < 0 or self.model_calls < 1:
-            raise ValidationError("invalid trial accounting")
 
 
 @dataclass(frozen=True)
@@ -234,6 +222,13 @@ class MonteCarloReport:
             0.0 <= self.ci_low <= self.estimate <= self.ci_high <= 1.0
         ):
             raise ValidationError("confidence interval must bracket the estimate")
+
+    @classmethod
+    def of(cls, successes: int, trials: int, steps, calls, seed: int) -> "MonteCarloReport":
+        """Report with a Wilson 95% interval and per-trial steps and calls."""
+        lo, hi = wilson_interval(successes, trials)
+        return cls(trials, successes, successes / trials, lo, hi, float(steps),
+                   float(calls), seed)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
@@ -258,20 +253,7 @@ def steps_and_calls(cfg: ProcessConfig, strategy: StrategySpec) -> tuple[int, in
     Tree strategies pay one call per generated step; Best-of-N pays one call
     per full path.
     """
-    L = cfg.L
-    if strategy.kind == SINGLE_PATH:
-        return L, 1
-    if strategy.kind == BON:
-        return strategy.N * L, strategy.N
-    if strategy.kind == BEAM:
-        return strategy.k * L, strategy.k * L
-    if strategy.kind == MCTS_BEST:
-        return strategy.b * L, strategy.b * L
-    if strategy.kind == MCTS_WORST:
-        total = sum(strategy.b**l for l in range(1, L + 1))
-        return total, total
-    per_layer = strategy.b * (1 + strategy.gamma if strategy.count_rollout_steps else 1)
-    return L * per_layer, L * per_layer
+    return _REGISTRY[strategy.kind].budget(cfg, strategy)
 
 
 def _step_probs(cfg: ProcessConfig, depth: int) -> list[float]:
@@ -286,181 +268,9 @@ def _score_params(cfg: ProcessConfig) -> tuple[float, float]:
     return 1.0, cfg.score_noise_std
 
 
-def _alive_candidate_count(k: int, b: int, alive: int) -> int:
-    # Candidates are dealt round-robin over beams 0..b-1; surviving beams
-    # occupy the lowest indices.
-    full, rem = divmod(k, b)
-    return alive * full + min(rem, alive)
-
-
-# ---------------------------------------------------------------------------
-# Single-trial reference implementations
-# ---------------------------------------------------------------------------
-
-
-def run_single_path(cfg: ProcessConfig, rng: np.random.Generator) -> TrialResult:
-    """Sample one unassisted path of length L."""
-    ok = True
-    for p in _step_probs(cfg, cfg.L):
-        ok = bool(rng.random() < p) and ok
-    return TrialResult(ok, cfg.L, 1)
-
-
-def run_bon(
-    cfg: ProcessConfig, N: int, rule: str, rng: np.random.Generator
-) -> TrialResult:
-    """Sample N independent full paths and select by the given rule.
-
-    Correct paths carry the answer label 0; incorrect paths land uniformly on
-    one of the wrong labels. Path scores are the correctness indicator plus
-    Gaussian noise of std ``score_noise_std``.
-    """
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
-    if rule not in _RULES:
-        raise ValidationError(f"unknown rule {rule!r}")
-    probs = _step_probs(cfg, cfg.L)
-    path_ok = np.ones(N, dtype=bool)
-    for p in probs:
-        path_ok &= rng.random(N) < p
-    a = cfg.answer.answer_space_size
-    labels = rng.integers(1, a + 1, size=N)
-    labels[path_ok] = 0
-    scores = path_ok + cfg.score_noise_std * rng.standard_normal(N)
-
-    if rule == ORM_MAX:
-        success = bool(path_ok[int(np.argmax(scores))])
-    elif rule == ORM_VOTE:
-        sums = np.full(a + 1, -np.inf)
-        for lab, s in zip(labels, scores):
-            if np.isinf(sums[lab]):
-                sums[lab] = 0.0
-            sums[lab] += s
-        success = int(np.argmax(sums)) == 0
-    else:
-        counts = np.bincount(labels, minlength=a + 1)
-        top = np.flatnonzero(counts == counts.max())
-        success = int(rng.choice(top)) == 0
-    return TrialResult(success, N * cfg.L, N)
-
-
-def run_beam(
-    cfg: ProcessConfig, k: int, b: int, rng: np.random.Generator
-) -> TrialResult:
-    """Beam search: sample k candidates per layer, keep b, select one path at
-    the end with the same selector."""
-    if k < b or b < 1:
-        raise ValidationError(f"beam requires k >= b >= 1, got k={k}, b={b}")
-    probs = _step_probs(cfg, cfg.L)
-    sel = cfg.selector
-    alive = 0
-    if sel.kind == NOISY_SCORE:
-        margin, std = sel.margin, sel.noise_std
-        for depth, p in enumerate(probs, start=1):
-            if depth == 1:
-                parent_ok = np.ones(k, dtype=bool)
-            else:
-                parent_ok = (np.arange(k) % b) < alive
-            corr = parent_ok & (rng.random(k) < p)
-            scores = margin * corr + std * rng.standard_normal(k)
-            keep = np.argpartition(-scores, b - 1)[:b]
-            alive = int(corr[keep].sum())
-        final_scores = margin * (np.arange(b) < alive) + std * rng.standard_normal(b)
-        success = int(np.argmax(final_scores)) < alive
-    else:
-        eps = selector_success_prob(sel, b)
-        for depth, p in enumerate(probs, start=1):
-            m = k if depth == 1 else _alive_candidate_count(k, b, alive)
-            ncorr = int(rng.binomial(m, p))
-            if ncorr == 0:
-                alive = 0
-            elif sel.kind == IDEAL or rng.random() < eps:
-                alive = min(b, ncorr)
-            else:
-                alive = 0
-        success = alive >= 1 and (sel.kind == IDEAL or rng.random() < eps)
-    return TrialResult(bool(success), k * cfg.L, k * cfg.L)
-
-
-def run_mcts_envelope(
-    cfg: ProcessConfig, b: int, case: str, rng: np.random.Generator
-) -> TrialResult:
-    """Tree-search envelope: best case delegates to beam search with k = b;
-    worst case materializes the complete b-ary tree of depth L with per-layer
-    selection over all b**l nodes."""
-    if case == "best":
-        return run_beam(cfg, b, b, rng)
-    if case != "worst":
-        raise ValidationError(f"case must be 'best' or 'worst', got {case!r}")
-    if b**cfg.L > NODE_LIMIT:
-        raise ResourceLimitError(
-            f"complete tree would hold {b**cfg.L} leaves, over the {NODE_LIMIT} limit"
-        )
-    probs = _step_probs(cfg, cfg.L)
-    sel = cfg.selector
-    prev = np.ones(1, dtype=bool)
-    selections_ok = True
-    total = 0
-    for depth, p in enumerate(probs, start=1):
-        cnt = b**depth
-        total += cnt
-        cur = np.repeat(prev, b) & (rng.random(cnt) < p)
-        ncorr = int(cur.sum())
-        if sel.kind == NOISY_SCORE:
-            scores = sel.margin * cur + sel.noise_std * rng.standard_normal(cnt)
-            layer_ok = bool(cur[int(np.argmax(scores))])
-        elif ncorr == 0:
-            layer_ok = False
-        elif sel.kind == IDEAL:
-            layer_ok = True
-        else:
-            layer_ok = bool(rng.random() < selector_success_prob(sel, cnt))
-        selections_ok = selections_ok and layer_ok
-        prev = cur
-    return TrialResult(bool(selections_ok and prev.any()), total, total)
-
-
-def run_lookahead(
-    cfg: ProcessConfig,
-    b: int,
-    gamma: int,
-    rng: np.random.Generator,
-    count_rollout_steps: bool = True,
-) -> TrialResult:
-    """Depth-first search keeping one path: at each layer sample b candidates,
-    extend each by gamma rollout steps, score at the rollout frontier, and
-    commit the best-scoring candidate. Rollout steps are discarded from the
-    committed path."""
-    if b < 1 or gamma < 0:
-        raise ValidationError(f"need b >= 1 and gamma >= 0, got b={b}, gamma={gamma}")
-    margin, std = _score_params(cfg)
-    node_ok = True
-    for l in range(1, cfg.L + 1):
-        cand_ok = node_ok & (rng.random(b) < step_correct_prob(cfg.decay, l))
-        roll_ok = cand_ok.copy()
-        for j in range(1, gamma + 1):
-            roll_ok &= rng.random(b) < step_correct_prob(cfg.decay, l + j)
-        scores = margin * roll_ok + std * rng.standard_normal(b)
-        node_ok = bool(cand_ok[int(np.argmax(scores))])
-    per_layer = b * (1 + gamma) if count_rollout_steps else b
-    return TrialResult(node_ok, cfg.L * per_layer, cfg.L * per_layer)
-
-
 # ---------------------------------------------------------------------------
 # Lookahead selection probe
 # ---------------------------------------------------------------------------
-
-
-def lookahead_selection_trial(
-    lambda_tau: float, wrong: WrongModel, l: int, gamma: int, rng: np.random.Generator
-) -> bool:
-    """One draw of the event that an evaluation at depth l+gamma separates a
-    correct candidate from a wrong one: the correct candidate's rollout still
-    looks correct there while the wrong candidate has become detectably wrong."""
-    d = l + gamma
-    good = rng.random() < min(lambda_tau * math.exp(-d), 1.0)
-    flagged = rng.random() < max(1.0 - wrong.lambda_delta * math.exp(-d), 0.0)
-    return bool(good and flagged)
 
 
 def lookahead_selection_success(
@@ -483,17 +293,7 @@ def lookahead_selection_success(
         good = rng.random(size) < p_good
         flagged = rng.random(size) < p_flag
         successes += int((good & flagged).sum())
-    lo, hi = wilson_interval(successes, trials)
-    return MonteCarloReport(
-        trials=trials,
-        successes=successes,
-        estimate=successes / trials,
-        ci_low=lo,
-        ci_high=hi,
-        mean_steps=float(1 + gamma),
-        mean_calls=float(1 + gamma),
-        seed=master_seed,
-    )
+    return MonteCarloReport.of(successes, trials, 1 + gamma, 1 + gamma, master_seed)
 
 
 def lookahead_gamma_sweep(
@@ -518,20 +318,6 @@ def lookahead_gamma_sweep(
 # ---------------------------------------------------------------------------
 # Vectorized block engines
 # ---------------------------------------------------------------------------
-
-
-def _block_width(cfg: ProcessConfig, strategy: StrategySpec) -> int:
-    if strategy.kind == BON:
-        return max(strategy.N, cfg.answer.answer_space_size + 1)
-    if strategy.kind == BEAM:
-        return strategy.k
-    if strategy.kind == MCTS_BEST:
-        return strategy.b
-    if strategy.kind == MCTS_WORST:
-        return strategy.b**cfg.L
-    if strategy.kind == LOOKAHEAD:
-        return strategy.b
-    return 1
 
 
 def _blocks(trials: int, master_seed: int, width: int):
@@ -562,53 +348,51 @@ def _sim_bon(cfg, strategy, n, rng) -> int:
     labels = rng.integers(1, a + 1, size=(n, N))
     labels[path_ok] = 0
     scores = path_ok + cfg.score_noise_std * rng.standard_normal((n, N))
-    rows = np.broadcast_to(np.arange(n)[:, None], (n, N))
 
     if rule == ORM_MAX:
         pick = np.argmax(scores, axis=1)
         return int(path_ok[np.arange(n), pick].sum())
+    # per-(trial, label) tallies: bincount over the flattened cell index
+    # accumulates in the same order as np.add.at, so sums are bit-identical
+    labels += (a + 1) * np.arange(n)[:, None]
+    cells = labels.ravel()
+    counts = np.bincount(cells, minlength=n * (a + 1)).reshape(n, a + 1)
     if rule == ORM_VOTE:
-        sums = np.zeros((n, a + 1))
-        counts = np.zeros((n, a + 1), dtype=np.int64)
-        np.add.at(sums, (rows, labels), scores)
-        np.add.at(counts, (rows, labels), 1)
+        sums = np.bincount(cells, scores.ravel(), n * (a + 1)).reshape(n, a + 1)
         sums[counts == 0] = -np.inf
         return int((np.argmax(sums, axis=1) == 0).sum())
-    counts = np.zeros((n, a + 1))
-    np.add.at(counts, (rows, labels), 1.0)
     # sub-unit jitter breaks count ties uniformly at random
-    counts += 0.5 * rng.random((n, a + 1))
-    return int((np.argmax(counts, axis=1) == 0).sum())
+    jittered = counts + 0.5 * rng.random((n, a + 1))
+    return int((np.argmax(jittered, axis=1) == 0).sum())
 
 
-def _sim_beam_core(cfg, k, b, n, rng) -> np.ndarray:
+def _fed_candidates(k: int, b: int, alive):
+    # Candidates are dealt round-robin over beams 0..b-1; surviving beams
+    # occupy the lowest indices, so `alive` beams feed this many candidates.
+    full, rem = divmod(k, b)
+    return alive * full + np.minimum(rem, alive)
+
+
+def _sim_beam(cfg, k, b, n, rng) -> int:
     probs = _step_probs(cfg, cfg.L)
     sel = cfg.selector
+    # the root feeds all k candidates, as b alive beams do
+    alive = np.full(n, b, dtype=np.int64)
     if sel.kind == NOISY_SCORE:
         margin, std = sel.margin, sel.noise_std
-        alive = np.zeros(n, dtype=np.int64)
         cols = np.arange(k) % b
-        for depth, p in enumerate(probs, start=1):
-            if depth == 1:
-                parent_ok = np.ones((n, k), dtype=bool)
-            else:
-                parent_ok = cols[None, :] < alive[:, None]
+        for p in probs:
+            parent_ok = cols[None, :] < alive[:, None]
             corr = parent_ok & (rng.random((n, k)) < p)
             scores = margin * corr + std * rng.standard_normal((n, k))
             keep = np.argpartition(-scores, b - 1, axis=1)[:, :b]
             alive = np.take_along_axis(corr, keep, axis=1).sum(axis=1)
         final = margin * (np.arange(b)[None, :] < alive[:, None])
         final = final + std * rng.standard_normal((n, b))
-        return np.argmax(final, axis=1) < alive
+        return int((np.argmax(final, axis=1) < alive).sum())
     eps = selector_success_prob(sel, b)
-    alive = np.zeros(n, dtype=np.int64)
-    for depth, p in enumerate(probs, start=1):
-        if depth == 1:
-            m = np.full(n, k, dtype=np.int64)
-        else:
-            full, rem = divmod(k, b)
-            m = alive * full + np.minimum(rem, alive)
-        ncorr = rng.binomial(m, p)
+    for p in probs:
+        ncorr = rng.binomial(_fed_candidates(k, b, alive), p)
         kept = np.minimum(b, ncorr)
         if sel.kind != IDEAL:
             kept = np.where(rng.random(n) < eps, kept, 0)
@@ -616,23 +400,11 @@ def _sim_beam_core(cfg, k, b, n, rng) -> np.ndarray:
     success = alive >= 1
     if sel.kind != IDEAL:
         success &= rng.random(n) < eps
-    return success
-
-
-def _sim_beam(cfg, strategy, n, rng) -> int:
-    return int(_sim_beam_core(cfg, strategy.k, strategy.b, n, rng).sum())
-
-
-def _sim_mcts_best(cfg, strategy, n, rng) -> int:
-    return int(_sim_beam_core(cfg, strategy.b, strategy.b, n, rng).sum())
+    return int(success.sum())
 
 
 def _sim_mcts_worst(cfg, strategy, n, rng) -> int:
     b = strategy.b
-    if b**cfg.L > NODE_LIMIT:
-        raise ResourceLimitError(
-            f"complete tree would hold {b**cfg.L} leaves, over the {NODE_LIMIT} limit"
-        )
     sel = cfg.selector
     prev = np.ones((n, 1), dtype=bool)
     ok = np.ones(n, dtype=bool)
@@ -668,13 +440,206 @@ def _sim_lookahead(cfg, strategy, n, rng) -> int:
     return int(node_ok.sum())
 
 
-_ENGINES = {
-    SINGLE_PATH: _sim_single,
-    BON: _sim_bon,
-    BEAM: _sim_beam,
-    MCTS_BEST: _sim_mcts_best,
-    MCTS_WORST: _sim_mcts_worst,
-    LOOKAHEAD: _sim_lookahead,
+# ---------------------------------------------------------------------------
+# Exact success probabilities
+# ---------------------------------------------------------------------------
+
+# Trapezoid rule on [-12, 12] for the selection integral in _top_correct.
+# The integrand is negligible outside it and at its ends, so the rule is a
+# plain sum.
+_STEP = 0.005
+_GRID = _STEP * np.arange(-2400, 2401)
+_LOG_PHI = -0.5 * _GRID**2 - 0.5 * math.log(2 * math.pi)
+
+
+def _check_cells(cells: int) -> None:
+    if cells > _BLOCK_CELLS:
+        raise ResourceLimitError(
+            f"exact evaluation needs {cells} cells, over the {_BLOCK_CELLS} limit"
+        )
+
+
+def _binom_pmf(n, p: float, support: int) -> np.ndarray:
+    """P(Bin(n, p) = j) for j = 0..support, one row per entry of ``n``."""
+    n = np.asarray(n, dtype=float)[:, None]
+    _check_cells(n.size * (support + 1))
+    j = np.arange(support + 1.0)
+    with np.errstate(invalid="ignore"):
+        log_pmf = (
+            gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
+            + xlogy(j, p) + xlog1py(n - j, -p)
+        )
+    return np.where(j <= n, np.exp(log_pmf), 0.0)
+
+
+def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
+    """w(c, n) for each c: the chance that the best of c correct candidates,
+    scored margin + std*Z, outscores the best of n - c wrong ones, scored
+    std*Z. It is the integral of c phi(u) Phi(u)^(c-1) Phi(u + margin/std)^(n-c);
+    at std = 0 the argmax takes the first top score, a correct one if c > 0."""
+    c = np.asarray(c, dtype=float)
+    if std == 0.0:
+        return (c > 0).astype(float)
+    _check_cells(c.size * _GRID.size)
+    c = c[:, None]
+    with np.errstate(divide="ignore"):
+        log_f = (
+            np.log(c) + _LOG_PHI + (c - 1) * log_ndtr(_GRID)
+            + (n - c) * log_ndtr(_GRID + margin / std)
+        )
+    return np.exp(log_f).sum(axis=1) * _STEP
+
+
+def _plurality_win(c: int, n: int, a: int) -> float:
+    """Chance that label 0 with c votes wins a plurality vote with uniform
+    tie-breaking when n wrong votes fall uniformly on a wrong labels. A label
+    holding j <= c votes weighs x**j / j! (x = n / a); f[v, t] is the weight
+    of the labels so far holding v votes, t of them tied with label 0, and
+    n! / n**n times the final weight is the multinomial probability."""
+    if c == 0:
+        return 0.0
+    x = n / a
+    weight = [x**j / math.factorial(j) for j in range(min(c, n) + 1)]
+    _check_cells((n + 1) * (n // c + 2))
+    f = np.zeros((n + 1, n // c + 2))
+    f[0, 0] = 1.0
+    for _ in range(a):
+        g = np.zeros_like(f)
+        for j, wj in enumerate(weight):
+            if j == c:
+                g[j:, 1:] += wj * f[: n + 1 - j, :-1]
+            else:
+                g[j:] += wj * f[: n + 1 - j]
+        f = g
+    ties = np.arange(f.shape[1])
+    return math.factorial(n) / n**n * float(f[n] @ (1 / (1 + ties)))
+
+
+def _exact_bon(cfg, strategy) -> float | None:
+    # c of N paths are correct; label 0 collects their votes and scores
+    N, std = strategy.N, cfg.score_noise_std
+    c = np.arange(N + 1)
+    if strategy.rule == SELF_CONSISTENCY:
+        a = cfg.answer.answer_space_size
+        win = np.array([_plurality_win(int(ci), N - int(ci), a) for ci in c])
+    elif strategy.rule == ORM_MAX or std == 0:
+        # without score noise orm_vote picks label 0 exactly when orm_max
+        # picks a correct path: whenever c > 0
+        win = _top_correct(c, N, 1.0, std)
+    else:
+        return None  # orm_vote: per-label sums of noisy scores, no tractable form
+    return float(_binom_pmf([N], math.prod(_step_probs(cfg, cfg.L)), N)[0] @ win)
+
+
+def _exact_beam(cfg, k: int, b: int) -> float | None:
+    """Chain over the alive-beam count 0..b. alive = 0 is absorbing and
+    fails, so ``dist[0]`` is never read."""
+    sel = cfg.selector
+    alive = np.arange(b + 1)
+    if sel.kind == NOISY_SCORE:
+        if k > b:
+            return None  # top-b of k noisy scores: no tractable form
+        # k = b keeps every candidate; the final pick is over scores
+        keep, final = 1.0, _top_correct(alive, b, sel.margin, sel.noise_std)
+    else:
+        keep = selector_success_prob(sel, b)
+        final = keep * (alive > 0)
+    dist = (alive == b).astype(float)
+    for p in _step_probs(cfg, cfg.L):
+        ncorr = dist @ _binom_pmf(_fed_candidates(k, b, alive), p, k)
+        dist = keep * np.append(ncorr[:b], ncorr[b:].sum())
+    return float(dist @ final)
+
+
+def _exact_mcts_worst(cfg, strategy) -> float:
+    b, sel = strategy.b, cfg.selector
+    probs = _step_probs(cfg, cfg.L)
+    if sel.kind != NOISY_SCORE:
+        # every layer needs a correct node and then one selection event;
+        # s is the chance a correct node's subtree holds a correct leaf, by
+        # the branching-process recursion s_l = 1 - (1 - p s_{l+1})**b
+        s = 1.0
+        for p in reversed(probs):
+            s = -math.expm1(b * math.log1p(-p * s)) if p * s < 1 else 1.0
+        return s * selector_success_prob(sel, b) ** cfg.L
+    # forward over the correct count c at each layer: c_l ~ Bin(b c_{l-1}, p_l),
+    # weighted by the chance the layer's selection picks a correct node
+    dist = np.array([0.0, 1.0])
+    for depth, p in enumerate(probs, start=1):
+        width = b**depth
+        pick = _top_correct(np.arange(width + 1), width, sel.margin, sel.noise_std)
+        dist = (dist @ _binom_pmf(b * np.arange(dist.size), p, width)) * pick
+    return float(dist.sum())
+
+
+def _exact_lookahead(cfg, strategy) -> float:
+    """Product over layers of the chance of committing a correct candidate.
+    A candidate is A (it and its rollout correct, prob p r), B (correct,
+    rollout wrong) or wrong. The pick is an A with chance w(n_A, b), else
+    uniform over the b - n_A others: a B with mean chance q given n_A."""
+    b, gamma = strategy.b, strategy.gamma
+    margin, std = _score_params(cfg)
+    n_a = np.arange(b + 1)
+    w = _top_correct(n_a, b, margin, std)
+    total = 1.0
+    for l in range(1, cfg.L + 1):
+        p = step_correct_prob(cfg.decay, l)
+        r = math.prod(step_correct_prob(cfg.decay, l + j) for j in range(1, gamma + 1))
+        q = p * (1 - r) / (1 - p * r) if p * r < 1 else 0.0
+        value = np.where(n_a == b, 1.0, w + (1 - w) * q)
+        total *= float(_binom_pmf([b], p * r, b)[0] @ value)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Strategy registry and entry points
+# ---------------------------------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    """Everything that varies by strategy kind."""
+
+    params: tuple[str, ...]  # StrategySpec fields and config keys
+    budget: Callable  # (cfg, spec) -> per-trial (steps, model calls)
+    width: Callable  # (cfg, spec) -> widest per-trial engine array
+    engine: Callable  # (cfg, spec, n, rng) -> successes in n trials
+    exact: Callable  # (cfg, spec) -> success probability, None if intractable
+    bound: Callable | None  # (cfg, spec) -> closed-form upper bound
+
+
+_REGISTRY = {
+    SINGLE_PATH: _Kind(
+        (), lambda c, s: (c.L, 1), lambda c, s: 1, _sim_single,
+        lambda c, s: math.prod(_step_probs(c, c.L)),
+        lambda c, s: _bounds.single_path_bound(c.decay, c.L),
+    ),
+    BON: _Kind(
+        ("N", "rule"), lambda c, s: (s.N * c.L, s.N),
+        lambda c, s: max(s.N, c.answer.answer_space_size + 1), _sim_bon, _exact_bon,
+        lambda c, s: _bounds.bon_bound(c.decay, c.selector, c.L, s.N),
+    ),
+    BEAM: _Kind(
+        ("k", "b"), lambda c, s: (s.k * c.L,) * 2, lambda c, s: s.k,
+        lambda c, s, n, rng: _sim_beam(c, s.k, s.b, n, rng),
+        lambda c, s: _exact_beam(c, s.k, s.b),
+        lambda c, s: _bounds.width_expansion_bound_exact(c.decay, c.selector, c.L, s.k, s.b),
+    ),
+    MCTS_BEST: _Kind(
+        ("b",), lambda c, s: (s.b * c.L,) * 2, lambda c, s: s.b,
+        lambda c, s, n, rng: _sim_beam(c, s.b, s.b, n, rng),
+        lambda c, s: _exact_beam(c, s.b, s.b),
+        lambda c, s: _bounds.mcts_best_bound(c.decay, c.selector, c.L, s.b),
+    ),
+    MCTS_WORST: _Kind(
+        ("b",), lambda c, s: (sum(s.b**l for l in range(1, c.L + 1)),) * 2,
+        lambda c, s: s.b**c.L, _sim_mcts_worst, _exact_mcts_worst,
+        lambda c, s: _bounds.mcts_worst_bound(c.decay, c.selector, c.L, s.b),
+    ),
+    LOOKAHEAD: _Kind(
+        ("b", "gamma", "count_rollout_steps"),
+        lambda c, s: (c.L * s.b * (1 + s.gamma if s.count_rollout_steps else 1),) * 2,
+        lambda c, s: s.b, _sim_lookahead, _exact_lookahead, None,
+    ),
 }
 
 
@@ -688,41 +653,27 @@ def monte_carlo(
         raise RangeError(f"trials must be >= 1, got {trials}")
     if master_seed < 0:
         raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
-    engine = _ENGINES[strategy.kind]
-    steps, calls = steps_and_calls(cfg, strategy)
+    row = _REGISTRY[strategy.kind]
+    width = row.width(cfg, strategy)
+    if width > NODE_LIMIT:
+        raise ResourceLimitError(
+            f"{strategy.describe()} needs per-trial arrays {width} wide, "
+            f"over the {NODE_LIMIT} limit"
+        )
+    steps, calls = row.budget(cfg, strategy)
     successes = 0
-    for start, size, rng in _blocks(trials, master_seed, _block_width(cfg, strategy)):
-        successes += engine(cfg, strategy, size, rng)
-    lo, hi = wilson_interval(successes, trials)
-    return MonteCarloReport(
-        trials=trials,
-        successes=successes,
-        estimate=successes / trials,
-        ci_low=lo,
-        ci_high=hi,
-        mean_steps=float(steps),
-        mean_calls=float(calls),
-        seed=master_seed,
-    )
+    for start, size, rng in _blocks(trials, master_seed, width):
+        successes += row.engine(cfg, strategy, size, rng)
+    return MonteCarloReport.of(successes, trials, steps, calls, master_seed)
 
 
-def run_trial(
-    cfg: ProcessConfig, strategy: StrategySpec, rng: np.random.Generator
-) -> TrialResult:
-    """Single-trial dispatch to the reference implementations."""
-    if strategy.kind == SINGLE_PATH:
-        return run_single_path(cfg, rng)
-    if strategy.kind == BON:
-        return run_bon(cfg, strategy.N, strategy.rule, rng)
-    if strategy.kind == BEAM:
-        return run_beam(cfg, strategy.k, strategy.b, rng)
-    if strategy.kind == MCTS_BEST:
-        return run_mcts_envelope(cfg, strategy.b, "best", rng)
-    if strategy.kind == MCTS_WORST:
-        return run_mcts_envelope(cfg, strategy.b, "worst", rng)
-    return run_lookahead(
-        cfg, strategy.b, strategy.gamma, rng, strategy.count_rollout_steps
-    )
+def exact_success(cfg: ProcessConfig, strategy: StrategySpec) -> float | None:
+    """Exact success probability of the process ``monte_carlo`` samples.
+
+    None where no tractable form exists: beam search with a noisy-score
+    selector and k > b (top-b selection over noisy scores), and orm_vote
+    Best-of-N with score noise above 0 (sums of noisy scores per label)."""
+    return _REGISTRY[strategy.kind].exact(cfg, strategy)
 
 
 def verify_bounds(report: MonteCarloReport, bound: float) -> bool:
@@ -737,19 +688,8 @@ def matching_bound(cfg: ProcessConfig, strategy: StrategySpec) -> float | None:
     """Closed-form upper bound paired with a strategy, or None when the
     strategy has no success bound (lookahead) or its bound is undefined for
     the decay model (simplified forms under tabulated decay or lambda > e)."""
+    bound = _REGISTRY[strategy.kind].bound
     try:
-        if strategy.kind == SINGLE_PATH:
-            return _bounds.single_path_bound(cfg.decay, cfg.L)
-        if strategy.kind == BON:
-            return _bounds.bon_bound(cfg.decay, cfg.selector, cfg.L, strategy.N)
-        if strategy.kind == BEAM:
-            return _bounds.width_expansion_bound_exact(
-                cfg.decay, cfg.selector, cfg.L, strategy.k, strategy.b
-            )
-        if strategy.kind == MCTS_BEST:
-            return _bounds.mcts_best_bound(cfg.decay, cfg.selector, cfg.L, strategy.b)
-        if strategy.kind == MCTS_WORST:
-            return _bounds.mcts_worst_bound(cfg.decay, cfg.selector, cfg.L, strategy.b)
+        return None if bound is None else bound(cfg, strategy)
     except PreconditionError:
-        pass
-    return None
+        return None

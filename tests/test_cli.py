@@ -385,6 +385,12 @@ class TestMalformedInput:
             (["simulate", "--config", "L_str.json"], "L must be a number"),
             (["simulate", "--config", "sweep_num.json"], "section 'sweep'"),
             (["bounds", "--config", "strategy_k_str.json"], "strategy must be one of"),
+            (["simulate", "--strategy", "bon", "--N", "100000000", "--trials", "1"],
+             "over the 1000000 limit"),
+            (["simulate", "--strategy", "beam", "--k", "100000000", "--b", "1",
+              "--trials", "1"], "over the 1000000 limit"),
+            (["simulate", "--strategy", "bon", "--N", "2", "--answer-space", "100000000",
+              "--trials", "1"], "over the 1000000 limit"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):

@@ -1,12 +1,14 @@
-"""Strategy simulation: distributional equivalences, budget bookkeeping,
-bound dominance, and bit-level determinism."""
+"""Strategy simulation: agreement with the exact oracle, distributional
+equivalences, budget bookkeeping, bound dominance, and bit-level
+determinism."""
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from scipy.special import ndtr
 
 from slowthink import bounds
 from slowthink.errors import RangeError, ResourceLimitError, ValidationError
@@ -18,18 +20,11 @@ from slowthink.simulate import (
     MonteCarloReport,
     ProcessConfig,
     StrategySpec,
-    TrialResult,
+    exact_success,
     lookahead_gamma_sweep,
     lookahead_selection_success,
-    lookahead_selection_trial,
     matching_bound,
     monte_carlo,
-    run_beam,
-    run_bon,
-    run_lookahead,
-    run_mcts_envelope,
-    run_single_path,
-    run_trial,
     steps_and_calls,
     verify_bounds,
     wilson_interval,
@@ -90,16 +85,13 @@ class TestWilson:
 class TestSinglePath:
     def test_impossible_step_never_succeeds(self):
         cfg = ProcessConfig(decay=DecayModel.tabulated([0.0]), L=1)
-        rng = np.random.default_rng(0)
-        assert all(not run_single_path(cfg, rng).success for _ in range(200))
+        assert monte_carlo(cfg, StrategySpec.single_path(), 200, 0).successes == 0
+        assert exact_success(cfg, StrategySpec.single_path()) == 0.0
 
     def test_certain_steps_always_succeed(self):
-        cfg = cfg_certain(3)
-        rng = np.random.default_rng(0)
-        result = run_single_path(cfg, rng)
-        assert result.success
-        assert result.steps_generated == 3
-        assert result.model_calls == 1
+        report = monte_carlo(cfg_certain(3), StrategySpec.single_path(), 200, 0)
+        assert report.estimate == 1.0
+        assert (report.mean_steps, report.mean_calls) == (3.0, 1.0)
 
     def test_estimate_matches_product_law(self):
         report = monte_carlo(cfg_exp(2), StrategySpec.single_path(), 100_000, 42)
@@ -115,9 +107,9 @@ class TestBon:
 
     def test_certain_self_consistency(self):
         cfg = ProcessConfig(decay=DecayModel.tabulated([1.0]), L=1)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert run_bon(cfg, 5, SELF_CONSISTENCY, rng).success
+        spec = StrategySpec.bon(5, SELF_CONSISTENCY)
+        assert monte_carlo(cfg, spec, 50, 0).estimate == 1.0
+        assert exact_success(cfg, spec) == pytest.approx(1.0, rel=1e-12)
 
     def test_noiseless_max_selection_matches_at_least_one_law(self):
         report = monte_carlo(cfg_exp(2), StrategySpec.bon(8, ORM_MAX), 100_000, 3)
@@ -159,10 +151,7 @@ class TestBon:
 
     def test_budget_bookkeeping(self):
         cfg = cfg_exp(3)
-        rng = np.random.default_rng(0)
-        result = run_bon(cfg, 5, ORM_MAX, rng)
-        assert result.steps_generated == 15
-        assert result.model_calls == 5
+        assert steps_and_calls(cfg, StrategySpec.bon(5, ORM_MAX)) == (15, 5)
         report = monte_carlo(cfg, StrategySpec.bon(5, ORM_MAX), 10, 0)
         assert report.mean_steps == 15.0
         assert report.mean_calls == 5.0
@@ -172,8 +161,6 @@ class TestBeam:
     def test_requires_k_at_least_b(self):
         with pytest.raises(ValidationError):
             StrategySpec.beam(1, 2)
-        with pytest.raises(ValidationError):
-            run_beam(cfg_exp(2), 1, 2, np.random.default_rng(0))
 
     def test_no_branching_matches_single_path(self):
         cfg = cfg_exp(2)
@@ -183,9 +170,8 @@ class TestBeam:
 
     def test_certain_steps_always_succeed(self):
         cfg = cfg_certain(2)
-        rng = np.random.default_rng(0)
         for k, b in ((2, 2), (4, 2), (3, 1)):
-            assert run_beam(cfg, k, b, rng).success
+            assert monte_carlo(cfg, StrategySpec.beam(k, b), 200, 0).estimate == 1.0
 
     def test_dominated_by_exact_bound(self):
         cfg = cfg_exp(2)
@@ -208,11 +194,10 @@ class TestBeam:
         report = monte_carlo(cfg, StrategySpec.beam(2, 2), 50_000, 13)
         lo, hi = wilson_interval(report.successes, report.trials)
         assert lo <= 0.5**3 <= hi
+        assert exact_success(cfg, StrategySpec.beam(2, 2)) == pytest.approx(0.5**3)
 
     def test_budget_bookkeeping(self):
-        result = run_beam(cfg_exp(3), 4, 2, np.random.default_rng(0))
-        assert result.steps_generated == 12
-        assert result.model_calls == 12
+        assert steps_and_calls(cfg_exp(3), StrategySpec.beam(4, 2)) == (12, 12)
 
 
 class TestMctsEnvelope:
@@ -223,10 +208,9 @@ class TestMctsEnvelope:
         assert overlapping(a, b)
 
     def test_worst_case_certain_tree(self):
-        cfg = cfg_certain(1)
-        result = run_mcts_envelope(cfg, 3, "worst", np.random.default_rng(0))
-        assert result.success
-        assert result.steps_generated == 3
+        report = monte_carlo(cfg_certain(1), StrategySpec.mcts_worst(3), 200, 0)
+        assert report.estimate == 1.0
+        assert report.mean_steps == 3.0
 
     def test_worst_case_dominated_by_bound(self):
         cfg = cfg_exp(2)
@@ -236,8 +220,6 @@ class TestMctsEnvelope:
 
     def test_node_budget_is_enforced(self):
         cfg = cfg_exp(25)
-        with pytest.raises(ResourceLimitError):
-            run_mcts_envelope(cfg, 2, "worst", np.random.default_rng(0))
         with pytest.raises(ResourceLimitError):
             monte_carlo(cfg, StrategySpec.mcts_worst(2), 10, 0)
 
@@ -260,8 +242,8 @@ class TestMctsEnvelope:
         assert worst.ci_low > single.ci_high
 
     def test_budget_bookkeeping(self):
-        result = run_mcts_envelope(cfg_exp(3), 2, "worst", np.random.default_rng(0))
-        assert result.steps_generated == 2 + 4 + 8
+        spec = StrategySpec.mcts_worst(2)
+        assert steps_and_calls(cfg_exp(3), spec) == (2 + 4 + 8, 2 + 4 + 8)
         report = monte_carlo(cfg_exp(3), StrategySpec.mcts_worst(2), 10, 0)
         assert report.mean_steps == 14.0
 
@@ -270,8 +252,9 @@ class TestLookahead:
     def test_certain_process_always_succeeds(self):
         cfg = ProcessConfig(decay=DecayModel.tabulated([1.0] * 6), L=2)
         for gamma in (0, 2, 4):
-            result = run_lookahead(cfg, 2, gamma, np.random.default_rng(0))
-            assert result.success
+            spec = StrategySpec.lookahead(2, gamma)
+            assert monte_carlo(cfg, spec, 200, 0).estimate == 1.0
+            assert exact_success(cfg, spec) == 1.0
 
     def test_zero_rollout_matches_width_one_beam(self):
         # equivalence holds whenever both paths score candidates the same way:
@@ -285,19 +268,19 @@ class TestLookahead:
 
     def test_rollout_steps_counted_and_excludable(self):
         cfg = cfg_exp(2)
-        counted = run_lookahead(cfg, 3, 2, np.random.default_rng(0))
-        assert counted.steps_generated == 2 * 3 * 3
-        excluded = run_lookahead(
-            cfg, 3, 2, np.random.default_rng(0), count_rollout_steps=False
-        )
-        assert excluded.steps_generated == 2 * 3
-        spec = StrategySpec.lookahead(3, 2, count_rollout_steps=False)
-        assert steps_and_calls(cfg, spec) == (6, 6)
+        counted = StrategySpec.lookahead(3, 2)
+        assert steps_and_calls(cfg, counted) == (2 * 3 * 3, 2 * 3 * 3)
+        excluded = StrategySpec.lookahead(3, 2, count_rollout_steps=False)
+        assert steps_and_calls(cfg, excluded) == (2 * 3, 2 * 3)
+        assert monte_carlo(cfg, excluded, 10, 0).mean_steps == 6.0
 
     def test_tabulated_depth_must_cover_rollouts(self):
         cfg = ProcessConfig(decay=DecayModel.tabulated([1.0, 1.0]), L=2)
+        spec = StrategySpec.lookahead(2, 1)
         with pytest.raises(RangeError):
-            run_lookahead(cfg, 2, 1, np.random.default_rng(0))
+            monte_carlo(cfg, spec, 10, 0)
+        with pytest.raises(RangeError):
+            exact_success(cfg, spec)
 
 
 class TestLookaheadProbe:
@@ -317,11 +300,8 @@ class TestLookaheadProbe:
 
     def test_too_shallow_evaluation_never_distinguishes(self):
         wrong = WrongModel(math.e**3 / 2)
-        rng = np.random.default_rng(0)
         # at depth 1 every wrong candidate still masquerades as plausible
-        assert not any(
-            lookahead_selection_trial(1.0, wrong, 1, 0, rng) for _ in range(500)
-        )
+        assert lookahead_selection_success(1.0, wrong, 1, 0, 500, 0).successes == 0
 
 
 class TestMonteCarloMachinery:
@@ -359,35 +339,134 @@ class TestMonteCarloMachinery:
         with pytest.raises(RangeError):
             monte_carlo(cfg_exp(1), StrategySpec.single_path(), 0, 0)
 
-    def test_scalar_and_vector_paths_agree(self):
-        cfg = cfg_exp(2, selector=SelectorModel.noisy_score(1.0, 0.5), answer=5, noise=0.25)
+    @pytest.mark.parametrize(
+        "answer, spec",
+        [
+            (1, StrategySpec.bon(10**8, ORM_MAX)),
+            (10**8, StrategySpec.bon(2, SELF_CONSISTENCY)),
+            (1, StrategySpec.beam(10**8, 1)),
+            (1, StrategySpec.mcts_best(10**7)),
+            (1, StrategySpec.lookahead(10**7, 0)),
+        ],
+    )
+    def test_wide_strategies_are_refused_before_sampling(self, answer, spec):
+        with pytest.raises(ResourceLimitError, match="over the 1000000 limit"):
+            monte_carlo(cfg_exp(1, answer=answer), spec, 1, 0)
+
+
+NOISY = SelectorModel.noisy_score(margin=1.0, noise_std=0.5)
+CONST = SelectorModel.constant(0.8)
+
+# name -> (config, strategy): every kind, rule and selector the oracle covers
+EXACT_CASES = {
+    "single": (cfg_exp(3, lam=2.0), StrategySpec.single_path()),
+    "bon-max": (cfg_exp(2, lam=2.0), StrategySpec.bon(8, ORM_MAX)),
+    "bon-max-noisy-score": (cfg_exp(2, lam=2.0, noise=0.7), StrategySpec.bon(6, ORM_MAX)),
+    "bon-vote": (cfg_exp(2, lam=2.0, answer=5), StrategySpec.bon(5, ORM_VOTE)),
+    "bon-sc-binary": (cfg_exp(2, lam=2.5), StrategySpec.bon(5, SELF_CONSISTENCY)),
+    "bon-sc-diverse": (cfg_exp(3, lam=2.5, answer=10), StrategySpec.bon(7, SELF_CONSISTENCY)),
+    "beam-ideal": (cfg_exp(3, lam=2.0), StrategySpec.beam(4, 2)),
+    "beam-constant": (cfg_exp(3, CONST, lam=2.0), StrategySpec.beam(5, 2)),
+    "beam-noisy-k-eq-b": (cfg_exp(3, NOISY, lam=2.0), StrategySpec.beam(3, 3)),
+    "beam-constant-table": (
+        ProcessConfig(decay=DecayModel.tabulated([0.9, 0.6]), selector=CONST, L=2),
+        StrategySpec.beam(3, 2),
+    ),
+    "mcts-best-ideal": (cfg_exp(3, lam=2.0), StrategySpec.mcts_best(3)),
+    "mcts-best-constant": (cfg_exp(3, CONST, lam=2.0), StrategySpec.mcts_best(3)),
+    "mcts-best-noisy": (cfg_exp(3, NOISY, lam=2.0), StrategySpec.mcts_best(3)),
+    "mcts-worst-ideal": (cfg_exp(3, lam=2.0), StrategySpec.mcts_worst(2)),
+    "mcts-worst-constant": (cfg_exp(3, CONST, lam=2.0), StrategySpec.mcts_worst(2)),
+    "mcts-worst-noisy": (cfg_exp(3, NOISY, lam=2.0), StrategySpec.mcts_worst(2)),
+    "lookahead-score-noise": (cfg_exp(3, lam=2.0, noise=0.3), StrategySpec.lookahead(3, 2)),
+    "lookahead-noiseless": (cfg_exp(2, lam=2.0), StrategySpec.lookahead(3, 1)),
+    "lookahead-noisy": (cfg_exp(3, NOISY, lam=2.0), StrategySpec.lookahead(3, 2)),
+}
+EXACT_TRIALS = 200_000
+
+
+def within_4se(report: MonteCarloReport, exact: float) -> bool:
+    se = math.sqrt(exact * (1 - exact) / report.trials)
+    return abs(report.estimate - exact) <= 4 * se
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("name", sorted(EXACT_CASES))
+    def test_monte_carlo_within_4se_of_exact(self, name):
+        cfg, spec = EXACT_CASES[name]
+        exact = exact_success(cfg, spec)
+        assert 0.0 < exact < 1.0
+        assert within_4se(monte_carlo(cfg, spec, EXACT_TRIALS, 2024), exact)
+
+    def test_noisy_beam_wider_than_kept_approaches_ideal(self):
+        # no tractable form for top-b of k > b noisy scores; at a margin of
+        # 50 noise never reorders correct and wrong candidates
+        sharp = SelectorModel.noisy_score(margin=50.0, noise_std=1.0)
+        noisy_cfg = cfg_exp(3, sharp, lam=2.0)
+        spec = StrategySpec.beam(8, 3)
+        assert exact_success(noisy_cfg, spec) is None
+        exact = exact_success(cfg_exp(3, lam=2.0), spec)
+        assert within_4se(monte_carlo(noisy_cfg, spec, EXACT_TRIALS, 2025), exact)
+
+    def test_noisy_vote_approaches_noiseless_vote(self):
+        spec = StrategySpec.bon(5, ORM_VOTE)
+        noisy_cfg = cfg_exp(2, lam=2.0, answer=5, noise=0.01)
+        assert exact_success(noisy_cfg, spec) is None
+        exact = exact_success(cfg_exp(2, lam=2.0, answer=5), spec)
+        assert within_4se(monte_carlo(noisy_cfg, spec, EXACT_TRIALS, 2026), exact)
+
+    def test_certain_process_is_certain(self):
+        cfg = ProcessConfig(decay=DecayModel.tabulated([1.0] * 4), answer=AnswerModel(3), L=2)
         for spec in (
             StrategySpec.single_path(),
-            StrategySpec.bon(4, ORM_MAX),
-            StrategySpec.bon(5, SELF_CONSISTENCY),
-            StrategySpec.bon(5, ORM_VOTE),
-            StrategySpec.beam(4, 2),
+            *(StrategySpec.bon(3, rule) for rule in (ORM_MAX, ORM_VOTE, SELF_CONSISTENCY)),
+            StrategySpec.beam(3, 2),
             StrategySpec.mcts_best(2),
             StrategySpec.mcts_worst(2),
-            StrategySpec.lookahead(2, 1),
+            StrategySpec.lookahead(2, 2),
         ):
-            rng = np.random.default_rng(1234)
-            trials = 4000
-            scalar_hits = sum(run_trial(cfg, spec, rng).success for _ in range(trials))
-            lo_s, hi_s = wilson_interval(scalar_hits, trials)
-            vector = monte_carlo(cfg, spec, trials, 4321)
-            assert lo_s <= vector.ci_high and vector.ci_low <= hi_s, spec.describe()
+            assert exact_success(cfg, spec) == pytest.approx(1.0, rel=1e-12), spec.describe()
 
-    def test_ideal_constant_selectors_agree_with_scalar_beam(self):
-        cfg = cfg_exp(2, selector=SelectorModel.constant(0.8))
-        rng = np.random.default_rng(77)
-        trials = 4000
-        scalar_hits = sum(
-            run_beam(cfg, 4, 2, rng).success for _ in range(trials)
+    def test_closed_forms(self):
+        cfg = cfg_exp(2)
+        assert exact_success(cfg, StrategySpec.single_path()) == pytest.approx(E_M3)
+        assert exact_success(cfg, StrategySpec.bon(8, ORM_MAX)) == pytest.approx(
+            BON8_NOISELESS
         )
-        lo_s, hi_s = wilson_interval(scalar_hits, trials)
-        vector = monte_carlo(cfg, StrategySpec.beam(4, 2), trials, 78)
-        assert lo_s <= vector.ci_high and vector.ci_low <= hi_s
+        # a binary vote between two paths ties exactly when they disagree
+        sc = exact_success(cfg, StrategySpec.bon(2, SELF_CONSISTENCY))
+        assert sc == pytest.approx(E_M3, rel=1e-12)
+        # two noisy paths: a lone correct one wins with Phi(margin / (s sqrt 2))
+        s = 0.7
+        noisy = exact_success(cfg_exp(2, noise=s), StrategySpec.bon(2, ORM_MAX))
+        p = E_M3
+        expected = p * p + 2 * p * (1 - p) * ndtr(1 / (s * math.sqrt(2)))
+        assert noisy == pytest.approx(expected, rel=1e-12)
+
+    def test_wide_exact_evaluation_is_refused(self):
+        with pytest.raises(ResourceLimitError):
+            exact_success(cfg_exp(1, noise=0.5), StrategySpec.bon(2000, ORM_MAX))
+
+    @given(
+        lam=st.floats(0.05, 2.7),
+        L=st.integers(1, 4),
+        b=st.integers(1, 4),
+        extra=st.integers(0, 4),
+        eps=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bound_dominates_exact(self, lam, L, b, extra, eps):
+        selector = IDEAL if eps is None else SelectorModel.constant(eps)
+        cfg = cfg_exp(L, selector, lam=lam)
+        for spec in (
+            StrategySpec.single_path(),
+            StrategySpec.beam(b + extra, b),
+            StrategySpec.mcts_best(b),
+            StrategySpec.mcts_worst(b),
+        ):
+            exact = exact_success(cfg, spec)
+            bound = matching_bound(cfg, spec)
+            assert exact <= bound * (1 + 1e-12), spec.describe()
 
 
 class TestVerifyAndMatchingBounds:
@@ -458,6 +537,3 @@ class TestSpecsAndConfigs:
         spec = StrategySpec.from_config({"kind": "bon", "N": 4, "rule": "orm_vote"})
         assert spec.N == 4 and spec.rule == ORM_VOTE
 
-    def test_trial_result_validation(self):
-        with pytest.raises(ValidationError):
-            TrialResult(True, 1, 0)
