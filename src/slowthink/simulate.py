@@ -533,7 +533,7 @@ def _exact_bon(cfg, strategy) -> float | None:
 
 def _exact_beam(cfg, k: int, b: int) -> float | None:
     """Chain over the alive-beam count 0..b. alive = 0 is absorbing and
-    fails, so ``dist[0]`` is never read."""
+    fails, so ``dist[0]`` is left unnormalized: it only feeds itself."""
     sel = cfg.selector
     alive = np.arange(b + 1)
     if sel.kind == NOISY_SCORE:
