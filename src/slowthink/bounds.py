@@ -16,6 +16,7 @@ Conventions shared by every bound here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,7 +35,8 @@ from .models import (
     step_correct_prob,
 )
 
-# Noisy-score selectors have no principled tail model beyond this pool size.
+# Largest noisy-score pool in the worst-case envelope: it keeps the depth-l
+# pool b**l, which the selection integral takes as a float, in float range.
 NOISY_CANDIDATE_LIMIT = 10**6
 
 _NEG_INF = float("-inf")
@@ -64,6 +66,23 @@ def _check_counts(**counts: int) -> None:
     for name, v in counts.items():
         if v < 1:
             raise RangeError(f"{name} must be >= 1, got {v}")
+        if v > sys.float_info.max:
+            raise RangeError(f"{name} is too large to evaluate as a float")
+
+
+def _log_eps(selector: SelectorModel, b: int) -> float:
+    eps = selector_success_prob(selector, b)
+    return math.log(eps) if eps > 0.0 else _NEG_INF
+
+
+def _value(v: float, log: bool) -> float:
+    """``v``, or ``e**v`` when not ``log``: inf past the double range."""
+    if log:
+        return v
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
 
 
 def _require_no_clipping(decay: DecayModel) -> None:
@@ -99,8 +118,7 @@ def single_path_bound(decay: DecayModel, L: int, *, log: bool = False) -> float:
     """Success probability of one unassisted length-L path: the product of the
     per-layer step probabilities."""
     _check_counts(L=L)
-    v = _sum_log_steps(decay, L)
-    return v if log else math.exp(v)
+    return _value(_sum_log_steps(decay, L), log)
 
 
 def width_expansion_bound_exact(
@@ -116,10 +134,7 @@ def width_expansion_bound_exact(
     and keeping b per layer: product over layers of
     ``eps_b * (1 - (1 - p(l))**k)``."""
     _check_counts(L=L, k=k, b=b)
-    eps = selector_success_prob(selector, b)
-    if eps == 0.0:
-        return _NEG_INF if log else 0.0
-    total = L * math.log(eps)
+    total = L * _log_eps(selector, b)
     for l in range(1, L + 1):
         p = step_correct_prob(decay, l)
         if p == 0.0:
@@ -129,7 +144,7 @@ def width_expansion_bound_exact(
             continue
         # log(1 - (1-p)^k), kept accurate for tiny p
         total += math.log(-math.expm1(k * math.log1p(-p)))
-    return total if log else math.exp(total)
+    return _value(total, log)
 
 
 def width_expansion_bound_simplified(
@@ -149,11 +164,8 @@ def width_expansion_bound_simplified(
     """
     _check_counts(L=L, k=k, b=b)
     _require_no_clipping(decay)
-    eps = selector_success_prob(selector, b)
-    if eps == 0.0:
-        return _NEG_INF if log else 0.0
-    v = _assemble_log(L * math.log(eps), L * math.log(k), decay.lambda_tau, L)
-    return v if log else math.exp(v)
+    v = _assemble_log(L * _log_eps(selector, b), L * math.log(k), decay.lambda_tau, L)
+    return _value(v, log)
 
 
 def bon_bound(
@@ -166,15 +178,11 @@ def bon_bound(
 ) -> float:
     """Upper bound for Best-of-N with one final selection over N paths:
     ``eps_N * N**L * lambda**L * e**(-L(L+1)/2)``."""
-    if N < 1:
-        raise RangeError(f"N must be >= 1, got {N}")
-    _check_counts(L=L)
+    _check_counts(N=N, L=L)
     _require_no_clipping(decay)
-    eps = selector_success_prob(selector, max(1, math.ceil(N)))
-    if eps == 0.0:
-        return _NEG_INF if log else 0.0
-    v = _assemble_log(math.log(eps), L * math.log(N), decay.lambda_tau, L)
-    return v if log else math.exp(v)
+    eps_log = _log_eps(selector, max(1, math.ceil(N)))
+    v = _assemble_log(eps_log, L * math.log(N), decay.lambda_tau, L)
+    return _value(v, log)
 
 
 def mcts_best_bound(
@@ -211,12 +219,9 @@ def mcts_worst_bound(
                 f"{pool} candidates at depth {l} exceeds the noisy-score "
                 f"selector limit of {NOISY_CANDIDATE_LIMIT}"
             )
-        eps = selector_success_prob(selector, pool)
-        if eps == 0.0:
-            return _NEG_INF if log else 0.0
-        eps_log += math.log(eps)
+        eps_log += _log_eps(selector, pool)
     v = _assemble_log(eps_log, S * math.log(b), decay.lambda_tau, L)
-    return v if log else math.exp(v)
+    return _value(v, log)
 
 
 def n_min(b: int, L: int, case: str) -> float:

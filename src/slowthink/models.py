@@ -8,14 +8,11 @@ function of its inputs, so they are safe to share across threads.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import log_ndtr
 
 from .errors import RangeError, ValidationError, checked_number, checked_section
 
@@ -25,9 +22,6 @@ TABULATED = "tabulated"
 IDEAL = "ideal"
 CONSTANT = "constant"
 NOISY_SCORE = "noisy_score"
-
-# Internal Monte Carlo resolution for noisy-score selection probabilities.
-NOISY_SCORE_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -241,39 +235,36 @@ def validate_decay(model: DecayModel) -> str | None:
 
 def selector_success_prob(sel: SelectorModel, b: int) -> float:
     """Probability of picking a correct candidate out of ``b``, given at least
-    one correct candidate exists."""
+    one correct candidate exists; w(1, b) of ``_top_correct`` if noisy-score."""
     if b < 1:
         raise RangeError(f"candidate count must be >= 1, got {b}")
     if sel.kind == IDEAL:
         return 1.0
     if sel.kind == CONSTANT:
         return sel.epsilon
-    return _noisy_score_success(sel.margin, sel.noise_std, int(b))
+    return float(_top_correct([1], b, sel.margin, sel.noise_std)[0])
 
 
-def _param_seed(*values: float) -> int:
-    buf = b"".join(struct.pack("<d", float(v)) for v in values)
-    return int.from_bytes(hashlib.sha256(buf).digest()[:8], "little")
+# Trapezoid rule on [-12, 12] for the selection integral in _top_correct.
+# The integrand is negligible outside it and at its ends, so the rule is a
+# plain sum.
+_STEP = 0.005
+_GRID = _STEP * np.arange(-2400, 2401)
+_LOG_PHI = -0.5 * _GRID**2 - 0.5 * math.log(2 * math.pi)
 
 
-@lru_cache(maxsize=4096)
-def _noisy_score_success(margin: float, noise_std: float, b: int) -> float:
-    """Seeded Monte Carlo estimate of P(margin + s*Z0 > s*max of b-1 iid
-    standard normals).
-
-    The competitor maximum is sampled through its quantile transform
-    ``Phi^{-1}(U^{1/(b-1)})`` from a single uniform U, which costs O(1) per
-    sample for any pool size and, because the same (margin, noise_std)-keyed
-    draws are reused for every b, makes the cached estimates exactly
-    nonincreasing in b.
-    """
-    if b == 1 or noise_std == 0.0:
-        return 1.0
-    rng = np.random.default_rng(_param_seed(margin, noise_std))
-    z0 = rng.standard_normal(NOISY_SCORE_SAMPLES)
-    u = rng.random(NOISY_SCORE_SAMPLES)
+def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
+    """w(c, n) for each c: the chance that the best of c correct candidates,
+    scored margin + std*Z, outscores the best of n - c wrong ones, scored
+    std*Z. It is the integral of c phi(u) Phi(u)^(c-1) Phi(u + margin/std)^(n-c);
+    at std = 0 the argmax takes the first top score, a correct one if c > 0."""
+    c = np.asarray(c, dtype=float)
+    if std == 0.0:
+        return (c > 0).astype(float)
+    c = c[:, None]
     with np.errstate(divide="ignore"):
-        # 1 - U^{1/(b-1)}, kept accurate near 0
-        q = -np.expm1(np.log(u) / (b - 1))
-    comp_max = -ndtri(q)
-    return float(np.mean(margin + noise_std * z0 > noise_std * comp_max))
+        log_f = (
+            np.log(c) + _LOG_PHI + (c - 1) * log_ndtr(_GRID)
+            + (n - c) * log_ndtr(_GRID + margin / std)
+        )
+    return np.exp(log_f).sum(axis=1) * _STEP

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr, xlog1py, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 
 from . import bounds as _bounds
 from .errors import (
@@ -48,6 +48,8 @@ from .models import (
     DecayModel,
     SelectorModel,
     WrongModel,
+    _GRID,
+    _top_correct as _selection_integral,
     selector_success_prob,
     step_correct_prob,
     validate_decay,
@@ -444,14 +446,6 @@ def _sim_lookahead(cfg, strategy, n, rng) -> int:
 # Exact success probabilities
 # ---------------------------------------------------------------------------
 
-# Trapezoid rule on [-12, 12] for the selection integral in _top_correct.
-# The integrand is negligible outside it and at its ends, so the rule is a
-# plain sum.
-_STEP = 0.005
-_GRID = _STEP * np.arange(-2400, 2401)
-_LOG_PHI = -0.5 * _GRID**2 - 0.5 * math.log(2 * math.pi)
-
-
 def _check_cells(cells: int) -> None:
     if cells > _BLOCK_CELLS:
         raise ResourceLimitError(
@@ -473,21 +467,10 @@ def _binom_pmf(n, p: float, support: int) -> np.ndarray:
 
 
 def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
-    """w(c, n) for each c: the chance that the best of c correct candidates,
-    scored margin + std*Z, outscores the best of n - c wrong ones, scored
-    std*Z. It is the integral of c phi(u) Phi(u)^(c-1) Phi(u + margin/std)^(n-c);
-    at std = 0 the argmax takes the first top score, a correct one if c > 0."""
-    c = np.asarray(c, dtype=float)
-    if std == 0.0:
-        return (c > 0).astype(float)
-    _check_cells(c.size * _GRID.size)
-    c = c[:, None]
-    with np.errstate(divide="ignore"):
-        log_f = (
-            np.log(c) + _LOG_PHI + (c - 1) * log_ndtr(_GRID)
-            + (n - c) * log_ndtr(_GRID + margin / std)
-        )
-    return np.exp(log_f).sum(axis=1) * _STEP
+    """``models._top_correct``, refused past the cell limit."""
+    if std > 0.0:
+        _check_cells(np.size(c) * _GRID.size)
+    return _selection_integral(c, n, margin, std)
 
 
 def _plurality_win(c: int, n: int, a: int) -> float:

@@ -67,6 +67,24 @@ class TestBoundsCommand:
         assert rc == 0
         assert rows[0]["vacuous"] == "true"
 
+    @pytest.mark.parametrize(
+        "strategy, flags",
+        [
+            ("mcts-worst", ["--b", "1000"]),
+            ("bon", ["--N", str(10**20)]),
+            ("beam-simplified", ["--k", str(10**20), "--b", "2"]),
+        ],
+    )
+    def test_bound_past_double_range_is_inf(self, tmp_path, strategy, flags):
+        # the log-domain value is past the double range; the unclipped bound
+        # prints as inf and is vacuous, under --strategy all too
+        for wanted in (strategy, "all"):
+            rc, _, rows = run(tmp_path, "bounds", "--lambda", "1", "--L", "40",
+                              "--strategy", wanted, *flags)
+            assert rc == 0
+            cells = {r["strategy"]: (r["bound"], r["vacuous"]) for r in rows}
+            assert cells[strategy] == ("inf", "true")
+
     def test_unknown_subcommand_usage_error(self, capsys):
         assert dispatch(["frobnicate"]) == 2
         assert "usage" in capsys.readouterr().err.lower()
@@ -391,6 +409,16 @@ class TestMalformedInput:
               "--trials", "1"], "over the 1000000 limit"),
             (["simulate", "--strategy", "bon", "--N", "2", "--answer-space", "100000000",
               "--trials", "1"], "over the 1000000 limit"),
+            (["bounds", "--strategy", "beam-exact", "--k", str(10**400), "--b", "2",
+              "--lambda", "1", "--L", "2"], "k is too large"),
+            (["bounds", "--strategy", "beam-exact", "--k", str(10**400), "--b", "2",
+              "--lambda", "1", "--L", "2", "--selector", "noisy:1,1"], "k is too large"),
+            (["bounds", "--strategy", "all", "--k", str(10**400), "--b", "2",
+              "--lambda", "1", "--L", "2", "--selector", "constant:0.5"], "k is too large"),
+            (["bounds", "--strategy", "bon", "--N", str(10**400), "--lambda", "1",
+              "--L", "2", "--selector", "noisy:1,1"], "N is too large"),
+            (["bounds", "--strategy", "bon", "--N", str(10**400), "--lambda", "1",
+              "--L", "2"], "N is too large"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):

@@ -135,7 +135,7 @@ GOLDEN = {
     ),
     "bounds-noisy-worst": (
         0,
-        "6fd198a41d5335594ee8607f0ea76de861b76de0056abeb0484f0f510ed85cfe",
+        "d6ab33dc177fd1f75e3810b290d53fe7a80bdd3535b98932380294f4426d0d96",
         "d38b8725a8c5bffed216c5d8510ed6ee955ce679e17f56d53263faea74c2d69b",
         None,
     ),
@@ -243,7 +243,7 @@ GOLDEN = {
     ),
     "sim-beam-noisy": (
         0,
-        "f61ba68b9ab6947defaa579ca8bae91d6ebf8b0cf2bcd9544d843b045101f6aa",
+        "025f4d2c11bd8b0ace84d600ae6750e0f8b117eb572fd751f75c9613aca52b6d",
         "51b466904ec66b5296fdbc689e0af4087747555718eb0a786a71d44126f64b06",
         None,
     ),
@@ -315,7 +315,7 @@ GOLDEN = {
     ),
     "sim-mcts-best-noisy": (
         0,
-        "2d0eed0a7ba26f143d9f3180e89ad9eafc9b0a1b3de84f549095966cce2deb45",
+        "fa3bf7f234f962905684ff48b2625b6a1856945ff32782ceb21ec9959b7d7af8",
         "3075de7f01b97384c7a6429b0bf908523f56c8ec926a0894ca97164cf52274df",
         None,
     ),
@@ -327,7 +327,7 @@ GOLDEN = {
     ),
     "sim-mcts-worst-noisy": (
         0,
-        "0afa41480bbbd93c37987b0f3c53338e52c56e246f7d15668a339744da31f6ab",
+        "62ff4fe191674c0ceae991af7ff86691f18714b223d3aee0102900d0b1bbf758",
         "582bf3dc21109b74698f31af422c160c54e8c47e9caba3c575ace793427f0bf7",
         None,
     ),

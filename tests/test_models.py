@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from slowthink.errors import RangeError, ValidationError
 from slowthink.models import (
@@ -22,6 +23,9 @@ from slowthink.models import (
 # 4001-node Simpson quadrature at 30 digits. A 10^6-draw paired-Gaussian Monte
 # Carlo oracle agrees: 0.760249 +/- 0.00043.
 TWO_CANDIDATE_SUCCESS = 0.7602499389065233
+
+# The selection integral is exact to quadrature accuracy, far below this.
+EXACT_RTOL = 1e-9
 
 
 class TestDecayModel:
@@ -102,8 +106,9 @@ class TestSelectorModel:
 
     def test_noisy_two_candidates_matches_oracle(self):
         sel = SelectorModel.noisy_score(margin=1.0, noise_std=1.0)
+        assert TWO_CANDIDATE_SUCCESS == pytest.approx(ndtr(1 / math.sqrt(2)), rel=1e-15)
         assert selector_success_prob(sel, 2) == pytest.approx(
-            TWO_CANDIDATE_SUCCESS, abs=6e-3
+            TWO_CANDIDATE_SUCCESS, rel=EXACT_RTOL
         )
 
     @pytest.mark.parametrize(
@@ -112,7 +117,18 @@ class TestSelectorModel:
     )
     def test_noisy_larger_pools_match_quadrature(self, b, expected):
         sel = SelectorModel.noisy_score(margin=1.0, noise_std=1.0)
-        assert selector_success_prob(sel, b) == pytest.approx(expected, abs=7e-3)
+        assert selector_success_prob(sel, b) == pytest.approx(expected, rel=EXACT_RTOL)
+
+    # Values from scipy.integrate.quad, agreeing with a 30-digit mpmath
+    # quadrature. A small margin-to-noise ratio or a pool of 10**6 puts the
+    # integrand's mass far into the upper tail.
+    @pytest.mark.parametrize(
+        "margin,std,b,expected",
+        [(0.5, 2.0, 256, 0.0077134187864409945), (1.0, 2.0, 10**6, 1.0119396881677336e-05)],
+    )
+    def test_noisy_tail_pools_match_quadrature(self, margin, std, b, expected):
+        sel = SelectorModel.noisy_score(margin=margin, noise_std=std)
+        assert selector_success_prob(sel, b) == pytest.approx(expected, rel=EXACT_RTOL)
 
     def test_noisy_nonincreasing_in_pool_size(self):
         sel = SelectorModel.noisy_score(margin=1.0, noise_std=1.0)
