@@ -211,15 +211,22 @@ def mcts_worst_bound(
     _check_counts(L=L, b=b)
     _require_no_clipping(decay)
     S = L * (L + 1) / 2
+    # Only a noisy-score selector depends on the pool b**l, and the limit
+    # stops it before the pool leaves float range; the others take one eps.
+    noisy = selector.kind == NOISY_SCORE and b > 1
+    log_eps = _log_eps(selector, 1)
+    pool = 1
     eps_log = 0.0
     for l in range(1, L + 1):
-        pool = b**l
-        if selector.kind == NOISY_SCORE and pool > NOISY_CANDIDATE_LIMIT:
-            raise ResourceLimitError(
-                f"{pool} candidates at depth {l} exceeds the noisy-score "
-                f"selector limit of {NOISY_CANDIDATE_LIMIT}"
-            )
-        eps_log += _log_eps(selector, pool)
+        if noisy:
+            pool *= b
+            if pool > NOISY_CANDIDATE_LIMIT:
+                raise ResourceLimitError(
+                    f"{pool} candidates at depth {l} exceeds the noisy-score "
+                    f"selector limit of {NOISY_CANDIDATE_LIMIT}"
+                )
+            log_eps = _log_eps(selector, pool)
+        eps_log += log_eps
     v = _assemble_log(eps_log, S * math.log(b), decay.lambda_tau, L)
     return _value(v, log)
 

@@ -858,6 +858,14 @@ def _from_manifest(path: str | None) -> tuple[str, dict]:
     command, config = manifest.get("command"), manifest.get("config")
     if command not in _RUNNERS or not isinstance(config, dict):
         raise ValidationError(f"{path}: not a manifest written by this tool")
+    environment = manifest.get("environment")
+    recorded = environment.get("numpy") if isinstance(environment, dict) else None
+    if recorded is not None and recorded != np.__version__:
+        print(
+            f"warning: {path} was written under numpy {recorded}, this is numpy "
+            f"{np.__version__}; sampled output may not be bit-identical",
+            file=sys.stderr,
+        )
     return command, config
 
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .errors import RangeError, ValidationError, checked_number, checked_section
 
@@ -245,12 +244,42 @@ def selector_success_prob(sel: SelectorModel, b: int) -> float:
     return float(_top_correct([1], b, sel.margin, sel.noise_std)[0])
 
 
+_SQRT1_2 = math.sqrt(0.5)
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _log_ndtr(x: float) -> float:
+    if x > 0.0:
+        return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
+    if x >= -20.0:
+        return math.log(0.5 * math.erfc(-x * _SQRT1_2))
+    # Mills-ratio series (Abramowitz and Stegun 26.2.12): Phi(x) =
+    # phi(x)/|x| * (1 - 1/x^2 + 3/x^4 - ...); at |x| > 20 it reaches double
+    # precision long before its terms start to grow.
+    inv_x2 = 1.0 / (x * x)
+    term = series = 1.0
+    k = 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) * inv_x2
+        series += term
+        k += 1
+    return -0.5 * x * x - math.log(-x) - _HALF_LOG_2PI + math.log(series)
+
+
+def log_ndtr(x) -> np.ndarray:
+    """log Phi(x) elementwise, Phi the standard normal CDF, accurate in
+    relative terms from the far left tail to where Phi(x) rounds to 1."""
+    x = np.asarray(x, dtype=float)
+    return np.array([_log_ndtr(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 # Trapezoid rule on [-12, 12] for the selection integral in _top_correct.
 # The integrand is negligible outside it and at its ends, so the rule is a
 # plain sum.
 _STEP = 0.005
 _GRID = _STEP * np.arange(-2400, 2401)
-_LOG_PHI = -0.5 * _GRID**2 - 0.5 * math.log(2 * math.pi)
+_LOG_PHI = -0.5 * _GRID**2 - _HALF_LOG_2PI
+_LOG_NDTR_GRID = log_ndtr(_GRID)
 
 
 def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
@@ -264,7 +293,7 @@ def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
     c = c[:, None]
     with np.errstate(divide="ignore"):
         log_f = (
-            np.log(c) + _LOG_PHI + (c - 1) * log_ndtr(_GRID)
+            np.log(c) + _LOG_PHI + (c - 1) * _LOG_NDTR_GRID
             + (n - c) * log_ndtr(_GRID + margin / std)
         )
     return np.exp(log_f).sum(axis=1) * _STEP

@@ -8,7 +8,11 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import platform
+import sys
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -33,12 +37,29 @@ def format_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def run_environment() -> dict:
+    """What bit-identical reruns depend on: the interpreter, numpy (its
+    Philox stream draws every sample) and the machine; scipy's version only
+    when the process loaded it."""
+    env = {
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "platform": sys.platform,
+        "python": platform.python_version(),
+    }
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        env["scipy"] = scipy.__version__
+    return env
+
+
 def manifest_dict(
     command: str, config: dict, seed, version: str, wall_clock_s: float
 ) -> dict:
     return {
         "command": command,
         "config": config,
+        "environment": run_environment(),
         "seed": seed,
         "version": version,
         "wall_clock_s": wall_clock_s,

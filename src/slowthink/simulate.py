@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from . import bounds as _bounds
 from .errors import (
@@ -455,13 +454,20 @@ def _check_cells(cells: int) -> None:
 
 def _binom_pmf(n, p: float, support: int) -> np.ndarray:
     """P(Bin(n, p) = j) for j = 0..support, one row per entry of ``n``."""
-    n = np.asarray(n, dtype=float)[:, None]
+    n = np.asarray(n, dtype=np.int64)[:, None]
     _check_cells(n.size * (support + 1))
-    j = np.arange(support + 1.0)
+    j = np.arange(support + 1)
+    rest = np.maximum(n - j, 0)
+    log_fact = np.array(
+        [math.lgamma(i + 1.0) for i in range(max(int(n.max()), support) + 1)]
+    )
+    # 0 * log 0 = 0: a count of zero contributes nothing even at p in {0, 1}
+    log_p = math.log(p) if p > 0.0 else -math.inf
+    log_q = math.log1p(-p) if p < 1.0 else -math.inf
     with np.errstate(invalid="ignore"):
         log_pmf = (
-            gammaln(n + 1) - gammaln(j + 1) - gammaln(n - j + 1)
-            + xlogy(j, p) + xlog1py(n - j, -p)
+            log_fact[n] - log_fact[j] - log_fact[rest]
+            + np.where(j > 0, j * log_p, 0.0) + np.where(rest > 0, rest * log_q, 0.0)
         )
     return np.where(j <= n, np.exp(log_pmf), 0.0)
 

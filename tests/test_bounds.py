@@ -6,6 +6,7 @@ never drift silently.
 """
 
 import math
+import time
 
 import mpmath as mp
 import pytest
@@ -197,6 +198,17 @@ class TestBonAndEnvelopes:
         with pytest.raises(ResourceLimitError):
             mcts_worst_bound(EXP1, sel, 8, 6)  # 6^8 > 10^6 candidates
         assert mcts_worst_bound(EXP1, sel, 3, 4) > 0.0
+
+    @pytest.mark.parametrize("selector", [IDEAL, SelectorModel.constant(0.9)])
+    def test_worst_case_deep_tree_is_linear_in_depth(self, selector):
+        # the pool b**l is only formed for noisy-score selectors; building it
+        # as an exact integer at every depth made this take about 20 s
+        start = time.perf_counter()
+        assert mcts_worst_bound(EXP1, selector, 100_000, 2) == 0.0
+        assert time.perf_counter() - start < 2.0
+        sel = SelectorModel.noisy_score(margin=1.0, noise_std=1.0)
+        with pytest.raises(ResourceLimitError, match="at depth 20"):
+            mcts_worst_bound(EXP1, sel, 100_000, 2)
 
     def test_log_domain_worst_case_deep(self):
         v = mcts_worst_bound(EXP1, IDEAL, 40, 2, log=True)

@@ -4,10 +4,15 @@ round-trips, and manifest-driven reproduction."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import slowthink
 from slowthink.cli import dispatch
 
 
@@ -306,6 +311,69 @@ class TestReproducePresets:
         assert all(float(r["rel_err"]) <= 1e-9 for r in rows)
 
 
+# Runs each argv list given on its command line through cli.dispatch in a
+# fresh interpreter, then reports the exit codes and any scipy module loaded.
+_IMPORT_PROBE = """
+import json, sys
+from slowthink import cli
+codes = [cli.dispatch(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_commands_do_not_load_scipy(tmp_path):
+    """Runtime needs only numpy: scipy is a test-only oracle, and importing it
+    used to cost more than half of every command's start-up."""
+    rng = np.random.default_rng(3)
+    for name in ("x", "y"):
+        rows = ["f0,f1,length"] + [f"{a},{b},{n}" for a, b, n in zip(
+            rng.normal(size=30), rng.normal(size=30), rng.integers(1, 50, size=30))]
+        (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "traces.jsonl").write_text(
+        json.dumps({"question_id": "q0", "events": [[1, 2], [0, 3]], "ideal_path_length": 2})
+        + "\n"
+    )
+    (tmp_path / "points.csv").write_text(
+        "x,y\n" + "".join(f"{x},{0.1 * math.exp(-x / 100)}\n" for x in range(50, 500, 50))
+    )
+    noisy = ["--selector", "noisy:1,0.25", "--lambda", "2.5", "--trials", "200"]
+    commands = [
+        ["bounds", "--strategy", "all", "--lambda", "2.5", "--L", "3", "--k", "4",
+         "--b", "2", "--N", "4", "--selector", "noisy:1,0.25"],
+        ["simulate", "--strategy", "beam", "--k", "8", "--b", "4", "--L", "4"] + noisy,
+        ["simulate", "--strategy", "mcts_worst", "--b", "2", "--L", "6"] + noisy,
+        ["simulate", "--strategy", "lookahead", "--b", "3", "--gamma", "2", "--L", "4"]
+        + noisy,
+        ["simulate", "--strategy", "bon", "--rule", "orm_vote", "--sweep", "N=1:16:5",
+         "--answer-space", "100", "--score-noise", "0.5", "--L", "3", "--lambda", "2.5",
+         "--trials", "200"],
+        ["reproduce", "dominance", "--trials", "200"],
+        ["reproduce", "bon-vs-mcts", "--trials", "200", "--plot", "bvm.svg"],
+        ["reproduce", "gamma-sweep", "--trials", "200"],
+        ["reproduce", "nmin"],
+        ["fano-suite", "--instances", "20"],
+        ["hsic", "--x", "x.csv", "--y", "y.csv", "--per-token",
+         "--permutation-test", "20", "--svg", "null.svg"],
+        ["calibrate", "--traces", "traces.jsonl"],
+        ["fit", "--points", "points.csv", "--svg", "fit.svg"],
+    ]
+    commands = [argv + ["--out", f"out{i}.csv"] for i, argv in enumerate(commands)]
+    commands.append(["reproduce", "from-manifest", "--path", "out1.csv.manifest.json",
+                     "--out", "replay.csv"])
+    src = str(Path(slowthink.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert all(code in (0, 1) for code in report["codes"]), (report, proc.stderr)
+    assert report["scipy"] == []
+
+
 class TestDeterminismAndManifests:
     def test_byte_identical_reruns(self, tmp_path):
         argv = [
@@ -334,6 +402,24 @@ class TestDeterminismAndManifests:
         )
         assert rc2 == 0
         assert replay.read_bytes() == out.read_bytes()
+
+    def test_from_manifest_warns_on_numpy_mismatch(self, tmp_path, capsys):
+        rc, out, _ = run(tmp_path, "reproduce", "nmin")
+        manifest = out.with_suffix(".csv.manifest.json")
+        replay = ["reproduce", "from-manifest", "--path", str(manifest),
+                  "--out", str(tmp_path / "replay.csv")]
+        capsys.readouterr()
+        assert dispatch(replay) == rc == 0
+        assert "warning" not in capsys.readouterr().err
+        loaded = json.loads(manifest.read_text())
+        loaded["environment"]["numpy"] = "0.0.1"
+        manifest.write_text(json.dumps(loaded))
+        assert dispatch(replay) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning:")] == [
+            f"warning: {manifest} was written under numpy 0.0.1, this is numpy "
+            f"{np.__version__}; sampled output may not be bit-identical"
+        ]
 
     def test_manifest_rerun_preset(self, tmp_path):
         rc, out, _ = run(tmp_path, "reproduce", "table1", "--b", "3", "--L", "3")

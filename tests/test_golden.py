@@ -2,9 +2,10 @@
 
 Each case runs one command in a scratch directory with relative file names
 and pins the exit code plus the SHA-256 of its CSV, of its manifest without
-``wall_clock_s``, and of its SVG when it draws one. A refactor that keeps
-these digests keeps the bytes users see. Every case is also replayed through
-``reproduce from-manifest``, which must reproduce the CSV byte for byte.
+``wall_clock_s`` and ``environment``, and of its SVG when it draws one. A
+refactor that keeps these digests keeps the bytes users see. Every case is
+also replayed through ``reproduce from-manifest``, which must reproduce the
+CSV byte for byte.
 
 ``hsic`` and ``fit`` are left out: their BLAS and least-squares output is
 not promised to be bit-identical across machines.
@@ -119,7 +120,8 @@ CASES = {
     "reproduce-config": ["reproduce", "table1", "--config", "cfg.json", "--b", "3"],
 }
 
-# name -> (exit code, csv sha256, manifest sha256 without wall_clock_s, svg sha256)
+# name -> (exit code, csv sha256, manifest sha256 without wall_clock_s and
+# environment, svg sha256)
 GOLDEN = {
     "bounds-all": (
         0,
@@ -361,6 +363,7 @@ def run_case(name: str, workdir: Path) -> tuple:
         rc = dispatch(CASES[name] + ["--out", "out.csv"])
         manifest = json.loads(Path("out.csv.manifest.json").read_text())
         manifest.pop("wall_clock_s")
+        manifest.pop("environment")
         svgs = sorted(Path(".").glob("*.svg"))
         svg = _sha(svgs[0].read_bytes()) if svgs else None
         digests = (

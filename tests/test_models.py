@@ -1,10 +1,13 @@
 """Decay-law, selector, and answer-model contracts."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.special import ndtr
 
 from slowthink.errors import RangeError, ValidationError
@@ -13,6 +16,8 @@ from slowthink.models import (
     DecayModel,
     SelectorModel,
     WrongModel,
+    _GRID,
+    log_ndtr,
     selector_success_prob,
     step_correct_prob,
     validate_decay,
@@ -172,6 +177,32 @@ class TestSelectorModel:
     def test_probabilities_stay_in_unit_interval(self, margin, std, b):
         sel = SelectorModel.noisy_score(margin=margin, noise_std=std)
         assert 0.0 <= selector_success_prob(sel, b) <= 1.0
+
+
+class TestLogNdtr:
+    """``log_ndtr`` against scipy's, which the runtime no longer loads."""
+
+    # Below the smallest normal double Phi(x) is subnormal, carries fewer
+    # than 53 bits, and scipy rounds it to 0 where math.erfc keeps it.
+    FLOOR = sys.float_info.min
+
+    def assert_close(self, x):
+        got, want = log_ndtr(x), special.log_ndtr(x)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=self.FLOOR)
+
+    @pytest.mark.parametrize("shift", [-100, -40, -20, -5, 0, 5, 20, 100])
+    def test_shifted_grid(self, shift):
+        self.assert_close(_GRID + shift)
+
+    @pytest.mark.parametrize("x", [-1e3, -38.0, 38.0, -20.0, -20.000001, 0.0, 6.5])
+    def test_scalar_points(self, x):
+        self.assert_close(x)
+
+    def test_limits(self):
+        assert log_ndtr(-np.inf) == -np.inf
+        assert log_ndtr(np.inf) == 0.0
+        assert np.isnan(log_ndtr(np.nan))
 
 
 class TestWrongAndAnswerModels:

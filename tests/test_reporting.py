@@ -1,7 +1,10 @@
 """CSV formatting, SVG determinism, and manifests."""
 
 import json
+import platform
+import sys
 
+import numpy as np
 import pytest
 
 from slowthink.errors import ValidationError
@@ -12,6 +15,7 @@ from slowthink.reporting import (
     manifest_dict,
     read_manifest,
     render_plot,
+    run_environment,
     write_manifest,
 )
 
@@ -87,3 +91,15 @@ class TestManifest:
         raw = path.read_text()
         assert raw.index('"command"') < raw.index('"config"') < raw.index('"seed"')
         json.loads(raw)
+
+    def test_records_run_environment(self, monkeypatch):
+        env = manifest_dict("bounds", {}, None, "v", 0.0)["environment"]
+        assert env == {
+            "machine": platform.machine(),
+            "numpy": np.__version__,
+            "platform": sys.platform,
+            "python": platform.python_version(),
+            **({"scipy": sys.modules["scipy"].__version__} if "scipy" in sys.modules else {}),
+        }
+        monkeypatch.delitem(sys.modules, "scipy", raising=False)
+        assert "scipy" not in run_environment()

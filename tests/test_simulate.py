@@ -4,11 +4,13 @@ determinism."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scipy.special import ndtr
+from scipy.stats import binom
 
 from slowthink import bounds
 from slowthink.errors import RangeError, ResourceLimitError, ValidationError
@@ -28,6 +30,7 @@ from slowthink.simulate import (
     steps_and_calls,
     verify_bounds,
     wilson_interval,
+    _binom_pmf,
 )
 
 E_M3 = 0.049787068367863944
@@ -388,6 +391,27 @@ EXACT_TRIALS = 200_000
 def within_4se(report: MonteCarloReport, exact: float) -> bool:
     se = math.sqrt(exact * (1 - exact) / report.trials)
     return abs(report.estimate - exact) <= 4 * se
+
+
+class TestBinomPmf:
+    """``_binom_pmf`` against scipy's binomial pmf. Its log-gamma form loses
+    about n * eps * log(n) relative, so the counts stay at most 200."""
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1e-9, 0.3, 0.5, 0.999, 1.0 - 1e-9])
+    @pytest.mark.parametrize("n,support", [([0], 0), ([0], 4), ([1, 0, 5], 8),
+                                           ([40, 3], 40), ([200], 200)])
+    def test_matches_scipy(self, n, support, p):
+        got = _binom_pmf(n, p, support)
+        want = binom.pmf(np.arange(support + 1), np.array(n)[:, None], p)
+        assert got.shape == want.shape
+        zero = want == 0.0
+        assert (got[zero] == 0.0).all()  # j > n, or p in {0, 1} off its atom
+        np.testing.assert_allclose(got[~zero], want[~zero], rtol=1e-12, atol=0.0)
+
+    def test_degenerate_rows(self):
+        assert _binom_pmf([0], 0.3, 3).tolist() == [[1.0, 0.0, 0.0, 0.0]]
+        assert _binom_pmf([2], 0.0, 3).tolist() == [[1.0, 0.0, 0.0, 0.0]]
+        assert _binom_pmf([2], 1.0, 3).tolist() == [[0.0, 0.0, 1.0, 0.0]]
 
 
 class TestExactOracle:
