@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy
 
 from slowthink.errors import ValidationError
 from slowthink.reporting import (
@@ -99,7 +100,7 @@ class TestManifest:
             "numpy": np.__version__,
             "platform": sys.platform,
             "python": platform.python_version(),
-            **({"scipy": sys.modules["scipy"].__version__} if "scipy" in sys.modules else {}),
+            "scipy": scipy.__version__,
         }
-        monkeypatch.delitem(sys.modules, "scipy", raising=False)
+        monkeypatch.delitem(sys.modules, "scipy")
         assert "scipy" not in run_environment()
