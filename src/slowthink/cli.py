@@ -858,12 +858,18 @@ def _from_manifest(path: str | None) -> tuple[str, dict]:
     command, config = manifest.get("command"), manifest.get("config")
     if command not in _RUNNERS or not isinstance(config, dict):
         raise ValidationError(f"{path}: not a manifest written by this tool")
-    environment = manifest.get("environment")
-    recorded = environment.get("numpy") if isinstance(environment, dict) else None
-    if recorded is not None and recorded != np.__version__:
+    recorded = manifest.get("environment")
+    recorded = recorded if isinstance(recorded, dict) else {}
+    current = reporting.run_environment()
+    # scipy is recorded only when loaded, and no output depends on it
+    changed = [key for key, value in current.items()
+               if key != "scipy" and recorded.get(key, value) != value]
+    if changed:
+        old = ", ".join(f"{key} {recorded[key]}" for key in changed)
+        new = ", ".join(f"{key} {current[key]}" for key in changed)
         print(
-            f"warning: {path} was written under numpy {recorded}, this is numpy "
-            f"{np.__version__}; sampled output may not be bit-identical",
+            f"warning: {path} was written under {old}, this is {new}; "
+            "sampled output may not be bit-identical",
             file=sys.stderr,
         )
     return command, config

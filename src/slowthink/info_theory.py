@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -31,8 +31,8 @@ def _validated_dist(dist) -> np.ndarray:
     p = np.asarray(dist, dtype=np.float64)
     if p.ndim != 1 or p.size < 1:
         raise ValidationError("distribution must be a nonempty 1-D array")
-    if np.any(p < 0):
-        raise ValidationError("distribution has negative entries")
+    if not p.min() >= 0.0:  # also rejects NaN
+        raise ValidationError("distribution has negative or NaN entries")
     total = float(p.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise ValidationError(f"distribution mass {total} is not 1 within {MASS_TOL}")
@@ -43,13 +43,16 @@ def _validated_dist(dist) -> np.ndarray:
 class FiniteJoint:
     """Joint distribution p(t, r) over finite supports, rows indexed by t.
 
-    Entries must be nonnegative and sum to 1 within ``MASS_TOL`` (the mass is
-    then renormalized exactly once); both marginals must be strictly positive,
-    i.e. zero-probability symbols are removed from the support before
-    construction.
+    Entries must be nonnegative (NaN is rejected) and sum to 1 within
+    ``MASS_TOL`` (the mass is then renormalized exactly once); both marginals
+    must be strictly positive, i.e. zero-probability symbols are removed from
+    the support before construction. The marginals are summed once here and
+    stored read-only next to ``probs``.
     """
 
     probs: np.ndarray
+    _t_marginal: np.ndarray = field(init=False, repr=False, compare=False)
+    _r_marginal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=np.float64)
@@ -57,19 +60,23 @@ class FiniteJoint:
             raise ValidationError("joint must be a 2-D matrix")
         if p.shape[0] < 2 or p.shape[1] < 2:
             raise ValidationError(f"support sizes must be >= 2, got {p.shape}")
-        if np.any(p < 0):
-            raise ValidationError("joint has negative entries")
+        if not p.min() >= 0.0:  # also rejects NaN
+            raise ValidationError("joint has negative or NaN entries")
         total = float(p.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"joint mass {total} is not 1 within {MASS_TOL}")
         p = p / total
-        if np.any(p.sum(axis=1) <= 0) or np.any(p.sum(axis=0) <= 0):
+        t_marginal = p.sum(axis=1)
+        r_marginal = p.sum(axis=0)
+        if t_marginal.min() <= 0 or r_marginal.min() <= 0:
             raise ValidationError(
                 "marginals must be strictly positive; drop zero-probability "
                 "symbols from the support"
             )
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        for name, arr in (("probs", p), ("_t_marginal", t_marginal),
+                          ("_r_marginal", r_marginal)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def t_support_size(self) -> int:
@@ -80,10 +87,10 @@ class FiniteJoint:
         return self.probs.shape[1]
 
     def t_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
+        return self._t_marginal
 
     def r_marginal(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
+        return self._r_marginal
 
 
 @dataclass(frozen=True)
@@ -271,13 +278,15 @@ def fano_check(seq: ChannelSequence, l: int) -> FanoReport:
 
 def random_joint(rng: np.random.Generator, t_size: int, r_size: int) -> FiniteJoint:
     """Dirichlet-uniform draw over the joint simplex, redrawn in the rare case
-    a marginal underflows to zero."""
+    a marginal underflows to zero (``FiniteJoint`` rejects it)."""
     if t_size < 2 or r_size < 2:
         raise ValidationError(f"support sizes must be >= 2, got {t_size}x{r_size}")
+    alpha = np.ones(t_size * r_size)
     while True:
-        p = rng.dirichlet(np.ones(t_size * r_size)).reshape(t_size, r_size)
-        if np.all(p.sum(axis=1) > 0) and np.all(p.sum(axis=0) > 0):
-            return FiniteJoint(p)
+        try:
+            return FiniteJoint(rng.dirichlet(alpha).reshape(t_size, r_size))
+        except ValidationError:
+            continue
 
 
 def random_sequence(

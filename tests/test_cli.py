@@ -14,6 +14,7 @@ import pytest
 
 import slowthink
 from slowthink.cli import dispatch
+from slowthink.reporting import run_environment
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -419,6 +420,18 @@ class TestDeterminismAndManifests:
         assert [line for line in err if line.startswith("warning:")] == [
             f"warning: {manifest} was written under numpy 0.0.1, this is numpy "
             f"{np.__version__}; sampled output may not be bit-identical"
+        ]
+        # every recorded key but scipy is compared, and named in one line
+        env = run_environment()
+        loaded["environment"].update(python="2.7.18", platform="plan9", scipy="0.1")
+        manifest.write_text(json.dumps(loaded))
+        assert dispatch(replay) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning:")] == [
+            f"warning: {manifest} was written under numpy 0.0.1, platform plan9, "
+            f"python 2.7.18, this is numpy {np.__version__}, platform "
+            f"{env['platform']}, python {env['python']}; sampled output may not "
+            "be bit-identical"
         ]
 
     def test_manifest_rerun_preset(self, tmp_path):

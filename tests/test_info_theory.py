@@ -173,6 +173,12 @@ class TestJointValidation:
         with pytest.raises(ValidationError):
             FiniteJoint(np.array([[0.6, -0.1], [0.3, 0.2]]))
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            FiniteJoint(np.array([[math.nan, 0.5], [0.25, 0.25]]))
+        with pytest.raises(ValidationError):
+            entropy([math.nan, 0.5, 0.5])
+
     def test_rejects_zero_marginal(self):
         with pytest.raises(ValidationError):
             FiniteJoint(np.array([[0.5, 0.5], [0.0, 0.0]]))
@@ -424,6 +430,29 @@ class TestGenerators:
         j2 = random_joint(np.random.default_rng(53), 4, 3)
         assert np.array_equal(j1.probs, j2.probs)
         assert j1.probs.shape == (4, 3)
+        for joint in [j1] + [random_joint(rng, 5, 6) for _ in range(5)]:
+            # the stored marginals are the sums of probs, bit for bit
+            assert np.array_equal(joint.t_marginal(), joint.probs.sum(axis=1))
+            assert np.array_equal(joint.r_marginal(), joint.probs.sum(axis=0))
+            for arr in (joint.probs, joint.t_marginal(), joint.r_marginal()):
+                assert not arr.flags.writeable
+
+    def test_random_joint_redraws_an_empty_marginal(self):
+        class Stub:
+            def __init__(self, draws):
+                self.draws = iter(draws)
+                self.calls = 0
+
+            def dirichlet(self, alpha):
+                assert np.array_equal(alpha, np.ones(4))
+                self.calls += 1
+                return next(self.draws)
+
+        second = np.array([0.1, 0.2, 0.3, 0.4])
+        stub = Stub([np.array([0.0, 0.0, 0.5, 0.5]), second])
+        joint = random_joint(stub, 2, 2)
+        assert stub.calls == 2
+        assert np.array_equal(joint.probs.ravel(), second)
 
     def test_random_sequence_supports_in_range(self):
         rng = np.random.default_rng(59)
