@@ -73,6 +73,10 @@ NODE_LIMIT = 10**6
 # Trials per block in monte_carlo; blocks shrink when per-trial arrays are wide.
 BLOCK_TRIALS = 32_768
 _BLOCK_CELLS = 1 << 23
+# Engines make wide draws in row chunks of about this many cells through one
+# buffer that stays in cache; the chunks read a block's stream in the order
+# one dense draw would, so every drawn value is unchanged.
+_CHUNK_CELLS = 1 << 17
 
 Z95 = 1.959963984540054  # normal 97.5% quantile
 
@@ -333,38 +337,87 @@ def _blocks(trials: int, master_seed: int, width: int):
         index += 1
 
 
+def _draws(fill, n: int, width: int, rows: int = 0):
+    """Yield ``(row slice, values)`` for an (n, width) draw made ``rows`` rows
+    at a time (by default about _CHUNK_CELLS cells), each chunk written by
+    ``fill(out=...)`` into one reused buffer. A block's stream is read in
+    order, so the chunks hold exactly the values of one dense draw."""
+    rows = min(n, rows or max(1, _CHUNK_CELLS // width))
+    buf = np.empty(rows * width)
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        yield slice(start, start + m), fill(out=buf[: m * width].reshape(m, width))
+
+
+def _bernoulli_and(rng, ok, p: float) -> None:
+    """``ok &= rng.random(ok.shape) < p`` in place, for a 2-D ``ok``."""
+    for rows, u in _draws(rng.random, *ok.shape):
+        ok[rows] &= u < p
+
+
+def _noisy_pick(rng, ok, margin: float, std: float) -> np.ndarray:
+    """Per-row argmax of ``margin * ok + std * Z`` for a standard normal draw
+    Z shaped like ``ok``: the candidate each trial's noisy scorer picks."""
+    pick = np.empty(len(ok), dtype=np.intp)
+    for rows, z in _draws(rng.standard_normal, *ok.shape):
+        z *= std
+        z += margin * ok[rows]
+        pick[rows] = z.argmax(axis=1)
+    return pick
+
+
 def _sim_single(cfg, strategy, n, rng) -> int:
-    ok = np.ones(n, dtype=bool)
+    ok = np.ones((n, 1), dtype=bool)
     for p in _step_probs(cfg, cfg.L):
-        ok &= rng.random(n) < p
+        _bernoulli_and(rng, ok, p)
     return int(ok.sum())
 
 
 def _sim_bon(cfg, strategy, n, rng) -> int:
-    N, rule = strategy.N, strategy.rule
+    N, rule, std = strategy.N, strategy.rule, cfg.score_noise_std
     path_ok = np.ones((n, N), dtype=bool)
     for p in _step_probs(cfg, cfg.L):
-        path_ok &= rng.random((n, N)) < p
+        _bernoulli_and(rng, path_ok, p)
+    if rule != SELF_CONSISTENCY and std == 0:
+        # without score noise orm_max picks a correct path, and orm_vote
+        # label 0, whenever one exists; the label and score draws they skip
+        # are the block's last
+        return int(path_ok.any(axis=1).sum())
     a = cfg.answer.answer_space_size
+    # orm_max never reads the labels, but the score draws follow them
     labels = rng.integers(1, a + 1, size=(n, N))
-    labels[path_ok] = 0
-    scores = path_ok + cfg.score_noise_std * rng.standard_normal((n, N))
-
     if rule == ORM_MAX:
-        pick = np.argmax(scores, axis=1)
+        pick = _noisy_pick(rng, path_ok, 1.0, std)
         return int(path_ok[np.arange(n), pick].sum())
-    # per-(trial, label) tallies: bincount over the flattened cell index
-    # accumulates in the same order as np.add.at, so sums are bit-identical
-    labels += (a + 1) * np.arange(n)[:, None]
-    cells = labels.ravel()
-    counts = np.bincount(cells, minlength=n * (a + 1)).reshape(n, a + 1)
+    labels[path_ok] = 0
+    width = a + 1
+    # one chunk of rows holds both its N scores and its a + 1 tallies
+    step = max(1, _CHUNK_CELLS // max(N, width))
     if rule == ORM_VOTE:
-        sums = np.bincount(cells, scores.ravel(), n * (a + 1)).reshape(n, a + 1)
-        sums[counts == 0] = -np.inf
-        return int((np.argmax(sums, axis=1) == 0).sum())
-    # sub-unit jitter breaks count ties uniformly at random
-    jittered = counts + 0.5 * rng.random((n, a + 1))
-    return int((np.argmax(jittered, axis=1) == 0).sum())
+        chunks = _draws(rng.standard_normal, n, N, step)
+    else:
+        for _ in _draws(rng.standard_normal, n, N, step):
+            pass  # self-consistency draws the scores but never reads them
+        chunks = _draws(rng.random, n, width, step)
+    wins = 0
+    for rows, draw in chunks:
+        # per-(trial, label) tallies: bincount over the flattened cell index
+        # accumulates in the same order as np.add.at, so sums are bit-identical
+        m = len(draw)
+        cells = (labels[rows] + width * np.arange(m)[:, None]).ravel()
+        counts = np.bincount(cells, minlength=m * width)
+        if rule == ORM_VOTE:
+            draw *= std
+            draw += path_ok[rows]
+            tally = np.bincount(cells, draw.ravel(), m * width)
+            tally[counts == 0] = -np.inf
+        else:
+            # sub-unit jitter breaks count ties uniformly at random
+            draw *= 0.5
+            draw += counts.reshape(m, width)
+            tally = draw
+        wins += int((tally.reshape(m, width).argmax(axis=1) == 0).sum())
+    return wins
 
 
 def _fed_candidates(k: int, b: int, alive):
@@ -383,14 +436,13 @@ def _sim_beam(cfg, k, b, n, rng) -> int:
         margin, std = sel.margin, sel.noise_std
         cols = np.arange(k) % b
         for p in probs:
-            parent_ok = cols[None, :] < alive[:, None]
-            corr = parent_ok & (rng.random((n, k)) < p)
+            corr = cols[None, :] < alive[:, None]
+            _bernoulli_and(rng, corr, p)
             scores = margin * corr + std * rng.standard_normal((n, k))
             keep = np.argpartition(-scores, b - 1, axis=1)[:, :b]
             alive = np.take_along_axis(corr, keep, axis=1).sum(axis=1)
-        final = margin * (np.arange(b)[None, :] < alive[:, None])
-        final = final + std * rng.standard_normal((n, b))
-        return int((np.argmax(final, axis=1) < alive).sum())
+        pick = _noisy_pick(rng, np.arange(b)[None, :] < alive[:, None], margin, std)
+        return int((pick < alive).sum())
     eps = selector_success_prob(sel, b)
     for p in probs:
         ncorr = rng.binomial(_fed_candidates(k, b, alive), p)
@@ -410,18 +462,15 @@ def _sim_mcts_worst(cfg, strategy, n, rng) -> int:
     prev = np.ones((n, 1), dtype=bool)
     ok = np.ones(n, dtype=bool)
     for depth, p in enumerate(_step_probs(cfg, cfg.L), start=1):
-        cnt = b**depth
-        cur = np.repeat(prev, b, axis=1) & (rng.random((n, cnt)) < p)
-        ncorr = cur.sum(axis=1)
+        cur = np.repeat(prev, b, axis=1)
+        _bernoulli_and(rng, cur, p)
         if sel.kind == NOISY_SCORE:
-            scores = sel.margin * cur + sel.noise_std * rng.standard_normal((n, cnt))
-            layer_ok = cur[np.arange(n), np.argmax(scores, axis=1)]
+            ok &= cur[np.arange(n), _noisy_pick(rng, cur, sel.margin, sel.noise_std)]
         elif sel.kind == IDEAL:
-            layer_ok = ncorr > 0
+            ok &= cur.any(axis=1)
         else:
-            eps = selector_success_prob(sel, cnt)
-            layer_ok = (ncorr > 0) & (rng.random(n) < eps)
-        ok &= layer_ok
+            eps = selector_success_prob(sel, b**depth)
+            ok &= cur.any(axis=1) & (rng.random(n) < eps)
         prev = cur
     return int((ok & prev.any(axis=1)).sum())
 
@@ -431,13 +480,12 @@ def _sim_lookahead(cfg, strategy, n, rng) -> int:
     margin, std = _score_params(cfg)
     node_ok = np.ones(n, dtype=bool)
     for l in range(1, cfg.L + 1):
-        p = step_correct_prob(cfg.decay, l)
-        cand_ok = node_ok[:, None] & (rng.random((n, b)) < p)
+        cand_ok = np.repeat(node_ok[:, None], b, axis=1)
+        _bernoulli_and(rng, cand_ok, step_correct_prob(cfg.decay, l))
         roll_ok = cand_ok.copy()
         for j in range(1, gamma + 1):
-            roll_ok &= rng.random((n, b)) < step_correct_prob(cfg.decay, l + j)
-        scores = margin * roll_ok + std * rng.standard_normal((n, b))
-        node_ok = cand_ok[np.arange(n), np.argmax(scores, axis=1)]
+            _bernoulli_and(rng, roll_ok, step_correct_prob(cfg.decay, l + j))
+        node_ok = cand_ok[np.arange(n), _noisy_pick(rng, roll_ok, margin, std)]
     return int(node_ok.sum())
 
 
@@ -605,7 +653,9 @@ _REGISTRY = {
     BON: _Kind(
         ("N", "rule"), lambda c, s: (s.N * c.L, s.N),
         lambda c, s: max(s.N, c.answer.answer_space_size + 1), _sim_bon, _exact_bon,
-        lambda c, s: _bounds.bon_bound(c.decay, c.selector, c.L, s.N),
+        # the engine picks by ORM scores and never consults cfg.selector, so
+        # the paper's eps_N factor does not apply: bound it as ideal
+        lambda c, s: _bounds.bon_bound(c.decay, SelectorModel.ideal(), c.L, s.N),
     ),
     BEAM: _Kind(
         ("k", "b"), lambda c, s: (s.k * c.L,) * 2, lambda c, s: s.k,

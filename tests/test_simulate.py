@@ -3,19 +3,29 @@ equivalences, budget bookkeeping, bound dominance, and bit-level
 determinism."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scipy.special import ndtr
 from scipy.stats import binom
 
-from slowthink import bounds
+from slowthink import bounds, simulate
 from slowthink.errors import RangeError, ResourceLimitError, ValidationError
-from slowthink.models import AnswerModel, DecayModel, SelectorModel, WrongModel
+from slowthink.models import (
+    AnswerModel,
+    DecayModel,
+    SelectorModel,
+    WrongModel,
+    selector_success_prob,
+    step_correct_prob,
+)
 from slowthink.simulate import (
+    BLOCK_TRIALS,
     ORM_MAX,
     ORM_VOTE,
     SELF_CONSISTENCY,
@@ -467,6 +477,14 @@ class TestExactOracle:
         expected = p * p + 2 * p * (1 - p) * ndtr(1 / (s * math.sqrt(2)))
         assert noisy == pytest.approx(expected, rel=1e-12)
 
+    def test_bon_bound_ignores_the_selector_the_engine_ignores(self):
+        # the paper's eps_N factor put this bound at 0.0773, below exact
+        cfg = cfg_exp(1, SelectorModel.constant(0.7), lam=0.3)
+        spec = StrategySpec.bon(1, ORM_MAX)
+        exact = exact_success(cfg, spec)
+        assert exact == pytest.approx(0.3 / math.e, rel=1e-12)
+        assert matching_bound(cfg, spec) == pytest.approx(exact, rel=1e-12)
+
     def test_wide_exact_evaluation_is_refused(self):
         with pytest.raises(ResourceLimitError):
             exact_success(cfg_exp(1, noise=0.5), StrategySpec.bon(2000, ORM_MAX))
@@ -479,23 +497,196 @@ class TestExactOracle:
         eps=st.one_of(
             st.none(), st.floats(0.0, 1.0), st.tuples(st.floats(0.05, 5), st.floats(0.05, 5))
         ),
+        noise=st.one_of(st.just(0.0), st.floats(0.01, 3.0)),
+        answer=st.integers(1, 6),
     )
     @settings(max_examples=150, deadline=None)
-    def test_bound_dominates_exact(self, lam, L, b, extra, eps):
+    def test_bound_dominates_exact(self, lam, L, b, extra, eps, noise, answer):
         # eps is None (ideal), a float (constant) or (margin, std) (noisy).
         # Under a noisy selector beam has no exact value for k > b and its
         # bound falls below exact at k = b, so only the envelopes are checked.
+        # Best-of-N never consults the selector, so it is checked under all
+        # three; orm_vote has an exact value only without score noise.
+        N = b + extra
         specs = [StrategySpec.mcts_best(b), StrategySpec.mcts_worst(b)]
+        specs += [StrategySpec.bon(N, rule) for rule in (ORM_MAX, SELF_CONSISTENCY)]
+        if noise == 0.0:
+            specs.append(StrategySpec.bon(N, ORM_VOTE))
         if isinstance(eps, tuple):
             selector = SelectorModel.noisy_score(*eps)
         else:
             selector = IDEAL if eps is None else SelectorModel.constant(eps)
             specs += [StrategySpec.single_path(), StrategySpec.beam(b + extra, b)]
-        cfg = cfg_exp(L, selector, lam=lam)
+        cfg = cfg_exp(L, selector, answer=answer, noise=noise, lam=lam)
         for spec in specs:
             exact = exact_success(cfg, spec)
             bound = matching_bound(cfg, spec)
             assert exact <= bound * (1 + 1e-12), spec.describe()
+
+
+def dense_single(cfg, spec, n, rng):
+    ok = np.ones(n, dtype=bool)
+    for l in range(1, cfg.L + 1):
+        ok &= rng.random(n) < step_correct_prob(cfg.decay, l)
+    return int(ok.sum())
+
+
+def dense_bon(cfg, spec, n, rng):
+    N, rule = spec.N, spec.rule
+    path_ok = np.ones((n, N), dtype=bool)
+    for l in range(1, cfg.L + 1):
+        path_ok &= rng.random((n, N)) < step_correct_prob(cfg.decay, l)
+    a = cfg.answer.answer_space_size
+    labels = rng.integers(1, a + 1, size=(n, N))
+    labels[path_ok] = 0
+    scores = path_ok + cfg.score_noise_std * rng.standard_normal((n, N))
+    if rule == ORM_MAX:
+        pick = np.argmax(scores, axis=1)
+        return int(path_ok[np.arange(n), pick].sum())
+    labels += (a + 1) * np.arange(n)[:, None]
+    cells = labels.ravel()
+    counts = np.bincount(cells, minlength=n * (a + 1)).reshape(n, a + 1)
+    if rule == ORM_VOTE:
+        sums = np.bincount(cells, scores.ravel(), n * (a + 1)).reshape(n, a + 1)
+        sums[counts == 0] = -np.inf
+        return int((np.argmax(sums, axis=1) == 0).sum())
+    jittered = counts + 0.5 * rng.random((n, a + 1))
+    return int((np.argmax(jittered, axis=1) == 0).sum())
+
+
+def dense_noisy_beam(cfg, spec, n, rng):
+    k, b, sel = spec.k, spec.b, cfg.selector
+    alive = np.full(n, b, dtype=np.int64)
+    cols = np.arange(k) % b
+    for l in range(1, cfg.L + 1):
+        p = step_correct_prob(cfg.decay, l)
+        corr = (cols[None, :] < alive[:, None]) & (rng.random((n, k)) < p)
+        scores = sel.margin * corr + sel.noise_std * rng.standard_normal((n, k))
+        keep = np.argpartition(-scores, b - 1, axis=1)[:, :b]
+        alive = np.take_along_axis(corr, keep, axis=1).sum(axis=1)
+    final = sel.margin * (np.arange(b)[None, :] < alive[:, None])
+    final = final + sel.noise_std * rng.standard_normal((n, b))
+    return int((np.argmax(final, axis=1) < alive).sum())
+
+
+def dense_mcts_worst(cfg, spec, n, rng):
+    b, sel = spec.b, cfg.selector
+    prev = np.ones((n, 1), dtype=bool)
+    ok = np.ones(n, dtype=bool)
+    for depth in range(1, cfg.L + 1):
+        cnt = b**depth
+        p = step_correct_prob(cfg.decay, depth)
+        cur = np.repeat(prev, b, axis=1) & (rng.random((n, cnt)) < p)
+        ncorr = cur.sum(axis=1)
+        if sel.kind == "noisy_score":
+            scores = sel.margin * cur + sel.noise_std * rng.standard_normal((n, cnt))
+            layer_ok = cur[np.arange(n), np.argmax(scores, axis=1)]
+        elif sel.kind == "ideal":
+            layer_ok = ncorr > 0
+        else:
+            layer_ok = (ncorr > 0) & (rng.random(n) < selector_success_prob(sel, cnt))
+        ok &= layer_ok
+        prev = cur
+    return int((ok & prev.any(axis=1)).sum())
+
+
+def dense_lookahead(cfg, spec, n, rng):
+    b, gamma, sel = spec.b, spec.gamma, cfg.selector
+    if sel.kind == "noisy_score":
+        margin, std = sel.margin, sel.noise_std
+    else:
+        margin, std = 1.0, cfg.score_noise_std
+    node_ok = np.ones(n, dtype=bool)
+    for l in range(1, cfg.L + 1):
+        p = step_correct_prob(cfg.decay, l)
+        cand_ok = node_ok[:, None] & (rng.random((n, b)) < p)
+        roll_ok = cand_ok.copy()
+        for j in range(1, gamma + 1):
+            roll_ok &= rng.random((n, b)) < step_correct_prob(cfg.decay, l + j)
+        scores = margin * roll_ok + std * rng.standard_normal((n, b))
+        node_ok = cand_ok[np.arange(n), np.argmax(scores, axis=1)]
+    return int(node_ok.sum())
+
+
+# One block of each engine drawn densely, one array per draw: the formulas
+# the chunked engines must reproduce draw for draw.
+DENSE = {
+    "single_path": dense_single,
+    "bon": dense_bon,
+    "beam": dense_noisy_beam,
+    "mcts_worst": dense_mcts_worst,
+    "lookahead": dense_lookahead,
+}
+CHUNK = simulate._CHUNK_CELLS
+# a margin other than 1 shows a dropped or misplaced margin factor
+NOISY_M15 = SelectorModel.noisy_score(margin=1.5, noise_std=0.8)
+
+
+class TestStreamIdentity:
+    """Wide draws are made in row chunks through one buffer, and Best-of-N
+    skips the draws no rule reads. Every success count must equal that of
+    the dense draws above, for the real chunk size and for chunks narrower
+    than one row."""
+
+    @given(
+        n=st.integers(1, 100),
+        N=st.integers(1, 6),
+        a=st.integers(1, 80),
+        noise=st.sampled_from([0.0, 0.4, 2.0]),
+        L=st.integers(1, 5),
+        rule=st.sampled_from(simulate._RULES),
+        selector=st.sampled_from([IDEAL, CONST, NOISY_M15]),
+        chunk=st.sampled_from([1, 9, 64, CHUNK]),
+        seed=st.integers(0, 2**32),
+    )
+    # rows not a multiple of the chunk rows (1297 at a = 100), one trial's
+    # labels wider than a chunk, and a tree layer wider than a chunk
+    @example(n=2600, N=16, a=100, noise=0.5, L=3, rule=SELF_CONSISTENCY,
+             selector=NOISY_M15, chunk=CHUNK, seed=1)
+    @example(n=2600, N=16, a=100, noise=0.5, L=3, rule=ORM_VOTE,
+             selector=IDEAL, chunk=CHUNK, seed=2)
+    @example(n=3, N=1, a=CHUNK, noise=0.3, L=1, rule=SELF_CONSISTENCY,
+             selector=IDEAL, chunk=CHUNK, seed=3)
+    @example(n=3, N=1, a=CHUNK, noise=0.3, L=1, rule=ORM_VOTE,
+             selector=CONST, chunk=CHUNK, seed=4)
+    @example(n=3, N=1, a=3, noise=0.0, L=18, rule=ORM_VOTE,
+             selector=NOISY_M15, chunk=CHUNK, seed=5)
+    @settings(max_examples=60, deadline=None)
+    def test_engines_match_dense_draws(self, n, N, a, noise, L, rule, selector, chunk, seed):
+        cfg = ProcessConfig(
+            decay=DecayModel.tabulated([0.9] * (L + 1)), selector=selector,
+            answer=AnswerModel(a), L=L, score_noise_std=noise,
+        )
+        b = 1 + N % 3
+        specs = [StrategySpec.single_path(), StrategySpec.bon(N, rule),
+                 StrategySpec.mcts_worst(b), StrategySpec.lookahead(N, 1)]
+        if selector is NOISY_M15:
+            specs.append(StrategySpec.beam(N + 1, b))
+        for spec in specs:
+            with mock.patch.object(simulate, "_CHUNK_CELLS", chunk):
+                got = monte_carlo(cfg, spec, n, seed).successes
+            # n trials fit one block, whose stream is keyed by (seed, 0)
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
+            assert got == DENSE[spec.kind](cfg, spec, n, rng), spec.describe()
+
+
+class TestBlockMemory:
+    VOTE = cfg_exp(3, answer=100, noise=0.5, lam=2.5)
+
+    @pytest.mark.parametrize("cfg, spec", [
+        (VOTE, StrategySpec.bon(16, ORM_VOTE)),
+        (VOTE, StrategySpec.bon(16, SELF_CONSISTENCY)),
+        (cfg_exp(6, NOISY, lam=2.5), StrategySpec.mcts_worst(2)),
+    ])
+    def test_one_block_peak_stays_small(self, cfg, spec):
+        # one dense float array per draw peaked at about 62, 59 and 43 MiB
+        tracemalloc.start()
+        try:
+            monte_carlo(cfg, spec, BLOCK_TRIALS, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
 
 class TestVerifyAndMatchingBounds:
