@@ -235,9 +235,11 @@ def n_min(b: int, L: int, case: str) -> float:
     """Minimal real-valued N at which the Best-of-N bound matches the
     tree-search envelope bound, under ideal selectors on both sides.
 
-    Solved by bisection on log N to 1e-12, then polished to the nearest
-    integer whenever that integer satisfies the equality exactly in floating
-    point (the best case lands on N = b this way).
+    At lambda = 1 the Best-of-N log bound is ``L*log N - L(L+1)/2``, so
+    ``N = exp((target + L(L+1)/2) / L)`` for the envelope's log bound
+    ``target``. N is polished to the nearest integer whenever that integer
+    satisfies the equality exactly in floating point (the best case lands on
+    N = b this way). RangeError when N is past the double range.
     """
     _check_counts(b=b, L=L)
     if case not in ("best", "worst"):
@@ -248,26 +250,14 @@ def n_min(b: int, L: int, case: str) -> float:
         target = mcts_best_bound(decay, ideal, L, b, log=True)
     else:
         target = mcts_worst_bound(decay, ideal, L, b, log=True)
-
-    def gap(log_n: float) -> float:
-        return _assemble_log(0.0, L * log_n, 1.0, L) - target
-
-    lo = 0.0
-    hi = 1.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e6:
-            raise ResourceLimitError("bound equality bracket exceeded 1e6 in log N")
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2.0
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = (lo + hi) / 2.0
-    n_hat = math.exp(root)
+    try:
+        n_hat = math.exp((target + L * (L + 1) / 2) / L)
+    except OverflowError:
+        raise RangeError(
+            f"N_min for b={b}, L={L} ({case} case) is past the double range"
+        ) from None
     nearest = round(n_hat)
-    if nearest >= 1 and gap(math.log(nearest)) == 0.0:
+    if nearest >= 1 and _assemble_log(0.0, L * math.log(nearest), 1.0, L) == target:
         return float(nearest)
     return n_hat
 

@@ -161,16 +161,10 @@ def ingest_traces(path) -> TraceStats:
     return traces_to_stats(read_traces(path))
 
 
-def complete_tree_trace(
-    b: int, depth: int, question_id: str = "synthetic"
-) -> ExpansionTrace:
-    """Expansion trace of a complete b-ary search tree: every node above the
-    leaf layer is expanded once with b children."""
+def complete_tree_stats(b: int, depth: int) -> TraceStats:
+    """Averaged statistics of a complete b-ary search tree of the given depth:
+    every node above the leaf layer is expanded once with b children, which
+    is ``1 + b + ... + b**(depth-1)`` expansions."""
     if b < 1 or depth < 1:
         raise ValidationError(f"b and depth must be >= 1, got b={b}, depth={depth}")
-    events = tuple(
-        (level, b) for level in range(depth) for _ in range(b**level)
-    )
-    return ExpansionTrace(
-        question_id=question_id, events=events, ideal_path_length=depth
-    )
+    return TraceStats(float(b), float(sum(b**l for l in range(depth))), float(depth))

@@ -344,11 +344,12 @@ def _read_feature_csv(path) -> hsic.SampleSet:
         except StopIteration:
             raise ValidationError(f"{path}: empty feature file (header row required)")
         cols = [c.strip().lower() for c in header]
+        # a group column is read past: it is neither a feature nor stored
         group_idx = cols.index("group") if "group" in cols else None
         length_idx = cols.index("length") if "length" in cols else None
         special = {group_idx, length_idx} - {None}
         feature_idx = [i for i in range(len(cols)) if i not in special]
-        groups, lengths, vectors = [], [], []
+        lengths, vectors = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -356,8 +357,6 @@ def _read_feature_csv(path) -> hsic.SampleSet:
                 raise ValidationError(
                     f"{path}:{lineno}: expected {len(cols)} columns, got {len(row)}"
                 )
-            if group_idx is not None:
-                groups.append(row[group_idx])
             try:
                 if length_idx is not None:
                     lengths.append(float(row[length_idx]))
@@ -366,7 +365,6 @@ def _read_feature_csv(path) -> hsic.SampleSet:
                 raise ValidationError(f"{path}:{lineno}: {exc}")
     return hsic.SampleSet(
         vectors=np.asarray(vectors, dtype=np.float64),
-        group_ids=tuple(groups) if group_idx is not None else None,
         lengths=tuple(lengths) if length_idx is not None else None,
     )
 
@@ -562,9 +560,10 @@ def _preset_gamma_sweep(resolved: dict) -> _RunOutput:
     trials = _number(resolved, "trials", 100_000)
     seed = _number(resolved, "seed", 0)
     gamma_star = bounds.optimal_rollout(wrong, layer)
-    results = simulate.lookahead_gamma_sweep(
-        lambda_tau, wrong, layer, gammas, trials, seed
-    )
+    results = [
+        (g, simulate.lookahead_selection_success(lambda_tau, wrong, layer, g, trials, seed + i))
+        for i, g in enumerate(gammas)
+    ]
     best_gamma = max(results, key=lambda item: item[1].estimate)[0]
     header = (
         "gamma", "estimate", "ci_low", "ci_high", "lower_bound", "gamma_star",
@@ -638,7 +637,7 @@ def _preset_bon_vs_mcts(resolved: dict) -> _RunOutput:
         score_noise_std=noise,
     )
     envelope = simulate.monte_carlo(cfg, simulate.StrategySpec.mcts_worst(b), trials, seed)
-    stats = calibration.traces_to_stats([calibration.complete_tree_trace(b, L)])
+    stats = calibration.complete_tree_stats(b, L)
     rng = calibration.reasonable_n_range(stats)
     n_lo, n_hi = calibration.integer_candidates(rng)
     matched = int(round((rng.low + rng.high) / 2))
@@ -891,7 +890,7 @@ def dispatch(argv) -> int:
                 command = f"reproduce:{args.preset}"
             resolved = _merge(_load_config(getattr(args, "config", None)), args)
         return _emit(command, resolved, _RUNNERS[command](resolved), args, t0)
-    except (SlowthinkError, FileNotFoundError) as exc:
+    except (SlowthinkError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,6 +36,8 @@ def checked_number(value, name: str, kind=float):
         return kind(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ValidationError(f"{name} is out of range, got {value!r}") from None
 
 
 def checked_section(value, name: str) -> dict:

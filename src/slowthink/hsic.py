@@ -20,10 +20,9 @@ DEFAULT_SIGMA = 50.0
 
 @dataclass(frozen=True)
 class SampleSet:
-    """n x d feature matrix with optional per-row group ids and token lengths."""
+    """n x d feature matrix with optional per-row token lengths."""
 
     vectors: np.ndarray
-    group_ids: tuple | None = None
     lengths: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -36,11 +35,6 @@ class SampleSet:
             raise ValidationError("vectors contain non-finite values")
         x.flags.writeable = False
         object.__setattr__(self, "vectors", x)
-        if self.group_ids is not None:
-            gids = tuple(self.group_ids)
-            if len(gids) != x.shape[0]:
-                raise ValidationError("group_ids length must match row count")
-            object.__setattr__(self, "group_ids", gids)
         if self.lengths is not None:
             lens = tuple(float(v) for v in self.lengths)
             if len(lens) != x.shape[0]:
@@ -116,20 +110,26 @@ def _center(k: np.ndarray) -> np.ndarray:
     return k - row - col + k.mean()
 
 
-def hsic(x, y, cfg: HsicConfig = HsicConfig()) -> float:
-    """Biased HSIC estimate between paired samples; clamped at 0 against
-    negative rounding residue."""
+def _centered_grams(x, y, cfg: HsicConfig) -> tuple[np.ndarray, np.ndarray]:
     mx = _as_matrix(x)
     my = _as_matrix(y)
     if mx.shape[0] != my.shape[0]:
         raise ValidationError(
             f"row counts differ: {mx.shape[0]} vs {my.shape[0]}"
         )
-    kc = _center(gaussian_gram(mx, cfg))
-    lc = _center(gaussian_gram(my, cfg))
-    n = mx.shape[0]
-    value = float((kc * lc).sum()) / (n - 1) ** 2
-    return max(value, 0.0)
+    return _center(gaussian_gram(mx, cfg)), _center(gaussian_gram(my, cfg))
+
+
+def _statistic(kc: np.ndarray, lc: np.ndarray) -> float:
+    # sum(Kc * Lc) / (n-1)^2 as one einsum, clamped at 0 against negative
+    # rounding residue
+    n = kc.shape[0]
+    return max(float(np.einsum("ij,ij->", kc, lc)) / (n - 1) ** 2, 0.0)
+
+
+def hsic(x, y, cfg: HsicConfig = HsicConfig()) -> float:
+    """Biased HSIC estimate between paired samples, clamped at 0."""
+    return _statistic(*_centered_grams(x, y, cfg))
 
 
 def per_token_hsic(value: float, mean_length: float) -> float:
@@ -144,27 +144,23 @@ def permutation_null(
 ) -> np.ndarray:
     """Null distribution of the statistic under row shuffles of y.
 
-    Each value is sum(Kc * Lc[perm][:, perm]) / (n-1)^2, evaluated as one
-    einsum over two ``take`` gathers; it can differ from the elementwise
-    product's sum in the last bits, because einsum adds in another order.
+    Each value is the statistic of ``hsic`` on Kc and Lc[perm][:, perm], so
+    the identity permutation gives the observed value bit for bit.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    mx = _as_matrix(x)
-    my = _as_matrix(y)
-    if mx.shape[0] != my.shape[0]:
-        raise ValidationError(
-            f"row counts differ: {mx.shape[0]} vs {my.shape[0]}"
-        )
-    n = mx.shape[0]
-    kc = _center(gaussian_gram(mx, cfg))
-    lc = _center(gaussian_gram(my, cfg))
+    kc, lc = _centered_grams(x, y, cfg)
     rng = np.random.default_rng(seed)
+    # Gather into reused buffers (a fresh n x n array can page-fault on every
+    # 4 KiB); "clip" lets take write to out unbuffered, and perm is in range.
+    rows = np.empty_like(lc)
+    shuffled = np.empty_like(lc)
     out = np.empty(count, dtype=np.float64)
     for i in range(count):
-        perm = rng.permutation(n)
-        shuffled = lc.take(perm, axis=0).take(perm, axis=1)
-        out[i] = max(float(np.einsum("ij,ij->", kc, shuffled)) / (n - 1) ** 2, 0.0)
+        perm = rng.permutation(kc.shape[0])
+        lc.take(perm, axis=0, out=rows, mode="clip")
+        rows.take(perm, axis=1, out=shuffled, mode="clip")
+        out[i] = _statistic(kc, shuffled)
     return out
 
 

@@ -20,6 +20,8 @@ from .errors import RangeError, ValidationError
 
 MASS_TOL = 1e-12
 _HOLD_TOL = 1e-12
+# fano_suite gives up after this many drawn sequences per requested instance
+MAX_ATTEMPTS_FACTOR = 200
 
 
 def _ent(arr: np.ndarray) -> float:
@@ -60,12 +62,7 @@ class FiniteJoint:
             raise ValidationError("joint must be a 2-D matrix")
         if p.shape[0] < 2 or p.shape[1] < 2:
             raise ValidationError(f"support sizes must be >= 2, got {p.shape}")
-        if not p.min() >= 0.0:  # also rejects NaN
-            raise ValidationError("joint has negative or NaN entries")
-        total = float(p.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"joint mass {total} is not 1 within {MASS_TOL}")
-        p = p / total
+        p = _validated_dist(p.ravel()).reshape(p.shape)
         t_marginal = p.sum(axis=1)
         r_marginal = p.sum(axis=0)
         if t_marginal.min() <= 0 or r_marginal.min() <= 0:
@@ -327,7 +324,6 @@ def fano_suite(
     max_len: int = 8,
     seed: int = 0,
     require_entropy_condition: bool = True,
-    max_attempts_factor: int = 200,
 ) -> FanoSuiteResult:
     """Generate seeded random channel sequences and verify the decoder-error
     lower bound on every qualifying layer.
@@ -335,7 +331,8 @@ def fano_suite(
     A sequence qualifies when at least one layer l >= 2 has a defined bound
     and satisfies the mutual-information condition (plus, by default, the
     entropy condition; without it the bound is not guaranteed and violations
-    are expected). Sequences are drawn until ``instances`` qualify.
+    are expected). Sequences are drawn until ``instances`` qualify, at most
+    ``MAX_ATTEMPTS_FACTOR * instances`` of them.
 
     Cost per sequence: one pass over its layers, three entropies per layer
     (O(L)), stopped at the first layer where the mutual information rises.
@@ -344,12 +341,17 @@ def fano_suite(
         raise ValidationError(f"instances must be >= 1, got {instances}")
     if max_len < 2:
         raise ValidationError(f"max_len must be >= 2, got {max_len}")
+    lo, hi = support_range
+    if not 2 <= lo <= hi:
+        raise ValidationError(
+            f"support range must satisfy 2 <= min <= max, got min={lo}, max={hi}"
+        )
     rng = np.random.default_rng(seed)
     kept = 0
     checks = 0
     violations = 0
     rows: list[tuple[int, FanoReport]] = []
-    for attempt in range(max_attempts_factor * instances):
+    for attempt in range(MAX_ATTEMPTS_FACTOR * instances):
         if kept >= instances:
             break
         length = int(rng.integers(2, max_len + 1))

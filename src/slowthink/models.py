@@ -32,15 +32,11 @@ class DecayModel:
     * ``exponential`` -- ``min(lambda_tau * e**(-l), 1)`` for any depth l >= 1.
     * ``tabulated`` -- an explicit finite sequence of probabilities, defined
       only on indices 1..len(table); no extrapolation.
-
-    ``tau_label`` is a free-form tag recording which correctness threshold the
-    model represents.
     """
 
     kind: str
     lambda_tau: float | None = None
     table: tuple[float, ...] | None = None
-    tau_label: str = ""
 
     def __post_init__(self) -> None:
         if self.kind == EXPONENTIAL:
@@ -68,27 +64,23 @@ class DecayModel:
             raise ValidationError(f"unknown decay kind {self.kind!r}")
 
     @classmethod
-    def exponential(cls, lambda_tau: float, tau_label: str = "") -> "DecayModel":
-        return cls(
-            kind=EXPONENTIAL,
-            lambda_tau=checked_number(lambda_tau, "lambda_tau"),
-            tau_label=tau_label,
-        )
+    def exponential(cls, lambda_tau: float) -> "DecayModel":
+        return cls(kind=EXPONENTIAL, lambda_tau=checked_number(lambda_tau, "lambda_tau"))
 
     @classmethod
-    def tabulated(cls, values, tau_label: str = "") -> "DecayModel":
-        return cls(kind=TABULATED, table=tuple(values), tau_label=tau_label)
+    def tabulated(cls, values) -> "DecayModel":
+        return cls(kind=TABULATED, table=tuple(values))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DecayModel":
         kind = checked_section(cfg, "decay").get("kind", EXPONENTIAL)
         if kind == EXPONENTIAL:
-            return cls.exponential(cfg.get("lambda_tau"), cfg.get("tau_label", ""))
+            return cls.exponential(cfg.get("lambda_tau"))
         if kind == TABULATED:
             table = cfg.get("table")
             if not isinstance(table, list):
                 raise ValidationError(f"tabulated decay table must be a list, got {table!r}")
-            return cls.tabulated(table, cfg.get("tau_label", ""))
+            return cls.tabulated(table)
         raise ValidationError(f"unknown decay kind {kind!r}")
 
     @property
@@ -105,17 +97,12 @@ class WrongModel:
     """
 
     lambda_delta: float
-    delta_label: str = ""
 
     def __post_init__(self) -> None:
         if not self.lambda_delta > 0:
             raise ValidationError(
                 f"lambda_delta must be > 0, got {self.lambda_delta!r}"
             )
-
-    @classmethod
-    def from_config(cls, cfg: dict) -> "WrongModel":
-        return cls(float(cfg["lambda_delta"]), cfg.get("delta_label", ""))
 
 
 @dataclass(frozen=True)

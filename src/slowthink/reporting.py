@@ -72,11 +72,6 @@ def write_manifest(path, manifest: dict) -> None:
         fh.write("\n")
 
 
-def read_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if count < 2:
         return [lo]

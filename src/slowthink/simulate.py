@@ -236,15 +236,15 @@ class MonteCarloReport:
                    float(calls), seed)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple[float, float]:
-    """Score-based binomial confidence interval, well behaved at 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Score-based binomial 95% confidence interval, well behaved at 0 and 1."""
     if trials < 1 or not 0 <= successes <= trials:
         raise ValidationError(f"bad counts: {successes}/{trials}")
     phat = successes / trials
-    z2 = z * z
+    z2 = Z95 * Z95
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
+    half = Z95 * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials * trials)) / denom
     # the boundary endpoints are exactly 0 and 1; don't let rounding residue
     # in center-half push them past the estimate
     lo = 0.0 if successes == 0 else max(0.0, center - half)
@@ -299,25 +299,6 @@ def lookahead_selection_success(
         flagged = rng.random(size) < p_flag
         successes += int((good & flagged).sum())
     return MonteCarloReport.of(successes, trials, 1 + gamma, 1 + gamma, master_seed)
-
-
-def lookahead_gamma_sweep(
-    lambda_tau: float,
-    wrong: WrongModel,
-    l: int,
-    gammas,
-    trials: int,
-    master_seed: int,
-) -> list[tuple[int, MonteCarloReport]]:
-    return [
-        (
-            int(g),
-            lookahead_selection_success(
-                lambda_tau, wrong, l, int(g), trials, master_seed + i
-            ),
-        )
-        for i, g in enumerate(gammas)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from slowthink.simulate import (
     SELF_CONSISTENCY,
     ProcessConfig,
     StrategySpec,
-    lookahead_gamma_sweep,
+    lookahead_selection_success,
     matching_bound,
     monte_carlo,
     verify_bounds,
@@ -200,7 +200,7 @@ def test_criterion_6_budget_matched_comparison():
 
     # budget-matched Best-of-N lands beside the tree-search envelope
     envelope = monte_carlo(cfg, StrategySpec.mcts_worst(2), trials, 800)
-    stats = calibration.traces_to_stats([calibration.complete_tree_trace(2, 3)])
+    stats = calibration.complete_tree_stats(2, 3)
     n_range = calibration.reasonable_n_range(stats)
     matched = int(round((n_range.low + n_range.high) / 2))
     assert n_range.low <= matched <= n_range.high
@@ -230,9 +230,10 @@ def test_criterion_7_lookahead_optimum():
             star = bounds.optimal_rollout(wrong, l)
             if star != max(math.log(2.0 * lam_delta) - l, 0.0):
                 problems.append(f"analytic form mismatch at l={l}")
-            sweep = lookahead_gamma_sweep(
-                1.0, wrong, l, range(0, 7), 100_000, 900 + l
-            )
+            sweep = [
+                (g, lookahead_selection_success(1.0, wrong, l, g, 100_000, 900 + l + g))
+                for g in range(0, 7)
+            ]
             peak = max(sweep, key=lambda item: item[1].estimate)[0]
             if abs(peak - star) > 1.0:
                 problems.append(

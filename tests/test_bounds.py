@@ -217,16 +217,21 @@ class TestBonAndEnvelopes:
 
 
 class TestNMin:
-    @pytest.mark.parametrize("b", [2, 3, 4])
-    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
     def test_best_case_is_exactly_b(self, b, L):
         assert n_min(b, L, "best") == float(b)
 
-    @pytest.mark.parametrize("b", [2, 3, 4])
-    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
     def test_worst_case_closed_form(self, b, L):
         expected = float(b) ** ((L + 1) / 2)
-        assert n_min(b, L, "worst") == pytest.approx(expected, rel=1e-9)
+        assert n_min(b, L, "worst") == pytest.approx(expected, rel=1e-14)
+
+    def test_past_double_range_raises_range_error(self):
+        # N_min = 10**500.5 here; exp() of its log overflows
+        with pytest.raises(RangeError, match="double range"):
+            n_min(10, 1000, "worst")
 
     def test_known_small_cases(self):
         assert n_min(4, 3, "best") == 4.0

@@ -5,7 +5,7 @@ import pytest
 from slowthink.calibration import (
     ExpansionTrace,
     TraceStats,
-    complete_tree_trace,
+    complete_tree_stats,
     ingest_traces,
     integer_candidates,
     n_call,
@@ -95,11 +95,23 @@ class TestTraces:
         assert traces_to_stats([a, b]).avg_p == 5.0
 
     def test_complete_tree_structure(self):
-        trace = complete_tree_trace(2, 3)
-        stats = traces_to_stats([trace])
+        stats = complete_tree_stats(2, 3)
         assert stats.avg_b == 2.0
         assert stats.avg_p == 7.0  # 1 + 2 + 4 internal expansions
         assert stats.avg_L == 3.0
+
+    @pytest.mark.parametrize("b, depth", [(1, 1), (1, 5), (2, 1), (2, 6), (3, 4), (5, 3)])
+    def test_complete_tree_stats_match_an_enumerated_tree(self, b, depth):
+        # reference: one expansion event per node above the leaf layer
+        events = tuple((level, b) for level in range(depth) for _ in range(b**level))
+        trace = ExpansionTrace("synthetic", events, depth)
+        assert complete_tree_stats(b, depth) == traces_to_stats([trace])
+
+    def test_complete_tree_stats_reject_empty_trees(self):
+        with pytest.raises(ValidationError):
+            complete_tree_stats(0, 3)
+        with pytest.raises(ValidationError):
+            complete_tree_stats(2, 0)
 
     def test_permutation_invariance(self):
         a = ExpansionTrace("a", ((0, 2), (1, 4), (1, 3)), 4)
@@ -114,7 +126,8 @@ class TestTraces:
         assert fwd == rev
 
     def test_round_trip_through_file(self, tmp_path):
-        traces = [complete_tree_trace(2, 3, "q1"), ExpansionTrace("q2", ((0, 4),), 2)]
+        q1 = ExpansionTrace("q1", ((0, 2), (1, 2), (1, 2), (2, 2), (2, 2), (2, 2), (2, 2)), 3)
+        traces = [q1, ExpansionTrace("q2", ((0, 4),), 2)]
         path = tmp_path / "traces.jsonl"
         write_traces(traces, path)
         assert read_traces(path) == traces

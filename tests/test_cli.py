@@ -470,6 +470,20 @@ class TestMalformedInput:
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        # 1e400 parses to inf, which no count converts to an int
+        past_float = {
+            "trials_huge": '{"strategy": {"kind": "single_path"}, "trials": 1e400}',
+            "beam_k_huge": '{"strategy": {"kind": "beam", "k": 1e400, "b": 2}}',
+            "L_huge": '{"L": 1e400}',
+            "instances_huge": '{"instances": 1e400}',
+        }
+        for name, text in past_float.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        (tmp_path / "nmin_huge.json").write_text(
+            json.dumps({"b_values": [10], "L_values": [1000]})
+        )
+        (tmp_path / "latin1.bin").write_bytes(b"\xff\xfe caf\xe9\n")
+        (tmp_path / "adir").mkdir()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -526,3 +540,28 @@ class TestMalformedInput:
         assert "error:" in err and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--config", "trials_huge.json"], "trials is out of range"),
+            (["simulate", "--config", "beam_k_huge.json"], "k is out of range"),
+            (["bounds", "--config", "L_huge.json"], "L is out of range"),
+            (["fano-suite", "--config", "instances_huge.json"], "instances is out of range"),
+            (["reproduce", "nmin", "--config", "nmin_huge.json"], "past the double range"),
+            (["fano-suite", "--support-min", "5", "--support-max", "3"],
+             "2 <= min <= max"),
+            (["bounds", "--config", "adir"], "adir"),
+            (["bounds", "--config", "latin1.bin"], "can't decode"),
+            (["calibrate", "--traces", "adir"], "adir"),
+            (["fit", "--points", "latin1.bin"], "can't decode"),
+            (["hsic", "--x", "latin1.bin", "--y", "y.csv"], "can't decode"),
+            (["reproduce", "from-manifest", "--path", "adir"], "adir"),
+        ],
+    )
+    def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):
+        # values past the float range, unreadable files and an inverted
+        # support range are bad input, reported on one line like the rest
+        assert dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err

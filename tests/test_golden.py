@@ -227,7 +227,7 @@ GOLDEN = {
     ),
     "reproduce-nmin": (
         0,
-        "c878d0c4ce4ca8d577b153b795c4d8a9c84be2f3ce2801c1226d986fa749fbad",
+        "1a86bb5981c5314536aac5103077398aff1d025d5f437977f3a81b0cf492e9a0",
         "d21e34175629797891707ab58e4fed42ceb561f34a024db311d90f934b1d3fd2",
         None,
     ),

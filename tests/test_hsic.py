@@ -120,6 +120,21 @@ class TestPermutationNull:
             expected = float((kc * lc[np.ix_(perm, perm)]).sum()) / 79**2
             assert value == pytest.approx(max(expected, 0.0), rel=1e-12, abs=0.0)
 
+    def test_identity_permutation_reproduces_the_observed_statistic(self, monkeypatch):
+        class Identity:
+            def __init__(self, seed):
+                pass
+
+            def permutation(self, n):
+                return np.arange(n)
+
+        monkeypatch.setattr(np.random, "default_rng", Identity)
+        for seed in range(5):
+            data = np.random.Generator(np.random.PCG64(seed))
+            x = data.normal(size=(200, 3))
+            y = x[:, :2] + data.normal(size=(200, 2))
+            assert permutation_null(x, y, count=1)[0] == hsic(x, y)
+
     def test_seeded_and_nonnegative(self):
         rng = np.random.default_rng(29)
         x = rng.normal(size=(40, 2))

@@ -14,7 +14,6 @@ from slowthink.reporting import (
     fmt,
     format_csv,
     manifest_dict,
-    read_manifest,
     render_plot,
     run_environment,
     write_manifest,
@@ -81,7 +80,7 @@ class TestManifest:
         m = manifest_dict("calibrate", {"stats": [1, 2, 3]}, 7, "0.1.0", 0.25)
         path = tmp_path / "run.manifest.json"
         write_manifest(path, m)
-        loaded = read_manifest(path)
+        loaded = json.loads(path.read_text(encoding="utf-8"))
         assert loaded["command"] == "calibrate"
         assert loaded["config"] == {"stats": [1, 2, 3]}
         assert loaded["seed"] == 7

@@ -33,7 +33,6 @@ from slowthink.simulate import (
     ProcessConfig,
     StrategySpec,
     exact_success,
-    lookahead_gamma_sweep,
     lookahead_selection_success,
     matching_bound,
     monte_carlo,
@@ -306,7 +305,10 @@ class TestLookaheadProbe:
 
     def test_sweep_peaks_at_analytic_optimum(self):
         wrong = WrongModel(math.e**3 / 2)
-        sweep = lookahead_gamma_sweep(1.0, wrong, 1, range(7), 50_000, 23)
+        sweep = [
+            (g, lookahead_selection_success(1.0, wrong, 1, g, 50_000, 23 + g))
+            for g in range(7)
+        ]
         best_gamma = max(sweep, key=lambda item: item[1].estimate)[0]
         star = bounds.optimal_rollout(wrong, 1)
         assert abs(best_gamma - star) <= 1.0
