@@ -91,6 +91,14 @@ CASES = {
     "sim-lookahead-sweep": SIM + ["--strategy", "lookahead", "--b", "2", "--gamma", "1",
                                   "--score-noise", "0.3", "--lambda", "1", "--L", "2",
                                   "--seed", "10", "--sweep", "gamma=0:2"],
+    # a sweep plot with no bound series: lookahead has no success bound
+    "sim-lookahead-sweep-plot": SIM + ["--strategy", "lookahead", "--b", "2", "--gamma", "1",
+                                       "--lambda", "1", "--L", "2", "--seed", "10",
+                                       "--sweep", "gamma=0:2", "--plot", "la.svg"],
+    # strategy tables whose verdict fails and exits 1
+    "sim-bon-max-sweep-fail": ["simulate", "--strategy", "bon", "--rule", "orm_max",
+                               "--lambda", "1", "--trials", "10", "--seed", "0",
+                               "--sweep", "N=1,2"],
     "sim-config": ["simulate", "--config", "cfg.json"],
     "sim-config-override": ["simulate", "--config", "cfg.json", "--trials", "700",
                             "--L", "3", "--selector", "ideal", "--lambda", "0.5"],
@@ -114,6 +122,9 @@ CASES = {
     "reproduce-gamma-sweep": ["reproduce", "gamma-sweep", "--trials", "2000", "--seed", "3",
                               "--lambda", "1.5", "--lambda-delta", "12", "--layer", "2"],
     "reproduce-dominance": ["reproduce", "dominance", "--trials", "200", "--seed", "5"],
+    "reproduce-dominance-fail": ["reproduce", "dominance", "--trials", "200", "--seed", "4"],
+    "reproduce-bon-vs-mcts-fail": ["reproduce", "bon-vs-mcts", "--trials", "100",
+                                   "--lambda", "3"],
     "reproduce-bon-vs-mcts": ["reproduce", "bon-vs-mcts", "--trials", "1000", "--seed", "4",
                               "--b", "2", "--L", "2", "--plot", "cmp.svg"],
     "reproduce-fano": ["reproduce", "fano", "--instances", "10", "--seed", "2"],
@@ -195,6 +206,12 @@ GOLDEN = {
         "dc3d5f54cde806864a221b3acd62d479c5994971f7421fdab02625a247cbeb2e",
         "f630838745f6ef6d0685d75c4dd8c923818560f1d79f3a6b419bdd7078691f6f",
     ),
+    "reproduce-bon-vs-mcts-fail": (
+        1,
+        "3e174aea6c9480b7139da085ec29837297a9cf4da872ce813a4547522430ce35",
+        "7bb0109b24d3e6439bdb56240fe18f8eccf4cbf129f21f1249431c7687c3d0c3",
+        None,
+    ),
     "reproduce-calibration": (
         0,
         "d4c7e539d779152b49b13e6c02cba494213782bc80cf093540513a1747df85d3",
@@ -211,6 +228,12 @@ GOLDEN = {
         0,
         "90707a07975b7d7aa853a7986f1c15a0cb25de26ffb50a1ac11ff84e4b512b7c",
         "015981bfde611962816885c74f533bdb9eba2455c24f981f9c01db234b43645e",
+        None,
+    ),
+    "reproduce-dominance-fail": (
+        1,
+        "e6be961cb2a6cafc17d8bf948bfe08df146bd1183068093946ea12a4eaf12adc",
+        "903310997e4979856efee9ea8cd2186c7ef9e11edfb95ffa4fd90eb799ab211d",
         None,
     ),
     "reproduce-fano": (
@@ -261,6 +284,12 @@ GOLDEN = {
         "d772ce380dfbb8bb03ef6241b0ce3b119567dc1abc4d6b9ff8231a4c396dfab0",
         "d5d49884a4d4a434c67197bb7bc49f91a82b5872b56f321b746c059123d510c3",
     ),
+    "sim-bon-max-sweep-fail": (
+        1,
+        "52d31f8d7a74f4e991c1c7ec8cac2f13d488b426bc5dd03df58000fae8f2cb19",
+        "2fb18d13b246a4cfac48734b4e7adbe3669e815a6415bd0748b061b25de46b5f",
+        None,
+    ),
     "sim-bon-sc-sweep": (
         0,
         "0e963cc5ad5bfda3147dadaf0b846c578ab41d5b57aeb9cf2954f001a411d822",
@@ -302,6 +331,12 @@ GOLDEN = {
         "b98f689f30f876e5b94fa78d9ec77f74be9d95f75350b0457d7792b74b01247d",
         "dff60dd517001b0facac806b745e81ae949cef3dcfc8c0d1a58f55141411c297",
         None,
+    ),
+    "sim-lookahead-sweep-plot": (
+        0,
+        "69cdbfe123506d4235cb040bc3404d4dbd33b9153f1b79f5e22b148a3cb6e316",
+        "effeca2af13fd90e2090b7d0ff12515c26e8a4af0c4c1fab254f64e0cf63260f",
+        "2fc3671ec072291a48181d8af53e983bd1e92b301ca5cab645167894fded4dbd",
     ),
     "sim-mcts-best": (
         0,
