@@ -203,16 +203,30 @@ def _cmd_bounds(resolved: dict) -> _RunOutput:
     return _RunOutput(header, rows)
 
 
-def _simulate_one(cfg, spec, trials, seed):
+def _strategy_row(cfg, spec, trials, seed) -> dict:
+    """Every strategy-table column of one Monte Carlo run, keyed by header
+    name; bound, vacuous and verify are empty when the strategy has no bound."""
     report = simulate.monte_carlo(cfg, spec, trials, seed)
     bound = simulate.matching_bound(cfg, spec)
-    if bound is None:
-        verify = ""
-        vacuous = ""
-    else:
-        verify = "pass" if simulate.verify_bounds(report, bound) else "fail"
-        vacuous = bounds.is_vacuous(bound)
-    return report, bound, vacuous, verify
+    return {
+        "strategy": spec.kind,
+        "rule": spec.rule or "",
+        "N": spec.N or "",
+        "k": spec.k or "",
+        "b": spec.b or "",
+        "gamma": "" if spec.gamma is None else spec.gamma,
+        "trials": trials,
+        "seed": seed,
+        "estimate": report.estimate,
+        "ci_low": report.ci_low,
+        "ci_high": report.ci_high,
+        "mean_steps": report.mean_steps,
+        "mean_calls": report.mean_calls,
+        "bound": "" if bound is None else bound,
+        "vacuous": "" if bound is None else bounds.is_vacuous(bound),
+        "verify": "" if bound is None
+        else "pass" if simulate.verify_bounds(report, bound) else "fail",
+    }
 
 
 def _cmd_simulate(resolved: dict) -> _RunOutput:
@@ -238,35 +252,22 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
         "estimate", "ci_low", "ci_high", "mean_steps", "mean_calls",
         "bound", "vacuous", "verify",
     )
-    rows = []
-    ok = True
-    for spec in specs:
-        report, bound, vacuous, verify = _simulate_one(cfg, spec, trials, seed)
-        ok = ok and verify != "fail"
-        rows.append(
-            (
-                spec.kind, spec.rule or "", spec.N or "", spec.k or "",
-                spec.b or "", "" if spec.gamma is None else spec.gamma,
-                trials, seed, report.estimate, report.ci_low, report.ci_high,
-                report.mean_steps, report.mean_calls,
-                "" if bound is None else bound, vacuous, verify,
-            )
-        )
+    rows = [_strategy_row(cfg, spec, trials, seed) for spec in specs]
     plot_path = resolved.get("plot")
     if plot_path and sweep:
         xs = [float(v) for v in sweep["values"]]
-        est = [r[8] for r in rows]
-        series = [(xs, est)]
+        series = [(xs, [r["estimate"] for r in rows])]
         labels = ["estimate"]
-        if all(r[13] != "" for r in rows):
-            series.append((xs, [min(1.0, r[13]) for r in rows]))
+        if all(r["bound"] != "" for r in rows):
+            series.append((xs, [min(1.0, r["bound"]) for r in rows]))
             labels.append("bound (clipped at 1)")
         reporting.emit_plot(
             series, labels, plot_path,
             title=f"{strategy_cfg['kind']} sweep over {sweep['param']}",
             xlabel=sweep["param"], ylabel="success probability",
         )
-    return _RunOutput(header, rows, ok=ok)
+    ok = all(r["verify"] != "fail" for r in rows)
+    return _RunOutput(header, [tuple(r[h] for h in header) for r in rows], ok)
 
 
 def _cmd_fano_suite(resolved: dict) -> _RunOutput:
@@ -589,7 +590,6 @@ def _preset_dominance(resolved: dict) -> _RunOutput:
         "bound", "vacuous", "verify",
     )
     rows = []
-    ok = True
     for lam in (0.5, 1.0):
         for L in (2, 3, 5):
             cfg = simulate.ProcessConfig(
@@ -608,18 +608,13 @@ def _preset_dominance(resolved: dict) -> _RunOutput:
             specs += [simulate.StrategySpec.mcts_worst(2)]
             for spec in specs:
                 seed += 1
-                report, bound, vacuous, verify = _simulate_one(cfg, spec, trials, seed)
-                ok = ok and verify == "pass"
-                rows.append(
-                    (
-                        lam, L, spec.describe(), report.estimate, report.ci_low,
-                        report.ci_high, bound, vacuous, verify,
-                    )
-                )
+                row = _strategy_row(cfg, spec, trials, seed)
+                rows.append({**row, "lambda_tau": lam, "L": L, "strategy": spec.describe()})
+    ok = all(r["verify"] != "fail" for r in rows)
     summary = (
         f"dominance: {len(rows)} configurations -> {'PASS' if ok else 'FAIL'}"
     )
-    return _RunOutput(header, rows, ok=ok, summary=summary)
+    return _RunOutput(header, [tuple(r[h] for h in header) for r in rows], ok, summary)
 
 
 def _preset_bon_vs_mcts(resolved: dict) -> _RunOutput:
@@ -636,7 +631,6 @@ def _preset_bon_vs_mcts(resolved: dict) -> _RunOutput:
         L=L,
         score_noise_std=noise,
     )
-    envelope = simulate.monte_carlo(cfg, simulate.StrategySpec.mcts_worst(b), trials, seed)
     stats = calibration.complete_tree_stats(b, L)
     rng = calibration.reasonable_n_range(stats)
     n_lo, n_hi = calibration.integer_candidates(rng)
@@ -645,34 +639,22 @@ def _preset_bon_vs_mcts(resolved: dict) -> _RunOutput:
         "strategy", "N", "estimate", "ci_low", "ci_high",
         "mean_calls", "n_res", "n_call", "gap_vs_envelope",
     )
-    rows = [
-        (
-            "mcts_worst", "", envelope.estimate, envelope.ci_low, envelope.ci_high,
-            envelope.mean_calls, rng.low, rng.high, 0.0,
-        )
+    envelope = _strategy_row(cfg, simulate.StrategySpec.mcts_worst(b), trials, seed)
+    bon = [
+        _strategy_row(cfg, simulate.StrategySpec.bon(n, simulate.ORM_MAX), trials, seed + n)
+        for n in sorted({n_lo, matched, n_hi})
     ]
-    sweep_n = sorted({n_lo, matched, n_hi})
-    xs, ys = [], []
-    ok = True
-    for n in sweep_n:
-        rep = simulate.monte_carlo(
-            cfg, simulate.StrategySpec.bon(n, simulate.ORM_MAX), trials, seed + n
-        )
-        gap = abs(rep.estimate - envelope.estimate)
-        if n == matched:
-            ok = gap <= 0.02
-        rows.append(
-            (
-                "bon", n, rep.estimate, rep.ci_low, rep.ci_high,
-                rep.mean_calls, rng.low, rng.high, gap,
-            )
-        )
-        xs.append(float(n))
-        ys.append(rep.estimate)
+    rows = [
+        {**row, "n_res": rng.low, "n_call": rng.high,
+         "gap_vs_envelope": abs(row["estimate"] - envelope["estimate"])}
+        for row in [envelope, *bon]
+    ]
+    ok = all(r["gap_vs_envelope"] <= 0.02 for r in rows if r["N"] == matched)
     plot_path = resolved.get("plot")
     if plot_path:
+        xs = [float(r["N"]) for r in bon]
         reporting.emit_plot(
-            [(xs, ys), ([xs[0], xs[-1]], [envelope.estimate, envelope.estimate])],
+            [(xs, [r["estimate"] for r in bon]), ([xs[0], xs[-1]], [envelope["estimate"]] * 2)],
             ["best-of-n", "tree-search envelope"],
             plot_path,
             title=f"budget-matched comparison (b={b}, L={L})",
@@ -684,7 +666,7 @@ def _preset_bon_vs_mcts(resolved: dict) -> _RunOutput:
         f"bon-vs-mcts: matched N={matched}, gap at matched N <= 0.02 -> "
         f"{'PASS' if ok else 'FAIL'}"
     )
-    return _RunOutput(header, rows, ok=ok, summary=summary)
+    return _RunOutput(header, [tuple(r[h] for h in header) for r in rows], ok, summary)
 
 
 _COMMANDS = {
