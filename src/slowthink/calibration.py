@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import TraceParseError, ValidationError
+from .errors import TraceParseError, ValidationError, text_lines
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,9 @@ def parse_trace_record(text: str, lineno: int | None = None) -> ExpansionTrace:
 
 def read_traces(path) -> list[ExpansionTrace]:
     traces = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                traces.append(parse_trace_record(line, lineno))
+    for lineno, line in enumerate(text_lines(path), start=1):
+        if line.strip():
+            traces.append(parse_trace_record(line, lineno))
     return traces
 
 

@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
     checked_number,
     checked_section,
+    text_lines,
 )
 from .models import DecayModel, SelectorModel, WrongModel
 
@@ -49,11 +50,10 @@ _NOT_CONFIG = ("command", "preset", "path", "config", "out", "manifest")
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}")
+    try:
+        cfg = json.loads("".join(text_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ValidationError(f"{path}: must hold a JSON object")
     return cfg
@@ -78,6 +78,14 @@ def _merge(config: dict, args: argparse.Namespace) -> dict:
 def _number(resolved: dict, key: str, default, kind=int):
     """A scalar config value as ``kind``; ValidationError when not a number."""
     return checked_number(resolved.get(key, default), key, kind)
+
+
+def _int_list(resolved: dict, key: str, default: list) -> list[int]:
+    """A config list of integers; ValidationError when not a non-empty list."""
+    values = resolved.get(key, default)
+    if not (isinstance(values, list) and values):
+        raise ValidationError(f"{key} must be a non-empty list of integers, got {values!r}")
+    return [checked_number(v, key, int) for v in values]
 
 
 # argparse type= converters: each turns one flag's text into its config value.
@@ -150,10 +158,11 @@ class _RunOutput:
 def _lookahead_bound(decay, selector, L, k, b, N, resolved) -> float:
     if "lambda_delta" not in resolved:
         raise ValidationError("the lookahead bound requires --lambda-delta")
-    lam = decay.lambda_tau if decay.kind == "exponential" else float("nan")
+    if decay.kind != "exponential":
+        raise PreconditionError("the lookahead bound requires an exponential decay model")
     wrong = WrongModel(_number(resolved, "lambda_delta", None, float))
     return bounds.lookahead_distinguishability_bound(
-        lam, wrong, _number(resolved, "depth", L, float)
+        decay.lambda_tau, wrong, _number(resolved, "depth", L, float)
     )
 
 
@@ -338,32 +347,31 @@ def _cmd_calibrate(resolved: dict) -> _RunOutput:
 
 
 def _read_feature_csv(path) -> hsic.SampleSet:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
+    reader = _csv.reader(text_lines(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty feature file (header row required)")
+    cols = [c.strip().lower() for c in header]
+    # a group column is read past: it is neither a feature nor stored
+    group_idx = cols.index("group") if "group" in cols else None
+    length_idx = cols.index("length") if "length" in cols else None
+    special = {group_idx, length_idx} - {None}
+    feature_idx = [i for i in range(len(cols)) if i not in special]
+    lengths, vectors = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(cols):
+            raise ValidationError(
+                f"{path}:{lineno}: expected {len(cols)} columns, got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty feature file (header row required)")
-        cols = [c.strip().lower() for c in header]
-        # a group column is read past: it is neither a feature nor stored
-        group_idx = cols.index("group") if "group" in cols else None
-        length_idx = cols.index("length") if "length" in cols else None
-        special = {group_idx, length_idx} - {None}
-        feature_idx = [i for i in range(len(cols)) if i not in special]
-        lengths, vectors = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(cols):
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {len(cols)} columns, got {len(row)}"
-                )
-            try:
-                if length_idx is not None:
-                    lengths.append(float(row[length_idx]))
-                vectors.append([float(row[i]) for i in feature_idx])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}")
+            if length_idx is not None:
+                lengths.append(float(row[length_idx]))
+            vectors.append([float(row[i]) for i in feature_idx])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}")
     return hsic.SampleSet(
         vectors=np.asarray(vectors, dtype=np.float64),
         lengths=tuple(lengths) if length_idx is not None else None,
@@ -433,31 +441,30 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
 def _read_points_csv(
     path, x_col: str | None = None, y_col: str | None = None
 ) -> list[tuple[float, float]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
+    reader = _csv.reader(text_lines(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty points file (header row required)")
+    # default: first two columns; named columns let any emitted CSV be
+    # re-ingested as (x, y) points
+    xi, yi = 0, 1
+    if x_col is not None or y_col is not None:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty points file (header row required)")
-        # default: first two columns; named columns let any emitted CSV be
-        # re-ingested as (x, y) points
-        xi, yi = 0, 1
-        if x_col is not None or y_col is not None:
-            try:
-                xi = header.index(x_col) if x_col is not None else 0
-                yi = header.index(y_col) if y_col is not None else 1
-            except ValueError as exc:
-                raise ValidationError(f"{path}: {exc}; header is {header}")
-        pts = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) <= max(xi, yi):
-                raise ValidationError(f"{path}:{lineno}: missing x/y columns")
-            try:
-                pts.append((float(row[xi]), float(row[yi])))
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}")
+            xi = header.index(x_col) if x_col is not None else 0
+            yi = header.index(y_col) if y_col is not None else 1
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}; header is {header}")
+    pts = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) <= max(xi, yi):
+            raise ValidationError(f"{path}:{lineno}: missing x/y columns")
+        try:
+            pts.append((float(row[xi]), float(row[yi])))
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}")
     return pts
 
 
@@ -537,13 +544,13 @@ def _preset_calibration(resolved: dict) -> _RunOutput:
 
 
 def _preset_nmin(resolved: dict) -> _RunOutput:
-    b_values = resolved.get("b_values", [2, 3, 4])
-    L_values = resolved.get("L_values", [1, 2, 3, 4, 5])
+    b_values = _int_list(resolved, "b_values", [2, 3, 4])
+    L_values = _int_list(resolved, "L_values", [1, 2, 3, 4, 5])
     header = ("b", "L", "case", "n_min", "equality_solution", "rel_err")
     rows = []
     ok = True
-    for b in (checked_number(v, "b_values", int) for v in b_values):
-        for L in (checked_number(v, "L_values", int) for v in L_values):
+    for b in b_values:
+        for L in L_values:
             for case in ("best", "worst"):
                 value = bounds.n_min(b, L, case)
                 expected = float(b) if case == "best" else float(b) ** ((L + 1) / 2)
@@ -557,7 +564,7 @@ def _preset_gamma_sweep(resolved: dict) -> _RunOutput:
     lambda_tau = _number(resolved, "lambda_tau", 1.0, float)
     wrong = WrongModel(_number(resolved, "lambda_delta", math.e**3 / 2, float))
     layer = _number(resolved, "layer", 1)
-    gammas = [checked_number(g, "gammas", int) for g in resolved.get("gammas", range(7))]
+    gammas = _int_list(resolved, "gammas", list(range(7)))
     trials = _number(resolved, "trials", 100_000)
     seed = _number(resolved, "seed", 0)
     gamma_star = bounds.optimal_rollout(wrong, layer)

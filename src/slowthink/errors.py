@@ -40,6 +40,16 @@ def checked_number(value, name: str, kind=float):
         raise ValidationError(f"{name} is out of range, got {value!r}") from None
 
 
+def text_lines(path):
+    """The lines of a UTF-8 file with their endings as written, read lazily;
+    a ValidationError naming the file when one does not decode."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+
+
 def checked_section(value, name: str) -> dict:
     """``value`` when it is a dict, else a ValidationError naming the config
     section ``name``."""

@@ -482,6 +482,15 @@ class TestMalformedInput:
         (tmp_path / "nmin_huge.json").write_text(
             json.dumps({"b_values": [10], "L_values": [1000]})
         )
+        not_int_lists = {
+            "gammas_num": {"gammas": 3},
+            "gammas_null": {"gammas": None},
+            "gammas_empty": {"gammas": []},
+            "b_values_num": {"b_values": 5},
+            "L_values_str": {"L_values": "abc"},
+        }
+        for name, cfg in not_int_lists.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
         (tmp_path / "latin1.bin").write_bytes(b"\xff\xfe caf\xe9\n")
         (tmp_path / "adir").mkdir()
 
@@ -532,6 +541,8 @@ class TestMalformedInput:
               "--L", "2", "--selector", "noisy:1,1"], "N is too large"),
             (["bounds", "--strategy", "bon", "--N", str(10**400), "--lambda", "1",
               "--L", "2"], "N is too large"),
+            (["bounds", "--strategy", "lookahead", "--table", "0.9,0.8",
+              "--lambda-delta", "10"], "requires an exponential decay model"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):
@@ -556,6 +567,21 @@ class TestMalformedInput:
             (["fit", "--points", "latin1.bin"], "can't decode"),
             (["hsic", "--x", "latin1.bin", "--y", "y.csv"], "can't decode"),
             (["reproduce", "from-manifest", "--path", "adir"], "adir"),
+            (["reproduce", "gamma-sweep", "--config", "gammas_num.json"],
+             "gammas must be a non-empty list of integers, got 3"),
+            (["reproduce", "gamma-sweep", "--config", "gammas_null.json"],
+             "gammas must be a non-empty list of integers, got None"),
+            (["reproduce", "gamma-sweep", "--config", "gammas_empty.json"],
+             "gammas must be a non-empty list of integers, got []"),
+            (["reproduce", "nmin", "--config", "b_values_num.json"],
+             "b_values must be a non-empty list of integers, got 5"),
+            (["reproduce", "nmin", "--config", "L_values_str.json"],
+             "L_values must be a non-empty list of integers, got 'abc'"),
+            (["hsic", "--x", "y.csv", "--y", "latin1.bin"], "latin1.bin: 'utf-8' codec"),
+            (["calibrate", "--traces", "latin1.bin"], "latin1.bin: 'utf-8' codec"),
+            (["fit", "--points", "latin1.bin"], "latin1.bin: 'utf-8' codec"),
+            (["reproduce", "from-manifest", "--path", "latin1.bin"],
+             "latin1.bin: 'utf-8' codec"),
         ],
     )
     def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):
