@@ -467,6 +467,11 @@ class TestMalformedInput:
             "answer_num": {"answer": 5},
             "L_str": {"strategy": {"kind": "single_path"}, "L": "two"},
             "sweep_num": {"strategy": {"kind": "bon"}, "sweep": 3},
+            "gammas_num": {"gammas": 3},
+            "gammas_null": {"gammas": None},
+            "gammas_empty": {"gammas": []},
+            "b_values_num": {"b_values": 5},
+            "L_values_str": {"L_values": "abc"},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -482,15 +487,6 @@ class TestMalformedInput:
         (tmp_path / "nmin_huge.json").write_text(
             json.dumps({"b_values": [10], "L_values": [1000]})
         )
-        not_int_lists = {
-            "gammas_num": {"gammas": 3},
-            "gammas_null": {"gammas": None},
-            "gammas_empty": {"gammas": []},
-            "b_values_num": {"b_values": 5},
-            "L_values_str": {"L_values": "abc"},
-        }
-        for name, cfg in not_int_lists.items():
-            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
         (tmp_path / "latin1.bin").write_bytes(b"\xff\xfe caf\xe9\n")
         (tmp_path / "adir").mkdir()
 
