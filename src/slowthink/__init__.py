@@ -12,5 +12,4 @@ from .models import (  # noqa: F401
     WrongModel,
     selector_success_prob,
     step_correct_prob,
-    validate_decay,
 )

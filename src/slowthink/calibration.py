@@ -3,8 +3,9 @@ matches a baseline tree search, from averaged expansion statistics or from
 raw expansion traces.
 
 Trace files are JSON Lines: one object per question with fields
-``question_id`` (string), ``events`` (array of ``[depth, children]`` integer
-pairs, one per expansion), and ``ideal_path_length`` (positive integer).
+``question_id`` (string), ``events`` (array of ``[depth, children]`` whole
+number pairs, one per expansion), and ``ideal_path_length`` (positive whole
+number).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import TraceParseError, ValidationError, text_lines
+from .errors import TraceParseError, ValidationError, checked_number, text_lines
 
 
 @dataclass(frozen=True)
@@ -41,22 +42,23 @@ class ExpansionTrace:
     ideal_path_length: int
 
     def __post_init__(self) -> None:
+        where = f"trace {self.question_id!r}"
         if not self.events:
-            raise ValidationError(f"trace {self.question_id!r} has no events")
-        events = tuple((int(d), int(c)) for d, c in self.events)
+            raise ValidationError(f"{where} has no events")
+        events = tuple(
+            (checked_number(d, f"{where}: depth", int), checked_number(c, f"{where}: children", int))
+            for d, c in self.events
+        )
         for d, c in events:
             if d < 0:
-                raise ValidationError(f"trace {self.question_id!r}: depth {d} < 0")
+                raise ValidationError(f"{where}: depth {d} < 0")
             if c < 1:
-                raise ValidationError(
-                    f"trace {self.question_id!r}: children {c} < 1"
-                )
+                raise ValidationError(f"{where}: children {c} < 1")
         object.__setattr__(self, "events", events)
-        if int(self.ideal_path_length) < 1:
-            raise ValidationError(
-                f"trace {self.question_id!r}: ideal_path_length must be >= 1"
-            )
-        object.__setattr__(self, "ideal_path_length", int(self.ideal_path_length))
+        length = checked_number(self.ideal_path_length, f"{where}: ideal_path_length", int)
+        if length < 1:
+            raise ValidationError(f"{where}: ideal_path_length must be >= 1")
+        object.__setattr__(self, "ideal_path_length", length)
 
 
 class NRange(NamedTuple):
@@ -89,58 +91,37 @@ def integer_candidates(rng: NRange) -> tuple[int, int]:
     return math.ceil(rng.low), math.floor(rng.high)
 
 
-def parse_trace_record(text: str, lineno: int | None = None) -> ExpansionTrace:
-    where = f" at line {lineno}" if lineno is not None else ""
+def parse_trace_record(text: str, where: str = "record") -> ExpansionTrace:
+    """One JSON trace record; a TraceParseError that starts with ``where``
+    when it is malformed."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise TraceParseError(f"invalid JSON{where}: {exc}") from exc
+        raise TraceParseError(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise TraceParseError(f"record{where} is not an object")
+        raise TraceParseError(f"{where}: not an object")
     try:
         qid = obj["question_id"]
         events = obj["events"]
         length = obj["ideal_path_length"]
     except KeyError as exc:
-        raise TraceParseError(f"record{where} is missing field {exc}") from exc
+        raise TraceParseError(f"{where}: missing field {exc}") from None
     if not isinstance(events, list) or not all(
         isinstance(e, list) and len(e) == 2 for e in events
     ):
-        raise TraceParseError(
-            f"record{where}: events must be an array of [depth, children] pairs"
-        )
+        raise TraceParseError(f"{where}: events must be an array of [depth, children] pairs")
     try:
-        return ExpansionTrace(
-            question_id=str(qid),
-            events=tuple((int(d), int(c)) for d, c in events),
-            ideal_path_length=int(length),
-        )
-    except (ValidationError, TypeError, ValueError) as exc:
-        raise TraceParseError(f"record{where}: {exc}") from exc
+        return ExpansionTrace(str(qid), events, length)
+    except ValidationError as exc:
+        raise TraceParseError(f"{where}: {exc}") from None
 
 
 def read_traces(path) -> list[ExpansionTrace]:
-    traces = []
-    for lineno, line in enumerate(text_lines(path), start=1):
-        if line.strip():
-            traces.append(parse_trace_record(line, lineno))
-    return traces
-
-
-def write_traces(traces: Iterable[ExpansionTrace], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in traces:
-            fh.write(
-                json.dumps(
-                    {
-                        "question_id": t.question_id,
-                        "events": [list(e) for e in t.events],
-                        "ideal_path_length": t.ideal_path_length,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    return [
+        parse_trace_record(line, f"{path}:{lineno}")
+        for lineno, line in enumerate(text_lines(path), start=1)
+        if line.strip()
+    ]
 
 
 def traces_to_stats(traces: Iterable[ExpansionTrace]) -> TraceStats:

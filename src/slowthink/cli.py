@@ -80,6 +80,15 @@ def _number(resolved: dict, key: str, default, kind=int):
     return checked_number(resolved.get(key, default), key, kind)
 
 
+def _path(resolved: dict, key: str) -> str | None:
+    """A config file path, or None when it is absent or empty; ValidationError
+    when it is not a string."""
+    value = resolved.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ValidationError(f"{key} must be a file path, got {value!r}")
+    return value or None
+
+
 def _int_list(resolved: dict, key: str, default: list) -> list[int]:
     """A config list of integers; ValidationError when not a non-empty list."""
     values = resolved.get(key, default)
@@ -133,13 +142,6 @@ def _sweep(text: str) -> dict:
             f"sweep must be PARAM=V1,V2,... or PARAM=LO:HI[:STEP] over integers; got {text!r}"
         )
     return {"param": param.strip(), "values": ints}
-
-
-def _stats(text: str) -> list[float]:
-    stats = _floats(text)
-    if len(stats) != 3:
-        raise argparse.ArgumentTypeError(f"stats must be avg_b,avg_p,avg_L; got {text!r}")
-    return stats
 
 
 class _RunOutput:
@@ -245,6 +247,7 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
     strategy_cfg = checked_section(resolved["strategy"], "strategy")
     trials = _number(resolved, "trials", 10_000)
     seed = _number(resolved, "seed", 0)
+    plot_path = _path(resolved, "plot")
     sweep = resolved.get("sweep")
     if sweep:
         param, values = checked_section(sweep, "sweep").get("param"), sweep.get("values")
@@ -262,7 +265,6 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
         "bound", "vacuous", "verify",
     )
     rows = [_strategy_row(cfg, spec, trials, seed) for spec in specs]
-    plot_path = resolved.get("plot")
     if plot_path and sweep:
         xs = [float(v) for v in sweep["values"]]
         series = [(xs, [r["estimate"] for r in rows])]
@@ -320,7 +322,7 @@ def _cmd_calibrate(resolved: dict) -> _RunOutput:
             raise ValidationError(f"stats must be [avg_b, avg_p, avg_L], got {given!r}")
         b, p, L = (checked_number(v, "stats") for v in given)
         stats = calibration.TraceStats(avg_b=b, avg_p=p, avg_L=L)
-    elif "traces" in resolved and resolved["traces"]:
+    elif _path(resolved, "traces"):
         stats = calibration.ingest_traces(resolved["traces"])
     else:
         raise ValidationError("calibrate requires --stats b,p,L or --traces FILE")
@@ -333,13 +335,11 @@ def _cmd_calibrate(resolved: dict) -> _RunOutput:
     rows = [
         (
             stats.avg_b, stats.avg_p, stats.avg_L,
-            calibration.n_call(stats), calibration.n_res(stats),
-            n_lo, n_hi, rng.inverted,
+            rng.high, rng.low, n_lo, n_hi, rng.inverted,
         )
     ]
     summary = (
-        f"calibrate: N_call={calibration.n_call(stats):.9g} "
-        f"N_res={calibration.n_res(stats):.9g} "
+        f"calibrate: N_call={rng.high:.9g} N_res={rng.low:.9g} "
         f"reasonable integer N in [{n_lo}, {n_hi}]"
         + (" (range inverted: avg_L < 1)" if rng.inverted else "")
     )
@@ -380,7 +380,7 @@ def _read_feature_csv(path) -> hsic.SampleSet:
 
 def _cmd_hsic(resolved: dict) -> _RunOutput:
     for key in ("x", "y"):
-        if not resolved.get(key):
+        if not _path(resolved, key):
             raise ValidationError(f"hsic requires --{key} FILE")
     x = _read_feature_csv(resolved["x"])
     y = _read_feature_csv(resolved["y"])
@@ -405,12 +405,12 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
         resolved.get("permutation_test") or 0, "permutation_test", int
     )
     seed = _number(resolved, "seed", 0)
+    svg_path = _path(resolved, "svg")
     p95 = pvalue = ""
     if perm_count:
         null = hsic.permutation_null(x, y, cfg, count=perm_count, seed=seed)
         p95 = float(np.quantile(null, 0.95))
         pvalue = float((null >= value).mean())
-        svg_path = resolved.get("svg")
         if svg_path:
             ordered = np.sort(null)
             quantiles = [(i + 0.5) / perm_count for i in range(perm_count)]
@@ -469,7 +469,7 @@ def _read_points_csv(
 
 
 def _cmd_fit(resolved: dict) -> _RunOutput:
-    if not resolved.get("points"):
+    if not _path(resolved, "points"):
         raise ValidationError("fit requires --points FILE")
     points = _read_points_csv(
         resolved["points"], resolved.get("x_col"), resolved.get("y_col")
@@ -480,7 +480,7 @@ def _cmd_fit(resolved: dict) -> _RunOutput:
         ("exponential_decay", exp_fit.params[0], exp_fit.params[1], exp_fit.r2),
         ("linear", lin_fit.params[0], lin_fit.params[1], lin_fit.r2),
     ]
-    svg_path = resolved.get("svg")
+    svg_path = _path(resolved, "svg")
     if svg_path:
         xs = sorted(p[0] for p in points)
         grid = [xs[0] + (xs[-1] - xs[0]) * i / 99 for i in range(100)]
@@ -631,6 +631,7 @@ def _preset_bon_vs_mcts(resolved: dict) -> _RunOutput:
     seed = _number(resolved, "seed", 0)
     margin = _number(resolved, "margin", 1.0, float)
     noise = _number(resolved, "noise_std", 0.25, float)
+    plot_path = _path(resolved, "plot")
     cfg = simulate.ProcessConfig(
         decay=DecayModel.exponential(_number(resolved, "lambda_tau", 1.0, float)),
         selector=SelectorModel.noisy_score(margin, noise),
@@ -657,7 +658,6 @@ def _preset_bon_vs_mcts(resolved: dict) -> _RunOutput:
         for row in [envelope, *bon]
     ]
     ok = all(r["gap_vs_envelope"] <= 0.02 for r in rows if r["N"] == matched)
-    plot_path = resolved.get("plot")
     if plot_path:
         xs = [float(r["N"]) for r in bon]
         reporting.emit_plot(
@@ -802,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("calibrate", "budget-matching N from stats or traces")
     _add_common(p)
-    p.add_argument("--stats", type=_stats, help="avg_b,avg_p,avg_L")
+    p.add_argument("--stats", type=_floats, help="avg_b,avg_p,avg_L")
     p.add_argument("--traces", help="JSON Lines trace file")
 
     p = add_command("hsic", "kernel dependence between two feature files")

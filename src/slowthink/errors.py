@@ -1,5 +1,7 @@
 """Semantic exception hierarchy shared by all modules."""
 
+import math
+
 
 class SlowthinkError(Exception):
     """Base class for every error raised by this package."""
@@ -31,7 +33,13 @@ class FitError(SlowthinkError, RuntimeError):
 
 def checked_number(value, name: str, kind=float):
     """``kind(value)``, or a ValidationError naming ``name`` when the value
-    (say, from a JSON config) is not a number."""
+    (say, from a JSON config) is not a number; for ``kind=int`` also when it
+    is a bool or a float with a fractional part, which ``int`` would cut."""
+    if kind is int and (
+        isinstance(value, bool)
+        or isinstance(value, float) and math.isfinite(value) and not value.is_integer()
+    ):
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError):

@@ -71,7 +71,6 @@ class FitResult:
     model: str  # "exponential_decay": y = a*exp(-c*x); "linear": y = a + b*x
     params: tuple[float, ...]
     r2: float
-    residuals: tuple[float, ...]
 
     def predict(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -190,20 +189,9 @@ def fit_decay(points) -> tuple[FitResult, FitResult]:
         )
     slope, intercept = np.polyfit(x[pos], np.log(y[pos]), 1)
     a_exp, c_exp = math.exp(intercept), -slope
-    exp_pred = a_exp * np.exp(-c_exp * x)
-    exp_fit = FitResult(
-        model="exponential_decay",
-        params=(a_exp, c_exp),
-        r2=_r2(y, exp_pred),
-        residuals=tuple(y - exp_pred),
-    )
+    exp_r2 = _r2(y, a_exp * np.exp(-c_exp * x))
+    exp_fit = FitResult("exponential_decay", (a_exp, c_exp), exp_r2)
 
     b_lin, a_lin = np.polyfit(x, y, 1)
-    lin_pred = a_lin + b_lin * x
-    lin_fit = FitResult(
-        model="linear",
-        params=(float(a_lin), float(b_lin)),
-        r2=_r2(y, lin_pred),
-        residuals=tuple(y - lin_pred),
-    )
-    return exp_fit, lin_fit
+    lin_r2 = _r2(y, a_lin + b_lin * x)
+    return exp_fit, FitResult("linear", (float(a_lin), float(b_lin)), lin_r2)

@@ -30,8 +30,8 @@ class DecayModel:
     Two variants:
 
     * ``exponential`` -- ``min(lambda_tau * e**(-l), 1)`` for any depth l >= 1.
-    * ``tabulated`` -- an explicit finite sequence of probabilities, defined
-      only on indices 1..len(table); no extrapolation.
+    * ``tabulated`` -- an explicit finite, nonincreasing sequence of
+      probabilities, defined only on indices 1..len(table); no extrapolation.
     """
 
     kind: str
@@ -58,6 +58,11 @@ class DecayModel:
                 if not 0.0 <= v <= 1.0:
                     raise ValidationError(
                         f"table entry {i + 1} is {v}, outside [0, 1]"
+                    )
+                if i and v > table[i - 1]:
+                    raise ValidationError(
+                        f"table entry {i + 1} is {v}, above entry {i}'s "
+                        f"{table[i - 1]}; a decay may not increase"
                     )
             object.__setattr__(self, "table", table)
         else:
@@ -205,20 +210,6 @@ def step_correct_prob(model: DecayModel, l: int) -> float:
     return model.table[l - 1]
 
 
-def validate_decay(model: DecayModel) -> str | None:
-    """Return None when the evaluated sequence is nonincreasing over its
-    domain, otherwise a description of the first violation."""
-    if model.kind == EXPONENTIAL:
-        return None
-    for i in range(1, len(model.table)):
-        if model.table[i] > model.table[i - 1]:
-            return (
-                f"value increases at index {i + 1}: "
-                f"{model.table[i - 1]} -> {model.table[i]}"
-            )
-    return None
-
-
 def selector_success_prob(sel: SelectorModel, b: int) -> float:
     """Probability of picking a correct candidate out of ``b``, given at least
     one correct candidate exists; w(1, b) of ``_top_correct`` if noisy-score."""
@@ -238,24 +229,15 @@ _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 def _log_ndtr(x: float) -> float:
     if x > 0.0:
         return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
-    if x >= -20.0:
-        return math.log(0.5 * math.erfc(-x * _SQRT1_2))
-    # Mills-ratio series (Abramowitz and Stegun 26.2.12): Phi(x) =
-    # phi(x)/|x| * (1 - 1/x^2 + 3/x^4 - ...); at |x| > 20 it reaches double
-    # precision long before its terms start to grow.
-    inv_x2 = 1.0 / (x * x)
-    term = series = 1.0
-    k = 1
-    while abs(term) > 1e-17:
-        term *= -(2 * k - 1) * inv_x2
-        series += term
-        k += 1
-    return -0.5 * x * x - math.log(-x) - _HALF_LOG_2PI + math.log(series)
+    return math.log(0.5 * math.erfc(-x * _SQRT1_2))
 
 
 def log_ndtr(x) -> np.ndarray:
     """log Phi(x) elementwise, Phi the standard normal CDF, accurate in
-    relative terms from the far left tail to where Phi(x) rounds to 1."""
+    relative terms from x = -37 (below it Phi(x) leaves the normal doubles)
+    up to where Phi(x) rounds to 1. Its only caller, the selection integral,
+    passes x >= -12.
+    """
     x = np.asarray(x, dtype=float)
     return np.array([_log_ndtr(v) for v in x.ravel().tolist()]).reshape(x.shape)
 

@@ -51,7 +51,6 @@ from .models import (
     _top_correct as _selection_integral,
     selector_success_prob,
     step_correct_prob,
-    validate_decay,
 )
 
 SINGLE_PATH = "single_path"
@@ -103,9 +102,6 @@ class ProcessConfig:
             raise ValidationError(
                 f"score_noise_std must be >= 0, got {self.score_noise_std!r}"
             )
-        problem = validate_decay(self.decay)
-        if problem is not None:
-            raise ValidationError(f"decay model invalid: {problem}")
         limit = self.decay.depth_limit
         if limit is not None and limit < self.L:
             raise ValidationError(
@@ -218,7 +214,6 @@ class MonteCarloReport:
     ci_high: float
     mean_steps: float
     mean_calls: float
-    seed: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.successes <= self.trials:
@@ -229,11 +224,10 @@ class MonteCarloReport:
             raise ValidationError("confidence interval must bracket the estimate")
 
     @classmethod
-    def of(cls, successes: int, trials: int, steps, calls, seed: int) -> "MonteCarloReport":
+    def of(cls, successes: int, trials: int, steps, calls) -> "MonteCarloReport":
         """Report with a Wilson 95% interval and per-trial steps and calls."""
         lo, hi = wilson_interval(successes, trials)
-        return cls(trials, successes, successes / trials, lo, hi, float(steps),
-                   float(calls), seed)
+        return cls(trials, successes, successes / trials, lo, hi, float(steps), float(calls))
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -250,15 +244,6 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
-
-
-def steps_and_calls(cfg: ProcessConfig, strategy: StrategySpec) -> tuple[int, int]:
-    """Deterministic per-trial budget: generated steps and model calls.
-
-    Tree strategies pay one call per generated step; Best-of-N pays one call
-    per full path.
-    """
-    return _REGISTRY[strategy.kind].budget(cfg, strategy)
 
 
 def _step_probs(cfg: ProcessConfig, depth: int) -> list[float]:
@@ -294,11 +279,11 @@ def lookahead_selection_success(
     p_good = min(lambda_tau * math.exp(-d), 1.0)
     p_flag = max(1.0 - wrong.lambda_delta * math.exp(-d), 0.0)
     successes = 0
-    for start, size, rng in _blocks(trials, master_seed, 1):
+    for size, rng in _blocks(trials, master_seed, 1):
         good = rng.random(size) < p_good
         flagged = rng.random(size) < p_flag
         successes += int((good & flagged).sum())
-    return MonteCarloReport.of(successes, trials, 1 + gamma, 1 + gamma, master_seed)
+    return MonteCarloReport.of(successes, trials, 1 + gamma, 1 + gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +293,9 @@ def lookahead_selection_success(
 
 def _blocks(trials: int, master_seed: int, width: int):
     rows = int(min(BLOCK_TRIALS, max(1, _BLOCK_CELLS // max(width, 1))))
-    start = 0
-    index = 0
-    while start < trials:
-        size = min(rows, trials - start)
+    for index, start in enumerate(range(0, trials, rows)):
         seq = np.random.SeedSequence((master_seed, index))
-        yield start, size, np.random.Generator(np.random.Philox(seq))
-        start += size
-        index += 1
+        yield min(rows, trials - start), np.random.Generator(np.random.Philox(seq))
 
 
 def _draws(fill, n: int, width: int, rows: int = 0):
@@ -614,6 +594,16 @@ def _exact_lookahead(cfg, strategy) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _beam_selector(cfg: ProcessConfig, k: int, b: int) -> SelectorModel:
+    """The selector a beam bound is evaluated with. At k = b a noisy-score
+    pick over c >= 2 correct candidates beats the paper's eps_b (one correct
+    against b - 1 wrong), so that bound can fall below the true value; the
+    ideal-selector form always dominates and is used instead."""
+    if cfg.selector.kind == NOISY_SCORE and k == b:
+        return SelectorModel.ideal()
+    return cfg.selector
+
+
 class _Kind(NamedTuple):
     """Everything that varies by strategy kind."""
 
@@ -642,13 +632,15 @@ _REGISTRY = {
         ("k", "b"), lambda c, s: (s.k * c.L,) * 2, lambda c, s: s.k,
         lambda c, s, n, rng: _sim_beam(c, s.k, s.b, n, rng),
         lambda c, s: _exact_beam(c, s.k, s.b),
-        lambda c, s: _bounds.width_expansion_bound_exact(c.decay, c.selector, c.L, s.k, s.b),
+        lambda c, s: _bounds.width_expansion_bound_exact(
+            c.decay, _beam_selector(c, s.k, s.b), c.L, s.k, s.b
+        ),
     ),
     MCTS_BEST: _Kind(
         ("b",), lambda c, s: (s.b * c.L,) * 2, lambda c, s: s.b,
         lambda c, s, n, rng: _sim_beam(c, s.b, s.b, n, rng),
         lambda c, s: _exact_beam(c, s.b, s.b),
-        lambda c, s: _bounds.mcts_best_bound(c.decay, c.selector, c.L, s.b),
+        lambda c, s: _bounds.mcts_best_bound(c.decay, _beam_selector(c, s.b, s.b), c.L, s.b),
     ),
     MCTS_WORST: _Kind(
         ("b",), lambda c, s: (sum(s.b**l for l in range(1, c.L + 1)),) * 2,
@@ -682,9 +674,9 @@ def monte_carlo(
         )
     steps, calls = row.budget(cfg, strategy)
     successes = 0
-    for start, size, rng in _blocks(trials, master_seed, width):
+    for size, rng in _blocks(trials, master_seed, width):
         successes += row.engine(cfg, strategy, size, rng)
-    return MonteCarloReport.of(successes, trials, steps, calls, master_seed)
+    return MonteCarloReport.of(successes, trials, steps, calls)
 
 
 def exact_success(cfg: ProcessConfig, strategy: StrategySpec) -> float | None:

@@ -1,5 +1,8 @@
 """Budget-matching arithmetic and trace ingestion."""
 
+import json
+import re
+
 import pytest
 
 from slowthink.calibration import (
@@ -14,7 +17,6 @@ from slowthink.calibration import (
     read_traces,
     reasonable_n_range,
     traces_to_stats,
-    write_traces,
 )
 from slowthink.errors import TraceParseError, ValidationError
 
@@ -129,7 +131,11 @@ class TestTraces:
         q1 = ExpansionTrace("q1", ((0, 2), (1, 2), (1, 2), (2, 2), (2, 2), (2, 2), (2, 2)), 3)
         traces = [q1, ExpansionTrace("q2", ((0, 4),), 2)]
         path = tmp_path / "traces.jsonl"
-        write_traces(traces, path)
+        path.write_text("".join(
+            json.dumps({"question_id": t.question_id, "events": t.events,
+                        "ideal_path_length": t.ideal_path_length}) + "\n"
+            for t in traces
+        ))
         assert read_traces(path) == traces
         assert ingest_traces(path) == traces_to_stats(traces)
 
@@ -139,7 +145,7 @@ class TestTraces:
             '{"question_id": "q", "events": [[0, 2]], "ideal_path_length": 2}\n'
             "not json\n"
         )
-        with pytest.raises(TraceParseError, match="line 2"):
+        with pytest.raises(TraceParseError, match=re.escape(f"{path}:2: invalid JSON")):
             read_traces(path)
 
     def test_missing_field_rejected(self):
@@ -167,3 +173,18 @@ class TestTraces:
             ExpansionTrace("q", ((-1, 2),), 3)
         with pytest.raises(ValidationError):
             ExpansionTrace("q", ((0, 2),), 0)
+
+    @pytest.mark.parametrize(
+        "events, length, message",
+        [
+            (((0, 2.5),), 2, "children must be a whole number, got 2.5"),
+            (((True, 2),), 2, "depth must be a whole number, got True"),
+            (((0, 2),), 1.9, "ideal_path_length must be a whole number, got 1.9"),
+        ],
+    )
+    def test_trace_fields_must_be_whole_numbers(self, events, length, message):
+        with pytest.raises(ValidationError, match=message):
+            ExpansionTrace("q", events, length)
+
+    def test_integral_floats_are_whole_numbers(self):
+        assert ExpansionTrace("q", ((0, 2.0),), 2.0) == ExpansionTrace("q", ((0, 2),), 2)

@@ -472,6 +472,15 @@ class TestMalformedInput:
             "gammas_empty": {"gammas": []},
             "b_values_num": {"b_values": 5},
             "L_values_str": {"L_values": "abc"},
+            "L_frac": {"L": 2.7},
+            "L_bool": {"L": True},
+            "gammas_frac": {"gammas": [1.5], "trials": 10},
+            "plot_bool": {"strategy": {"kind": "single_path"}, "trials": 10, "plot": True},
+            "traces_bool": {"traces": True},
+            "x_num": {"x": 1, "y": "y.csv"},
+            "y_list": {"x": "y.csv", "y": ["y.csv"]},
+            "points_bool": {"points": True},
+            "svg_num": {"points": "good_pts.csv", "svg": 1},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -488,6 +497,12 @@ class TestMalformedInput:
             json.dumps({"b_values": [10], "L_values": [1000]})
         )
         (tmp_path / "latin1.bin").write_bytes(b"\xff\xfe caf\xe9\n")
+        (tmp_path / "good_pts.csv").write_text("x,y\n1,2\n2,1\n3,0.5\n")
+        record = {"question_id": "q", "events": [[0, 2.5]], "ideal_path_length": 2}
+        (tmp_path / "frac.jsonl").write_text(json.dumps(record) + "\n")
+        (tmp_path / "bad.jsonl").write_text(
+            json.dumps({**record, "events": [[0, 2]]}) + "\nnot json\n"
+        )
         (tmp_path / "adir").mkdir()
 
     @pytest.mark.parametrize(
@@ -578,6 +593,24 @@ class TestMalformedInput:
             (["fit", "--points", "latin1.bin"], "latin1.bin: 'utf-8' codec"),
             (["reproduce", "from-manifest", "--path", "latin1.bin"],
              "latin1.bin: 'utf-8' codec"),
+            # a tabulated decay may not increase, under bounds as under simulate
+            (["bounds", "--table", "0.5,0.9", "--L", "2"], "table entry 2 is 0.9"),
+            # integer keys and trace fields take whole numbers only
+            (["bounds", "--config", "L_frac.json"], "L must be a whole number, got 2.7"),
+            (["simulate", "--strategy", "single_path", "--config", "L_bool.json"],
+             "L must be a whole number, got True"),
+            (["reproduce", "gamma-sweep", "--config", "gammas_frac.json"],
+             "gammas must be a whole number, got 1.5"),
+            (["calibrate", "--traces", "frac.jsonl"],
+             "frac.jsonl:1: trace 'q': children must be a whole number, got 2.5"),
+            (["calibrate", "--traces", "bad.jsonl"], "error: bad.jsonl:2: invalid JSON"),
+            # file paths in a config must be strings
+            (["simulate", "--config", "plot_bool.json"], "plot must be a file path, got True"),
+            (["calibrate", "--config", "traces_bool.json"], "traces must be a file path"),
+            (["hsic", "--config", "x_num.json"], "x must be a file path, got 1"),
+            (["hsic", "--config", "y_list.json"], "y must be a file path"),
+            (["fit", "--config", "points_bool.json"], "points must be a file path"),
+            (["fit", "--config", "svg_num.json"], "svg must be a file path, got 1"),
         ],
     )
     def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):

@@ -352,7 +352,7 @@ GOLDEN = {
     ),
     "sim-mcts-best-noisy": (
         0,
-        "fa3bf7f234f962905684ff48b2625b6a1856945ff32782ceb21ec9959b7d7af8",
+        "9e2b4297beb3a1adc24fcc418bec41e77c2e442a369c93024f2582893061d7ec",
         "3075de7f01b97384c7a6429b0bf908523f56c8ec926a0894ca97164cf52274df",
         None,
     ),

@@ -187,7 +187,7 @@ class TestFitDecay:
         assert exp_fit.params[0] == pytest.approx(2.0, abs=1e-9)
         assert exp_fit.params[1] == pytest.approx(0.5, abs=1e-9)
         assert exp_fit.r2 == pytest.approx(1.0, abs=1e-12)
-        assert max(abs(r) for r in exp_fit.residuals) < 1e-9
+        np.testing.assert_allclose(exp_fit.predict(x), y, rtol=0, atol=1e-9)
         assert lin_fit.r2 < 1.0
 
     def test_planted_linear_prefers_linear(self):

@@ -36,7 +36,6 @@ from slowthink.simulate import (
     lookahead_selection_success,
     matching_bound,
     monte_carlo,
-    steps_and_calls,
     verify_bounds,
     wilson_interval,
     _binom_pmf,
@@ -163,7 +162,6 @@ class TestBon:
 
     def test_budget_bookkeeping(self):
         cfg = cfg_exp(3)
-        assert steps_and_calls(cfg, StrategySpec.bon(5, ORM_MAX)) == (15, 5)
         report = monte_carlo(cfg, StrategySpec.bon(5, ORM_MAX), 10, 0)
         assert report.mean_steps == 15.0
         assert report.mean_calls == 5.0
@@ -209,7 +207,8 @@ class TestBeam:
         assert exact_success(cfg, StrategySpec.beam(2, 2)) == pytest.approx(0.5**3)
 
     def test_budget_bookkeeping(self):
-        assert steps_and_calls(cfg_exp(3), StrategySpec.beam(4, 2)) == (12, 12)
+        report = monte_carlo(cfg_exp(3), StrategySpec.beam(4, 2), 10, 0)
+        assert (report.mean_steps, report.mean_calls) == (12.0, 12.0)
 
 
 class TestMctsEnvelope:
@@ -254,10 +253,8 @@ class TestMctsEnvelope:
         assert worst.ci_low > single.ci_high
 
     def test_budget_bookkeeping(self):
-        spec = StrategySpec.mcts_worst(2)
-        assert steps_and_calls(cfg_exp(3), spec) == (2 + 4 + 8, 2 + 4 + 8)
         report = monte_carlo(cfg_exp(3), StrategySpec.mcts_worst(2), 10, 0)
-        assert report.mean_steps == 14.0
+        assert (report.mean_steps, report.mean_calls) == (2 + 4 + 8, 2 + 4 + 8)
 
 
 class TestLookahead:
@@ -280,11 +277,10 @@ class TestLookahead:
 
     def test_rollout_steps_counted_and_excludable(self):
         cfg = cfg_exp(2)
-        counted = StrategySpec.lookahead(3, 2)
-        assert steps_and_calls(cfg, counted) == (2 * 3 * 3, 2 * 3 * 3)
-        excluded = StrategySpec.lookahead(3, 2, count_rollout_steps=False)
-        assert steps_and_calls(cfg, excluded) == (2 * 3, 2 * 3)
-        assert monte_carlo(cfg, excluded, 10, 0).mean_steps == 6.0
+        counted = monte_carlo(cfg, StrategySpec.lookahead(3, 2), 10, 0)
+        assert (counted.mean_steps, counted.mean_calls) == (2 * 3 * 3, 2 * 3 * 3)
+        excluded = monte_carlo(cfg, StrategySpec.lookahead(3, 2, count_rollout_steps=False), 10, 0)
+        assert (excluded.mean_steps, excluded.mean_calls) == (2 * 3, 2 * 3)
 
     def test_tabulated_depth_must_cover_rollouts(self):
         cfg = ProcessConfig(decay=DecayModel.tabulated([1.0, 1.0]), L=2)
@@ -487,6 +483,20 @@ class TestExactOracle:
         assert exact == pytest.approx(0.3 / math.e, rel=1e-12)
         assert matching_bound(cfg, spec) == pytest.approx(exact, rel=1e-12)
 
+    def test_noisy_pick_at_k_equal_b_is_bounded_as_ideal(self):
+        # a noisy pick over two correct candidates beats eps_2, the chance
+        # that one correct candidate beats one wrong one, so the paper's
+        # formula, which bounds still prints, falls below exact
+        cfg = cfg_exp(1, SelectorModel.noisy_score(1.0, 2.0), lam=2.0)
+        paper = bounds.width_expansion_bound_exact(cfg.decay, cfg.selector, 1, 2, 2)
+        assert paper == pytest.approx(0.5936, abs=1e-4)
+        for spec, ideal in (
+            (StrategySpec.beam(2, 2), bounds.width_expansion_bound_exact(cfg.decay, IDEAL, 1, 2, 2)),
+            (StrategySpec.mcts_best(2), bounds.mcts_best_bound(cfg.decay, IDEAL, 1, 2)),
+        ):
+            assert exact_success(cfg, spec) == pytest.approx(0.7895, abs=1e-4)
+            assert matching_bound(cfg, spec) == ideal
+
     def test_wide_exact_evaluation_is_refused(self):
         with pytest.raises(ResourceLimitError):
             exact_success(cfg_exp(1, noise=0.5), StrategySpec.bon(2000, ORM_MAX))
@@ -505,12 +515,12 @@ class TestExactOracle:
     @settings(max_examples=150, deadline=None)
     def test_bound_dominates_exact(self, lam, L, b, extra, eps, noise, answer):
         # eps is None (ideal), a float (constant) or (margin, std) (noisy).
-        # Under a noisy selector beam has no exact value for k > b and its
-        # bound falls below exact at k = b, so only the envelopes are checked.
+        # Under a noisy selector beam has an exact value only at k = b.
         # Best-of-N never consults the selector, so it is checked under all
         # three; orm_vote has an exact value only without score noise.
         N = b + extra
-        specs = [StrategySpec.mcts_best(b), StrategySpec.mcts_worst(b)]
+        specs = [StrategySpec.single_path(), StrategySpec.beam(b, b)]
+        specs += [StrategySpec.mcts_best(b), StrategySpec.mcts_worst(b)]
         specs += [StrategySpec.bon(N, rule) for rule in (ORM_MAX, SELF_CONSISTENCY)]
         if noise == 0.0:
             specs.append(StrategySpec.bon(N, ORM_VOTE))
@@ -518,7 +528,7 @@ class TestExactOracle:
             selector = SelectorModel.noisy_score(*eps)
         else:
             selector = IDEAL if eps is None else SelectorModel.constant(eps)
-            specs += [StrategySpec.single_path(), StrategySpec.beam(b + extra, b)]
+            specs.append(StrategySpec.beam(b + extra, b))
         cfg = cfg_exp(L, selector, answer=answer, noise=noise, lam=lam)
         for spec in specs:
             exact = exact_success(cfg, spec)
@@ -695,21 +705,21 @@ class TestVerifyAndMatchingBounds:
     def test_below_bound_passes(self):
         report = MonteCarloReport(
             trials=1000, successes=40, estimate=0.04, ci_low=0.038, ci_high=0.042,
-            mean_steps=2.0, mean_calls=1.0, seed=0,
+            mean_steps=2.0, mean_calls=1.0,
         )
         assert verify_bounds(report, 0.0498)
 
     def test_interval_above_bound_fails(self):
         report = MonteCarloReport(
             trials=1000, successes=900, estimate=0.9, ci_low=0.89, ci_high=0.91,
-            mean_steps=2.0, mean_calls=1.0, seed=0,
+            mean_steps=2.0, mean_calls=1.0,
         )
         assert not verify_bounds(report, 0.5)
 
     def test_vacuous_bound_always_passes(self):
         report = MonteCarloReport(
             trials=10, successes=10, estimate=1.0, ci_low=0.72, ci_high=1.0,
-            mean_steps=1.0, mean_calls=1.0, seed=0,
+            mean_steps=1.0, mean_calls=1.0,
         )
         assert verify_bounds(report, 1.31)
 
