@@ -64,3 +64,14 @@ def checked_section(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"config section {name!r} must be an object, got {value!r}")
     return value
+
+
+def reject_stray_keys(section: dict, owner: str, keys) -> None:
+    """A ValidationError naming ``owner`` and every key of a config section
+    outside ``keys``, the keys that ``owner`` reads."""
+    stray = sorted(set(section) - set(keys))
+    if stray:
+        raise ValidationError(
+            f"{owner} takes no parameter {', '.join(stray)}; "
+            f"its parameters are {', '.join(keys)}"
+        )

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, ValidationError, checked_number, checked_section
+from .errors import (
+    RangeError, ValidationError, checked_number, checked_section, reject_stray_keys,
+)
 
 EXPONENTIAL = "exponential"
 TABULATED = "tabulated"
@@ -80,8 +82,10 @@ class DecayModel:
     def from_config(cls, cfg: dict) -> "DecayModel":
         kind = checked_section(cfg, "decay").get("kind", EXPONENTIAL)
         if kind == EXPONENTIAL:
+            reject_stray_keys(cfg, "exponential decay", ("kind", "lambda_tau"))
             return cls.exponential(cfg.get("lambda_tau"))
         if kind == TABULATED:
+            reject_stray_keys(cfg, "tabulated decay", ("kind", "table"))
             table = cfg.get("table")
             if not isinstance(table, list):
                 raise ValidationError(f"tabulated decay table must be a list, got {table!r}")
@@ -168,10 +172,13 @@ class SelectorModel:
     def from_config(cls, cfg: dict) -> "SelectorModel":
         kind = checked_section(cfg, "selector").get("kind", IDEAL)
         if kind == IDEAL:
+            reject_stray_keys(cfg, "ideal selector", ("kind",))
             return cls.ideal()
         if kind == CONSTANT:
+            reject_stray_keys(cfg, "constant selector", ("kind", "epsilon"))
             return cls.constant(cfg.get("epsilon"))
         if kind == NOISY_SCORE:
+            reject_stray_keys(cfg, "noisy_score selector", ("kind", "margin", "noise_std"))
             return cls.noisy_score(cfg.get("margin"), cfg.get("noise_std"))
         raise ValidationError(f"unknown selector kind {kind!r}")
 
@@ -193,7 +200,8 @@ class AnswerModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AnswerModel":
-        return cls(checked_section(cfg, "answer").get("answer_space_size", 1))
+        reject_stray_keys(checked_section(cfg, "answer"), "answer", ("answer_space_size",))
+        return cls(cfg.get("answer_space_size", 1))
 
 
 def step_correct_prob(model: DecayModel, l: int) -> float:

@@ -15,7 +15,9 @@ Sibling candidates are sampled independently given their shared parent.
 ``monte_carlo`` aggregates trials through vectorized engines: trials are
 processed in fixed-size blocks, each drawing from its own counter-based
 stream keyed by (master_seed, block index), so results are bit-identical for
-fixed inputs and independent of execution order. ``exact_success`` computes
+fixed inputs and independent of execution order. A trial whose candidates
+are all wrong has failed, so each engine keeps only the trials still open
+after each layer and draws only for them and their correct cells. ``exact_success`` computes
 the same success probabilities exactly, as small Markov chains over
 correct-candidate counts, and is the independent reference the engines are
 tested against.
@@ -39,6 +41,7 @@ from .errors import (
     ValidationError,
     checked_number,
     checked_section,
+    reject_stray_keys,
 )
 from .models import (
     IDEAL,
@@ -72,9 +75,8 @@ NODE_LIMIT = 10**6
 # Trials per block in monte_carlo; blocks shrink when per-trial arrays are wide.
 BLOCK_TRIALS = 32_768
 _BLOCK_CELLS = 1 << 23
-# Engines make wide draws in row chunks of about this many cells through one
-# buffer that stays in cache; the chunks read a block's stream in the order
-# one dense draw would, so every drawn value is unchanged.
+# Engines make wide draws in row chunks of about this many cells, so that
+# their buffers stay in cache; no drawn value depends on the chunk size.
 _CHUNK_CELLS = 1 << 17
 
 Z95 = 1.959963984540054  # normal 97.5% quantile
@@ -188,12 +190,8 @@ class StrategySpec:
         takes; a parameter the kind does not take is rejected."""
         kind = checked_section(cfg, "strategy").get("kind")
         params = _REGISTRY[kind].params if kind in _REGISTRY else ()
-        stray = sorted(set(cfg) - {"kind", *params})
-        if kind in _REGISTRY and stray:
-            raise ValidationError(
-                f"{kind} takes no parameter {', '.join(stray)}; "
-                f"its parameters are {', '.join(params) or 'none'}"
-            )
+        if kind in _REGISTRY:
+            reject_stray_keys(cfg, kind, ("kind", *params))
         return cls(kind, **{name: cfg.get(name, _DEFAULTS.get(name)) for name in params})
 
     def describe(self) -> str:
@@ -280,9 +278,9 @@ def lookahead_selection_success(
     p_flag = max(1.0 - wrong.lambda_delta * math.exp(-d), 0.0)
     successes = 0
     for size, rng in _blocks(trials, master_seed, 1):
-        good = rng.random(size) < p_good
-        flagged = rng.random(size) < p_flag
-        successes += int((good & flagged).sum())
+        # only a good evaluation can still succeed, so only it draws a flag
+        good = int((rng.random(size) < p_good).sum())
+        successes += int((rng.random(good) < p_flag).sum())
     return MonteCarloReport.of(successes, trials, 1 + gamma, 1 + gamma)
 
 
@@ -298,29 +296,33 @@ def _blocks(trials: int, master_seed: int, width: int):
         yield min(rows, trials - start), np.random.Generator(np.random.Philox(seq))
 
 
-def _draws(fill, n: int, width: int, rows: int = 0):
-    """Yield ``(row slice, values)`` for an (n, width) draw made ``rows`` rows
-    at a time (by default about _CHUNK_CELLS cells), each chunk written by
-    ``fill(out=...)`` into one reused buffer. A block's stream is read in
-    order, so the chunks hold exactly the values of one dense draw."""
-    rows = min(n, rows or max(1, _CHUNK_CELLS // width))
-    buf = np.empty(rows * width)
-    for start in range(0, n, rows):
-        m = min(rows, n - start)
-        yield slice(start, start + m), fill(out=buf[: m * width].reshape(m, width))
-
-
 def _bernoulli_and(rng, ok, p: float) -> None:
-    """``ok &= rng.random(ok.shape) < p`` in place, for a 2-D ``ok``."""
-    for rows, u in _draws(rng.random, *ok.shape):
-        ok[rows] &= u < p
+    """``ok[ok] = rng.random(ok.sum()) < p`` in place, for a C-contiguous 2-D
+    ``ok``, a row chunk at a time: a False cell draws nothing, and the
+    uniforms reach the True cells in row-major order whatever the chunk."""
+    flat = ok.reshape(-1)
+    step = ok.shape[1] * max(1, _CHUNK_CELLS // ok.shape[1])
+    for start in range(0, flat.size, step):
+        cells = flat[start : start + step]
+        if cells.all():  # the same values as the sparse draw, with no scatter
+            np.less(rng.random(cells.size), p, out=cells)
+        else:
+            live = np.flatnonzero(cells)
+            cells[live] = rng.random(live.size) < p
 
 
 def _noisy_pick(rng, ok, margin: float, std: float) -> np.ndarray:
     """Per-row argmax of ``margin * ok + std * Z`` for a standard normal draw
-    Z shaped like ``ok``: the candidate each trial's noisy scorer picks."""
-    pick = np.empty(len(ok), dtype=np.intp)
-    for rows, z in _draws(rng.standard_normal, *ok.shape):
+    Z shaped like ``ok``: the candidate each trial's noisy scorer picks. Z is
+    drawn a row chunk of about _CHUNK_CELLS cells at a time into one reused
+    buffer; the chunks read the stream in the order one dense draw would."""
+    n, width = ok.shape
+    step = max(1, _CHUNK_CELLS // width)
+    buf = np.empty(min(n, step) * width)
+    pick = np.empty(n, dtype=np.intp)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        z = rng.standard_normal(out=buf[: ok[rows].size].reshape(ok[rows].shape))
         z *= std
         z += margin * ok[rows]
         pick[rows] = z.argmax(axis=1)
@@ -328,10 +330,9 @@ def _noisy_pick(rng, ok, margin: float, std: float) -> np.ndarray:
 
 
 def _sim_single(cfg, strategy, n, rng) -> int:
-    ok = np.ones((n, 1), dtype=bool)
     for p in _step_probs(cfg, cfg.L):
-        _bernoulli_and(rng, ok, p)
-    return int(ok.sum())
+        n = int((rng.random(n) < p).sum())
+    return n
 
 
 def _sim_bon(cfg, strategy, n, rng) -> int:
@@ -339,44 +340,38 @@ def _sim_bon(cfg, strategy, n, rng) -> int:
     path_ok = np.ones((n, N), dtype=bool)
     for p in _step_probs(cfg, cfg.L):
         _bernoulli_and(rng, path_ok, p)
+    path_ok = path_ok[path_ok.any(axis=1)]
+    n = len(path_ok)
     if rule != SELF_CONSISTENCY and std == 0:
         # without score noise orm_max picks a correct path, and orm_vote
-        # label 0, whenever one exists; the label and score draws they skip
-        # are the block's last
-        return int(path_ok.any(axis=1).sum())
-    a = cfg.answer.answer_space_size
-    # orm_max never reads the labels, but the score draws follow them
-    labels = rng.integers(1, a + 1, size=(n, N))
+        # label 0, whenever one exists
+        return n
     if rule == ORM_MAX:
         pick = _noisy_pick(rng, path_ok, 1.0, std)
         return int(path_ok[np.arange(n), pick].sum())
-    labels[path_ok] = 0
-    width = a + 1
+    width = cfg.answer.answer_space_size + 1
+    # correct paths answer label 0; only wrong ones draw a label
+    labels = np.zeros(path_ok.shape, dtype=np.int64)
+    labels[~path_ok] = rng.integers(1, width, path_ok.size - int(path_ok.sum()))
     # one chunk of rows holds both its N scores and its a + 1 tallies
     step = max(1, _CHUNK_CELLS // max(N, width))
-    if rule == ORM_VOTE:
-        chunks = _draws(rng.standard_normal, n, N, step)
-    else:
-        for _ in _draws(rng.standard_normal, n, N, step):
-            pass  # self-consistency draws the scores but never reads them
-        chunks = _draws(rng.random, n, width, step)
     wins = 0
-    for rows, draw in chunks:
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        m = len(labels[rows])
         # per-(trial, label) tallies: bincount over the flattened cell index
-        # accumulates in the same order as np.add.at, so sums are bit-identical
-        m = len(draw)
         cells = (labels[rows] + width * np.arange(m)[:, None]).ravel()
         counts = np.bincount(cells, minlength=m * width)
         if rule == ORM_VOTE:
-            draw *= std
-            draw += path_ok[rows]
-            tally = np.bincount(cells, draw.ravel(), m * width)
+            z = std * rng.standard_normal((m, N)) + path_ok[rows]
+            tally = np.bincount(cells, z.ravel(), m * width)
             tally[counts == 0] = -np.inf
         else:
-            # sub-unit jitter breaks count ties uniformly at random
-            draw *= 0.5
-            draw += counts.reshape(m, width)
-            tally = draw
+            # sub-unit jitter breaks count ties uniformly at random; label 0
+            # holds a vote, so a label with none cannot win and draws none
+            tally = counts.astype(float)
+            live = np.flatnonzero(counts)
+            tally[live] += 0.5 * rng.random(live.size)
         wins += int((tally.reshape(m, width).argmax(axis=1) == 0).sum())
     return wins
 
@@ -391,7 +386,7 @@ def _fed_candidates(k: int, b: int, alive):
 def _sim_beam(cfg, k, b, n, rng) -> int:
     probs = _step_probs(cfg, cfg.L)
     sel = cfg.selector
-    # the root feeds all k candidates, as b alive beams do
+    # alive beams per open trial; the root feeds all k candidates, as b do
     alive = np.full(n, b, dtype=np.int64)
     if sel.kind == NOISY_SCORE:
         margin, std = sel.margin, sel.noise_std
@@ -399,55 +394,50 @@ def _sim_beam(cfg, k, b, n, rng) -> int:
         for p in probs:
             corr = cols[None, :] < alive[:, None]
             _bernoulli_and(rng, corr, p)
-            scores = margin * corr + std * rng.standard_normal((n, k))
+            scores = margin * corr + std * rng.standard_normal(corr.shape)
             keep = np.argpartition(-scores, b - 1, axis=1)[:, :b]
             alive = np.take_along_axis(corr, keep, axis=1).sum(axis=1)
+            alive = alive[alive > 0]
         pick = _noisy_pick(rng, np.arange(b)[None, :] < alive[:, None], margin, std)
         return int((pick < alive).sum())
     eps = selector_success_prob(sel, b)
     for p in probs:
-        ncorr = rng.binomial(_fed_candidates(k, b, alive), p)
-        kept = np.minimum(b, ncorr)
+        alive = np.minimum(b, rng.binomial(_fed_candidates(k, b, alive), p))
+        alive = alive[alive > 0]
         if sel.kind != IDEAL:
-            kept = np.where(rng.random(n) < eps, kept, 0)
-        alive = np.where(ncorr > 0, kept, 0)
-    success = alive >= 1
-    if sel.kind != IDEAL:
-        success &= rng.random(n) < eps
-    return int(success.sum())
+            alive = alive[rng.random(len(alive)) < eps]
+    return len(alive) if sel.kind == IDEAL else int((rng.random(len(alive)) < eps).sum())
 
 
 def _sim_mcts_worst(cfg, strategy, n, rng) -> int:
-    b = strategy.b
-    sel = cfg.selector
-    prev = np.ones((n, 1), dtype=bool)
-    ok = np.ones(n, dtype=bool)
+    b, sel = strategy.b, cfg.selector
+    # correct nodes of the deepest layer, one row per open trial
+    cur = np.ones((n, 1), dtype=bool)
     for depth, p in enumerate(_step_probs(cfg, cfg.L), start=1):
-        cur = np.repeat(prev, b, axis=1)
+        cur = np.repeat(cur, b, axis=1)
         _bernoulli_and(rng, cur, p)
+        cur = cur[cur.any(axis=1)]
         if sel.kind == NOISY_SCORE:
-            ok &= cur[np.arange(n), _noisy_pick(rng, cur, sel.margin, sel.noise_std)]
-        elif sel.kind == IDEAL:
-            ok &= cur.any(axis=1)
-        else:
-            eps = selector_success_prob(sel, b**depth)
-            ok &= cur.any(axis=1) & (rng.random(n) < eps)
-        prev = cur
-    return int((ok & prev.any(axis=1)).sum())
+            pick = _noisy_pick(rng, cur, sel.margin, sel.noise_std)
+            cur = cur[cur[np.arange(len(cur)), pick]]
+        elif sel.kind != IDEAL:
+            cur = cur[rng.random(len(cur)) < selector_success_prob(sel, b**depth)]
+    return len(cur)
 
 
 def _sim_lookahead(cfg, strategy, n, rng) -> int:
     b, gamma = strategy.b, strategy.gamma
     margin, std = _score_params(cfg)
-    node_ok = np.ones(n, dtype=bool)
     for l in range(1, cfg.L + 1):
-        cand_ok = np.repeat(node_ok[:, None], b, axis=1)
+        cand_ok = np.ones((n, b), dtype=bool)
         _bernoulli_and(rng, cand_ok, step_correct_prob(cfg.decay, l))
+        cand_ok = cand_ok[cand_ok.any(axis=1)]
         roll_ok = cand_ok.copy()
         for j in range(1, gamma + 1):
             _bernoulli_and(rng, roll_ok, step_correct_prob(cfg.decay, l + j))
-        node_ok = cand_ok[np.arange(n), _noisy_pick(rng, roll_ok, margin, std)]
-    return int(node_ok.sum())
+        pick = _noisy_pick(rng, roll_ok, margin, std)
+        n = int(cand_ok[np.arange(len(cand_ok)), pick].sum())
+    return n
 
 
 # ---------------------------------------------------------------------------

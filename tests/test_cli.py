@@ -481,6 +481,13 @@ class TestMalformedInput:
             "y_list": {"x": "y.csv", "y": ["y.csv"]},
             "points_bool": {"points": True},
             "svg_num": {"points": "good_pts.csv", "svg": 1},
+            "decay_stray": {"decay": {"kind": "exponential", "lambda_tau": 1, "tau": 3}},
+            "table_stray": {"decay": {"kind": "tabulated", "table": [0.9], "lambda_tau": 1}},
+            "ideal_stray": {"selector": {"kind": "ideal", "margn": 2}},
+            "constant_stray": {"selector": {"kind": "constant", "epsilon": 0.9, "eps": 1}},
+            "noisy_stray": {"selector": {"kind": "noisy_score", "margin": 1, "noise_std": 1,
+                                         "noise": 2}},
+            "answer_stray": {"strategy": {"kind": "single_path"}, "answer": {"size": 5}},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -554,6 +561,17 @@ class TestMalformedInput:
               "--L", "2"], "N is too large"),
             (["bounds", "--strategy", "lookahead", "--table", "0.9,0.8",
               "--lambda-delta", "10"], "requires an exponential decay model"),
+            # a config section key that nothing reads is named, not ignored
+            (["bounds", "--config", "decay_stray.json"],
+             "exponential decay takes no parameter tau; its parameters are kind, lambda_tau"),
+            (["simulate", "--strategy", "single_path", "--config", "table_stray.json"],
+             "tabulated decay takes no parameter lambda_tau"),
+            (["bounds", "--config", "ideal_stray.json"], "ideal selector takes no parameter margn"),
+            (["simulate", "--strategy", "single_path", "--config", "constant_stray.json"],
+             "constant selector takes no parameter eps;"),
+            (["bounds", "--config", "noisy_stray.json"],
+             "noisy_score selector takes no parameter noise;"),
+            (["simulate", "--config", "answer_stray.json"], "answer takes no parameter size"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):

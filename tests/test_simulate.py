@@ -21,8 +21,6 @@ from slowthink.models import (
     DecayModel,
     SelectorModel,
     WrongModel,
-    selector_success_prob,
-    step_correct_prob,
 )
 from slowthink.simulate import (
     BLOCK_TRIALS,
@@ -536,109 +534,20 @@ class TestExactOracle:
             assert exact <= bound * (1 + 1e-12), spec.describe()
 
 
-def dense_single(cfg, spec, n, rng):
-    ok = np.ones(n, dtype=bool)
-    for l in range(1, cfg.L + 1):
-        ok &= rng.random(n) < step_correct_prob(cfg.decay, l)
-    return int(ok.sum())
-
-
-def dense_bon(cfg, spec, n, rng):
-    N, rule = spec.N, spec.rule
-    path_ok = np.ones((n, N), dtype=bool)
-    for l in range(1, cfg.L + 1):
-        path_ok &= rng.random((n, N)) < step_correct_prob(cfg.decay, l)
-    a = cfg.answer.answer_space_size
-    labels = rng.integers(1, a + 1, size=(n, N))
-    labels[path_ok] = 0
-    scores = path_ok + cfg.score_noise_std * rng.standard_normal((n, N))
-    if rule == ORM_MAX:
-        pick = np.argmax(scores, axis=1)
-        return int(path_ok[np.arange(n), pick].sum())
-    labels += (a + 1) * np.arange(n)[:, None]
-    cells = labels.ravel()
-    counts = np.bincount(cells, minlength=n * (a + 1)).reshape(n, a + 1)
-    if rule == ORM_VOTE:
-        sums = np.bincount(cells, scores.ravel(), n * (a + 1)).reshape(n, a + 1)
-        sums[counts == 0] = -np.inf
-        return int((np.argmax(sums, axis=1) == 0).sum())
-    jittered = counts + 0.5 * rng.random((n, a + 1))
-    return int((np.argmax(jittered, axis=1) == 0).sum())
-
-
-def dense_noisy_beam(cfg, spec, n, rng):
-    k, b, sel = spec.k, spec.b, cfg.selector
-    alive = np.full(n, b, dtype=np.int64)
-    cols = np.arange(k) % b
-    for l in range(1, cfg.L + 1):
-        p = step_correct_prob(cfg.decay, l)
-        corr = (cols[None, :] < alive[:, None]) & (rng.random((n, k)) < p)
-        scores = sel.margin * corr + sel.noise_std * rng.standard_normal((n, k))
-        keep = np.argpartition(-scores, b - 1, axis=1)[:, :b]
-        alive = np.take_along_axis(corr, keep, axis=1).sum(axis=1)
-    final = sel.margin * (np.arange(b)[None, :] < alive[:, None])
-    final = final + sel.noise_std * rng.standard_normal((n, b))
-    return int((np.argmax(final, axis=1) < alive).sum())
-
-
-def dense_mcts_worst(cfg, spec, n, rng):
-    b, sel = spec.b, cfg.selector
-    prev = np.ones((n, 1), dtype=bool)
-    ok = np.ones(n, dtype=bool)
-    for depth in range(1, cfg.L + 1):
-        cnt = b**depth
-        p = step_correct_prob(cfg.decay, depth)
-        cur = np.repeat(prev, b, axis=1) & (rng.random((n, cnt)) < p)
-        ncorr = cur.sum(axis=1)
-        if sel.kind == "noisy_score":
-            scores = sel.margin * cur + sel.noise_std * rng.standard_normal((n, cnt))
-            layer_ok = cur[np.arange(n), np.argmax(scores, axis=1)]
-        elif sel.kind == "ideal":
-            layer_ok = ncorr > 0
-        else:
-            layer_ok = (ncorr > 0) & (rng.random(n) < selector_success_prob(sel, cnt))
-        ok &= layer_ok
-        prev = cur
-    return int((ok & prev.any(axis=1)).sum())
-
-
-def dense_lookahead(cfg, spec, n, rng):
-    b, gamma, sel = spec.b, spec.gamma, cfg.selector
-    if sel.kind == "noisy_score":
-        margin, std = sel.margin, sel.noise_std
-    else:
-        margin, std = 1.0, cfg.score_noise_std
-    node_ok = np.ones(n, dtype=bool)
-    for l in range(1, cfg.L + 1):
-        p = step_correct_prob(cfg.decay, l)
-        cand_ok = node_ok[:, None] & (rng.random((n, b)) < p)
-        roll_ok = cand_ok.copy()
-        for j in range(1, gamma + 1):
-            roll_ok &= rng.random((n, b)) < step_correct_prob(cfg.decay, l + j)
-        scores = margin * roll_ok + std * rng.standard_normal((n, b))
-        node_ok = cand_ok[np.arange(n), np.argmax(scores, axis=1)]
-    return int(node_ok.sum())
-
-
-# One block of each engine drawn densely, one array per draw: the formulas
-# the chunked engines must reproduce draw for draw.
-DENSE = {
-    "single_path": dense_single,
-    "bon": dense_bon,
-    "beam": dense_noisy_beam,
-    "mcts_worst": dense_mcts_worst,
-    "lookahead": dense_lookahead,
-}
 CHUNK = simulate._CHUNK_CELLS
 # a margin other than 1 shows a dropped or misplaced margin factor
 NOISY_M15 = SelectorModel.noisy_score(margin=1.5, noise_std=0.8)
 
 
+def stream_position(rng):
+    state = rng.bit_generator.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
 class TestStreamIdentity:
-    """Wide draws are made in row chunks through one buffer, and Best-of-N
-    skips the draws no rule reads. Every success count must equal that of
-    the dense draws above, for the real chunk size and for chunks narrower
-    than one row."""
+    """Wide draws are made in row chunks, and each engine draws only for the
+    trials and cells still open. No success count may depend on the chunk
+    size, down to chunks narrower than one row."""
 
     @given(
         n=st.integers(1, 100),
@@ -648,23 +557,20 @@ class TestStreamIdentity:
         L=st.integers(1, 5),
         rule=st.sampled_from(simulate._RULES),
         selector=st.sampled_from([IDEAL, CONST, NOISY_M15]),
-        chunk=st.sampled_from([1, 9, 64, CHUNK]),
         seed=st.integers(0, 2**32),
     )
     # rows not a multiple of the chunk rows (1297 at a = 100), one trial's
     # labels wider than a chunk, and a tree layer wider than a chunk
     @example(n=2600, N=16, a=100, noise=0.5, L=3, rule=SELF_CONSISTENCY,
-             selector=NOISY_M15, chunk=CHUNK, seed=1)
-    @example(n=2600, N=16, a=100, noise=0.5, L=3, rule=ORM_VOTE,
-             selector=IDEAL, chunk=CHUNK, seed=2)
-    @example(n=3, N=1, a=CHUNK, noise=0.3, L=1, rule=SELF_CONSISTENCY,
-             selector=IDEAL, chunk=CHUNK, seed=3)
-    @example(n=3, N=1, a=CHUNK, noise=0.3, L=1, rule=ORM_VOTE,
-             selector=CONST, chunk=CHUNK, seed=4)
-    @example(n=3, N=1, a=3, noise=0.0, L=18, rule=ORM_VOTE,
-             selector=NOISY_M15, chunk=CHUNK, seed=5)
+             selector=NOISY_M15, seed=1)
+    @example(n=2600, N=16, a=100, noise=0.5, L=3, rule=ORM_VOTE, selector=IDEAL, seed=2)
+    @example(n=3, N=1, a=CHUNK, noise=0.3, L=1, rule=SELF_CONSISTENCY, selector=IDEAL,
+             seed=3)
+    @example(n=3, N=1, a=CHUNK, noise=0.3, L=1, rule=ORM_VOTE, selector=CONST, seed=4)
+    @example(n=3, N=1, a=3, noise=0.0, L=18, rule=ORM_VOTE, selector=NOISY_M15, seed=5)
     @settings(max_examples=60, deadline=None)
-    def test_engines_match_dense_draws(self, n, N, a, noise, L, rule, selector, chunk, seed):
+    def test_engines_do_not_depend_on_chunk_size(self, n, N, a, noise, L, rule, selector,
+                                                 seed):
         cfg = ProcessConfig(
             decay=DecayModel.tabulated([0.9] * (L + 1)), selector=selector,
             answer=AnswerModel(a), L=L, score_noise_std=noise,
@@ -675,11 +581,36 @@ class TestStreamIdentity:
         if selector is NOISY_M15:
             specs.append(StrategySpec.beam(N + 1, b))
         for spec in specs:
-            with mock.patch.object(simulate, "_CHUNK_CELLS", chunk):
-                got = monte_carlo(cfg, spec, n, seed).successes
-            # n trials fit one block, whose stream is keyed by (seed, 0)
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0))))
-            assert got == DENSE[spec.kind](cfg, spec, n, rng), spec.describe()
+            counts = set()
+            for chunk in (1, 9, 64, CHUNK):
+                with mock.patch.object(simulate, "_CHUNK_CELLS", chunk):
+                    counts.add(monte_carlo(cfg, spec, n, seed).successes)
+            assert len(counts) == 1, (spec.describe(), counts)
+
+    @pytest.mark.parametrize("selector", [IDEAL, CONST, NOISY_M15],
+                             ids=["ideal", "constant", "noisy"])
+    @pytest.mark.parametrize("spec", [
+        StrategySpec.single_path(),
+        *(StrategySpec.bon(5, rule) for rule in simulate._RULES),
+        StrategySpec.beam(5, 2),
+        StrategySpec.mcts_best(3),
+        StrategySpec.mcts_worst(2),
+        StrategySpec.lookahead(3, 2),
+    ], ids=lambda spec: spec.describe())
+    def test_failed_trials_draw_nothing(self, spec, selector):
+        # a first step that is never correct fails every trial at layer 1;
+        # later layers and the final selection must then draw nothing
+        engine = simulate._REGISTRY[spec.kind].engine
+        positions = []
+        for L in (1, 4):
+            cfg = ProcessConfig(
+                decay=DecayModel.tabulated([0.0] * (L + 2)), selector=selector,
+                answer=AnswerModel(7), L=L, score_noise_std=0.5,
+            )
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, 0))))
+            assert engine(cfg, spec, 50, rng) == 0
+            positions.append(stream_position(rng))
+        assert positions[0] == positions[1]
 
 
 class TestBlockMemory:
