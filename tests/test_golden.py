@@ -122,7 +122,7 @@ CASES = {
     "reproduce-gamma-sweep": ["reproduce", "gamma-sweep", "--trials", "2000", "--seed", "3",
                               "--lambda", "1.5", "--lambda-delta", "12", "--layer", "2"],
     "reproduce-dominance": ["reproduce", "dominance", "--trials", "200", "--seed", "5"],
-    "reproduce-dominance-fail": ["reproduce", "dominance", "--trials", "200", "--seed", "4"],
+    "reproduce-dominance-fail": ["reproduce", "dominance", "--trials", "200", "--seed", "2"],
     "reproduce-bon-vs-mcts-fail": ["reproduce", "bon-vs-mcts", "--trials", "100",
                                    "--lambda", "3"],
     "reproduce-bon-vs-mcts": ["reproduce", "bon-vs-mcts", "--trials", "1000", "--seed", "4",
@@ -201,14 +201,14 @@ GOLDEN = {
         None,
     ),
     "reproduce-bon-vs-mcts": (
-        0,
-        "7b3219983950aab0a3a517ff39983136e5cfb22fbf9906b4db50ecdbeb3438ea",
+        1,
+        "e7754284ace08d54ecbe03d5698d3f867263f25f05c461f3ab9cb6a218e100ae",
         "dc3d5f54cde806864a221b3acd62d479c5994971f7421fdab02625a247cbeb2e",
-        "f630838745f6ef6d0685d75c4dd8c923818560f1d79f3a6b419bdd7078691f6f",
+        "e1cbd21c8a8b80915048889566db7f221382f4a769f3d4722caae16121624b53",
     ),
     "reproduce-bon-vs-mcts-fail": (
         1,
-        "3e174aea6c9480b7139da085ec29837297a9cf4da872ce813a4547522430ce35",
+        "8d4d56843b617972cdfec8950b05852edf21dfd9b1336a8733ae1adae28b471e",
         "7bb0109b24d3e6439bdb56240fe18f8eccf4cbf129f21f1249431c7687c3d0c3",
         None,
     ),
@@ -226,14 +226,14 @@ GOLDEN = {
     ),
     "reproduce-dominance": (
         0,
-        "90707a07975b7d7aa853a7986f1c15a0cb25de26ffb50a1ac11ff84e4b512b7c",
+        "5b344998ba07380009705914ab6c82c83966cb59b81b55611ac4bdbdd2648fb0",
         "015981bfde611962816885c74f533bdb9eba2455c24f981f9c01db234b43645e",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
-        "e6be961cb2a6cafc17d8bf948bfe08df146bd1183068093946ea12a4eaf12adc",
-        "903310997e4979856efee9ea8cd2186c7ef9e11edfb95ffa4fd90eb799ab211d",
+        "0ad07ad616e7ec56b3dab63e739ca680bbce94505b371c2b81a430a008958977",
+        "63ee55dfdd49869a9a97f5f489ea727b30478d07242f80d59bfa62636e462a0b",
         None,
     ),
     "reproduce-fano": (
@@ -244,7 +244,7 @@ GOLDEN = {
     ),
     "reproduce-gamma-sweep": (
         0,
-        "ca3004635e62034f4ff3e39693d32b4dcdf5ffe9cb290ad85a1269e2940160e1",
+        "917aa55711422c24b8bf46956d962b6c92e47c4c18db940b620d47da0d5a578b",
         "4e84c4255aafb4d2c61287ff0e741e9a78bd565e671c5b6ab983fccdf8cdd5a9",
         None,
     ),
@@ -262,13 +262,13 @@ GOLDEN = {
     ),
     "sim-beam-constant": (
         0,
-        "754c96016be8944b7c3db624cb0a544236316b369049f658549e297bff722dc0",
+        "d52b1d9c11e8899411df8ab6f404cf6864eb0bfd1be7abad561ea5f0873b5f2e",
         "d001a7abb3faddb3fa982a77fa74068778bd2bfa58a36b3a61438126050d67d9",
         None,
     ),
     "sim-beam-noisy": (
         0,
-        "025f4d2c11bd8b0ace84d600ae6750e0f8b117eb572fd751f75c9613aca52b6d",
+        "b206bb8e91d7bd4ec06e5c219acd8d0d6e73c59ca30ab9cd9a89633addc9509e",
         "51b466904ec66b5296fdbc689e0af4087747555718eb0a786a71d44126f64b06",
         None,
     ),
@@ -279,10 +279,10 @@ GOLDEN = {
         "9285099c268c3d4c5f0369ecad120fe2f799e00d669c4b7f0ac456a324cb2b74",
     ),
     "sim-bon-max-sweep": (
-        0,
-        "fd9f6dc9e8aae715b9154d115dd1fde070cdfffb202e4a5fd5cee9fa6c13a971",
+        1,
+        "29216ff9780b64bdbfc19d1fe1348331919c3cb22597fadc8f39c1e9616a3792",
         "d772ce380dfbb8bb03ef6241b0ce3b119567dc1abc4d6b9ff8231a4c396dfab0",
-        "d5d49884a4d4a434c67197bb7bc49f91a82b5872b56f321b746c059123d510c3",
+        "a49662c0ebbbe008b592c84e4a834a89d80a773686403a73b62f5e89020bfab8",
     ),
     "sim-bon-max-sweep-fail": (
         1,
@@ -292,19 +292,19 @@ GOLDEN = {
     ),
     "sim-bon-sc-sweep": (
         0,
-        "0e963cc5ad5bfda3147dadaf0b846c578ab41d5b57aeb9cf2954f001a411d822",
+        "ab019b036919f5ceb373877258931cc36994f8bc5e6f91e0f0b9e12e8675a516",
         "7b2120fce75d48586a1dbe69fe2fe1d0456d8f9e767b1707a673a159eddfc18a",
         None,
     ),
     "sim-bon-vote": (
         0,
-        "563c13d9d49967ad9003ce73bc64f77302b73c577424d1abd0d1cc7f96c53764",
+        "96d4772832d48619fc8b53918b159f386399e95a172273da58f174b3dc7bbe9e",
         "287e0e6564495314f61f72e006875798b44745c7d07c268b55c20ff478e507aa",
         None,
     ),
     "sim-config": (
         0,
-        "f85807bb09cae03839be425a8895547e231219cafdffc98e493fae97aacb8632",
+        "5ac5406548f8573ac0957d5e8a5c599c019159eddd020e2441efd8c7bad3d570",
         "a22ddb388f6404850642babde3280a5ca2bf090ad11c5797c4acf77757a76e6d",
         None,
     ),
@@ -316,27 +316,27 @@ GOLDEN = {
     ),
     "sim-config-strategy-flag": (
         0,
-        "f2f97c37c997094703180f66639221234287015f83263a06557527eb71970ec3",
+        "dbbaf5b4a380dd53c65b750130007ddb1647408a281b64e02d07b5406901617a",
         "e49964429e455cd1f9bba5e7ee7bb98e7a86b76c39f0ea441a11f15705abb995",
         None,
     ),
     "sim-lookahead-noisy": (
         0,
-        "d9b02bf5acfdaeb1b4b0a54d98a758368393fc07c0de6319f786e1814b08b03b",
+        "d21b1cfe5b0cb4c2d5c981a35534351fd806a3c56ceee650b505bd95879aa9ee",
         "a62a23b6570a9983ca8c95412336a3c054e799a766dd23d8e3b96ef7bec6a97c",
         None,
     ),
     "sim-lookahead-sweep": (
         0,
-        "b98f689f30f876e5b94fa78d9ec77f74be9d95f75350b0457d7792b74b01247d",
+        "29da5b2728bc6092287f5f6b1db3f610f2a6ad4dddd31e57b306ac1371611eb9",
         "dff60dd517001b0facac806b745e81ae949cef3dcfc8c0d1a58f55141411c297",
         None,
     ),
     "sim-lookahead-sweep-plot": (
         0,
-        "69cdbfe123506d4235cb040bc3404d4dbd33b9153f1b79f5e22b148a3cb6e316",
+        "77b899cc0ae77c4f31ea9ab086d1a08793c303251f1bbdd10be4beb50d22f23f",
         "effeca2af13fd90e2090b7d0ff12515c26e8a4af0c4c1fab254f64e0cf63260f",
-        "2fc3671ec072291a48181d8af53e983bd1e92b301ca5cab645167894fded4dbd",
+        "fdb26d69193af2d6f7046be3a360079be7ee8b911c61fa3d492b9432820c9b3a",
     ),
     "sim-mcts-best": (
         0,
@@ -346,37 +346,37 @@ GOLDEN = {
     ),
     "sim-mcts-best-constant": (
         0,
-        "7eba37333c7c70fca41da0bfaa0e5db26f874da19072771cc7c7444069e22908",
+        "7589841b9b8cee9077d2f613a5bdcc661ad14a55281fc4139471b3e2c9388a6b",
         "70737f90b758b2ef5acaddc569fb87bb4f1663a1c13f8d84d4113d7109ccbd61",
         None,
     ),
     "sim-mcts-best-noisy": (
         0,
-        "9e2b4297beb3a1adc24fcc418bec41e77c2e442a369c93024f2582893061d7ec",
+        "a4c8cf3bdbbc4dbf524eb7d84f1013998e5a082b4e92b328db8c21299a6af487",
         "3075de7f01b97384c7a6429b0bf908523f56c8ec926a0894ca97164cf52274df",
         None,
     ),
     "sim-mcts-worst-constant": (
         0,
-        "53e92cfaaa9bd9c50dda232f5c61093793c9c5d90a88bb6460b0515d74af91ec",
+        "921a82567de74be3b780f5d77a9ea9f0dc78aa302ffb4b4db2b54210ee8bef48",
         "084e78185121a0763e6a151debcaff7e58c9c32b27afbc238d0b7ab023139c6e",
         None,
     ),
     "sim-mcts-worst-noisy": (
         0,
-        "62ff4fe191674c0ceae991af7ff86691f18714b223d3aee0102900d0b1bbf758",
+        "550f9751465f9ec4e97c1b592ba452f6988ec992d32eb06a288bed35bc8b25d0",
         "582bf3dc21109b74698f31af422c160c54e8c47e9caba3c575ace793427f0bf7",
         None,
     ),
     "sim-single": (
         0,
-        "f9e46d6fb02b20ab191235aab30fb2d2f9e5b9897895605374e7a251edfff2eb",
+        "f70e9bec899f548cc5df712e2a7c6a1de396cc2c1ef8ecbe8ddc8d7d76ffc7aa",
         "5d9f0965ee03c291e245e0491f880e3474a821a3d8fb391d14fa396cad76b59a",
         None,
     ),
     "sim-single-table": (
         0,
-        "89edad73812f47d191b2b73b58ad808d078385e5aa7e74850dfd81fe57f16def",
+        "514672f2fb05b19f4818d5be29fab17f6e0faa1aec3e17aa27032e3e88fc9e68",
         "623dbd6467c2e1bb036e5fe54ba344f9d223031000eeccd3fbd14d094e071899",
         None,
     ),
