@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
     checked_number,
     checked_section,
+    reject_stray_keys,
     text_lines,
 )
 from .models import DecayModel, SelectorModel, WrongModel
@@ -250,7 +251,8 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
     plot_path = _path(resolved, "plot")
     sweep = resolved.get("sweep")
     if sweep:
-        param, values = checked_section(sweep, "sweep").get("param"), sweep.get("values")
+        reject_stray_keys(checked_section(sweep, "sweep"), "sweep", ("param", "values"))
+        param, values = sweep.get("param"), sweep.get("values")
         if not (isinstance(param, str) and isinstance(values, list)):
             raise ValidationError('sweep must be {"param": NAME, "values": [V1, ...]}')
         specs = [

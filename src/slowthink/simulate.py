@@ -16,11 +16,11 @@ Sibling candidates are sampled independently given their shared parent.
 processed in fixed-size blocks, each drawing from its own counter-based
 stream keyed by (master_seed, block index), so results are bit-identical for
 fixed inputs and independent of execution order. A trial whose candidates
-are all wrong has failed, so each engine keeps only the trials still open
-after each layer and draws only for them and their correct cells. ``exact_success`` computes
-the same success probabilities exactly, as small Markov chains over
-correct-candidate counts, and is the independent reference the engines are
-tested against.
+are all wrong has failed, so after each layer an engine keeps only the
+trials still open, and draws only for them and their correct cells.
+``exact_success`` computes the same success probabilities exactly, as small
+Markov chains over correct-candidate counts, and is the independent
+reference the engines are tested against.
 
 Everything that varies by strategy kind is one row of ``_REGISTRY``.
 """
@@ -321,11 +321,11 @@ def _noisy_pick(rng, ok, margin: float, std: float) -> np.ndarray:
     buf = np.empty(min(n, step) * width)
     pick = np.empty(n, dtype=np.intp)
     for start in range(0, n, step):
-        rows = slice(start, start + step)
-        z = rng.standard_normal(out=buf[: ok[rows].size].reshape(ok[rows].shape))
+        chunk = ok[start : start + step]
+        z = rng.standard_normal(out=buf[: chunk.size].reshape(chunk.shape))
         z *= std
-        z += margin * ok[rows]
-        pick[rows] = z.argmax(axis=1)
+        z += margin * chunk
+        pick[start : start + step] = z.argmax(axis=1)
     return pick
 
 

@@ -488,6 +488,8 @@ class TestMalformedInput:
             "noisy_stray": {"selector": {"kind": "noisy_score", "margin": 1, "noise_std": 1,
                                          "noise": 2}},
             "answer_stray": {"strategy": {"kind": "single_path"}, "answer": {"size": 5}},
+            "sweep_stray": {"strategy": {"kind": "bon"},
+                            "sweep": {"param": "N", "values": [1], "step": 2}},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -572,6 +574,7 @@ class TestMalformedInput:
             (["bounds", "--config", "noisy_stray.json"],
              "noisy_score selector takes no parameter noise;"),
             (["simulate", "--config", "answer_stray.json"], "answer takes no parameter size"),
+            (["simulate", "--config", "sweep_stray.json"], "sweep takes no parameter step"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):
