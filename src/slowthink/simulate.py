@@ -311,22 +311,26 @@ def _bernoulli_and(rng, ok, p: float) -> None:
             cells[live] = rng.random(live.size) < p
 
 
-def _noisy_pick(rng, ok, margin: float, std: float) -> np.ndarray:
-    """Per-row argmax of ``margin * ok + std * Z`` for a standard normal draw
-    Z shaped like ``ok``: the candidate each trial's noisy scorer picks. Z is
-    drawn a row chunk of about _CHUNK_CELLS cells at a time into one reused
-    buffer; the chunks read the stream in the order one dense draw would."""
+def _noisy_hits(rng, ok, margin: float, std: float, b: int = 1, hit=None) -> np.ndarray:
+    """Per row, how many of the b top scores of ``margin * ok + std * Z``, Z
+    standard normal, fall on True cells of ``hit`` (default ``ok``); at b = 1
+    the first of tied scores wins. Z is drawn a row chunk of about
+    _CHUNK_CELLS cells at a time into one reused buffer, in the order one
+    dense draw would read the stream."""
+    hit = ok if hit is None else hit
     n, width = ok.shape
     step = max(1, _CHUNK_CELLS // width)
     buf = np.empty(min(n, step) * width)
-    pick = np.empty(n, dtype=np.intp)
+    hits = np.empty(n, dtype=np.intp)
     for start in range(0, n, step):
-        chunk = ok[start : start + step]
+        rows = slice(start, start + step)
+        chunk = ok[rows]
         z = rng.standard_normal(out=buf[: chunk.size].reshape(chunk.shape))
         z *= std
         z += margin * chunk
-        pick[start : start + step] = z.argmax(axis=1)
-    return pick
+        top = z.argmax(axis=1)[:, None] if b == 1 else np.argpartition(-z, b - 1, axis=1)[:, :b]
+        hits[rows] = np.take_along_axis(hit[rows], top, axis=1).sum(axis=1)
+    return hits
 
 
 def _sim_single(cfg, strategy, n, rng) -> int:
@@ -347,8 +351,7 @@ def _sim_bon(cfg, strategy, n, rng) -> int:
         # label 0, whenever one exists
         return n
     if rule == ORM_MAX:
-        pick = _noisy_pick(rng, path_ok, 1.0, std)
-        return int(path_ok[np.arange(n), pick].sum())
+        return int(_noisy_hits(rng, path_ok, 1.0, std).sum())
     width = cfg.answer.answer_space_size + 1
     # correct paths answer label 0; only wrong ones draw a label
     labels = np.zeros(path_ok.shape, dtype=np.int64)
@@ -390,16 +393,12 @@ def _sim_beam(cfg, k, b, n, rng) -> int:
     alive = np.full(n, b, dtype=np.int64)
     if sel.kind == NOISY_SCORE:
         margin, std = sel.margin, sel.noise_std
-        cols = np.arange(k) % b
         for p in probs:
-            corr = cols[None, :] < alive[:, None]
+            corr = np.arange(k) % b < alive[:, None]
             _bernoulli_and(rng, corr, p)
-            scores = margin * corr + std * rng.standard_normal(corr.shape)
-            keep = np.argpartition(-scores, b - 1, axis=1)[:, :b]
-            alive = np.take_along_axis(corr, keep, axis=1).sum(axis=1)
+            alive = _noisy_hits(rng, corr, margin, std, b)
             alive = alive[alive > 0]
-        pick = _noisy_pick(rng, np.arange(b)[None, :] < alive[:, None], margin, std)
-        return int((pick < alive).sum())
+        return int(_noisy_hits(rng, np.arange(b) < alive[:, None], margin, std).sum())
     eps = selector_success_prob(sel, b)
     for p in probs:
         alive = np.minimum(b, rng.binomial(_fed_candidates(k, b, alive), p))
@@ -418,8 +417,7 @@ def _sim_mcts_worst(cfg, strategy, n, rng) -> int:
         _bernoulli_and(rng, cur, p)
         cur = cur[cur.any(axis=1)]
         if sel.kind == NOISY_SCORE:
-            pick = _noisy_pick(rng, cur, sel.margin, sel.noise_std)
-            cur = cur[cur[np.arange(len(cur)), pick]]
+            cur = cur[_noisy_hits(rng, cur, sel.margin, sel.noise_std) > 0]
         elif sel.kind != IDEAL:
             cur = cur[rng.random(len(cur)) < selector_success_prob(sel, b**depth)]
     return len(cur)
@@ -435,8 +433,7 @@ def _sim_lookahead(cfg, strategy, n, rng) -> int:
         roll_ok = cand_ok.copy()
         for j in range(1, gamma + 1):
             _bernoulli_and(rng, roll_ok, step_correct_prob(cfg.decay, l + j))
-        pick = _noisy_pick(rng, roll_ok, margin, std)
-        n = int(cand_ok[np.arange(len(cand_ok)), pick].sum())
+        n = int(_noisy_hits(rng, roll_ok, margin, std, hit=cand_ok).sum())
     return n
 
 

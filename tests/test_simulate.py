@@ -568,6 +568,8 @@ class TestStreamIdentity:
              seed=3)
     @example(n=3, N=1, a=CHUNK, noise=0.3, L=1, rule=ORM_VOTE, selector=CONST, seed=4)
     @example(n=3, N=1, a=3, noise=0.0, L=18, rule=ORM_VOTE, selector=NOISY_M15, seed=5)
+    # a noisy beam (k = CHUNK + 1, b = 3) wider than a chunk, over two layers
+    @example(n=3, N=CHUNK, a=3, noise=0.3, L=2, rule=ORM_MAX, selector=NOISY_M15, seed=6)
     @settings(max_examples=60, deadline=None)
     def test_engines_do_not_depend_on_chunk_size(self, n, N, a, noise, L, rule, selector,
                                                  seed):
@@ -620,12 +622,16 @@ class TestBlockMemory:
         (VOTE, StrategySpec.bon(16, ORM_VOTE)),
         (VOTE, StrategySpec.bon(16, SELF_CONSISTENCY)),
         (cfg_exp(6, NOISY, lam=2.5), StrategySpec.mcts_worst(2)),
+        (cfg_exp(2, NOISY, lam=2.5), StrategySpec.beam(2**16, 2)),
     ])
     def test_one_block_peak_stays_small(self, cfg, spec):
-        # one dense float array per draw peaked at about 62, 59 and 43 MiB
+        # one dense float array per draw peaked at about 62, 59, 43 and 265 MiB
+        # one block, which holds fewer than BLOCK_TRIALS trials when they are wide
+        width = simulate._REGISTRY[spec.kind].width(cfg, spec)
+        trials = min(BLOCK_TRIALS, simulate._BLOCK_CELLS // width)
         tracemalloc.start()
         try:
-            monte_carlo(cfg, spec, BLOCK_TRIALS, 0)
+            monte_carlo(cfg, spec, trials, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
