@@ -82,7 +82,7 @@ _CHUNK_CELLS = 1 << 17
 Z95 = 1.959963984540054  # normal 97.5% quantile
 
 # Values StrategySpec.from_config supplies for parameters a config leaves out.
-_DEFAULTS = {"rule": ORM_MAX, "gamma": 0, "count_rollout_steps": True}
+_DEFAULTS = {"rule": ORM_MAX, "gamma": 0}
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,6 @@ class StrategySpec:
     k: int | None = None
     b: int | None = None
     gamma: int | None = None
-    count_rollout_steps: bool = True
 
     def __post_init__(self) -> None:
         row = _REGISTRY.get(self.kind)
@@ -177,12 +176,8 @@ class StrategySpec:
         return cls(kind=MCTS_WORST, b=b)
 
     @classmethod
-    def lookahead(
-        cls, b: int, gamma: int, count_rollout_steps: bool = True
-    ) -> "StrategySpec":
-        return cls(
-            kind=LOOKAHEAD, b=b, gamma=gamma, count_rollout_steps=count_rollout_steps
-        )
+    def lookahead(cls, b: int, gamma: int) -> "StrategySpec":
+        return cls(kind=LOOKAHEAD, b=b, gamma=gamma)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "StrategySpec":
@@ -635,8 +630,7 @@ _REGISTRY = {
         lambda c, s: _bounds.mcts_worst_bound(c.decay, c.selector, c.L, s.b),
     ),
     LOOKAHEAD: _Kind(
-        ("b", "gamma", "count_rollout_steps"),
-        lambda c, s: (c.L * s.b * (1 + s.gamma if s.count_rollout_steps else 1),) * 2,
+        ("b", "gamma"), lambda c, s: (c.L * s.b * (1 + s.gamma),) * 2,
         lambda c, s: s.b, _sim_lookahead, _exact_lookahead, None,
     ),
 }

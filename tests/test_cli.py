@@ -490,6 +490,8 @@ class TestMalformedInput:
             "answer_stray": {"strategy": {"kind": "single_path"}, "answer": {"size": 5}},
             "sweep_stray": {"strategy": {"kind": "bon"},
                             "sweep": {"param": "N", "values": [1], "step": 2}},
+            "rollout_stray": {"strategy": {"kind": "lookahead", "b": 2, "gamma": 1,
+                                           "count_rollout_steps": False}},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -575,6 +577,8 @@ class TestMalformedInput:
              "noisy_score selector takes no parameter noise;"),
             (["simulate", "--config", "answer_stray.json"], "answer takes no parameter size"),
             (["simulate", "--config", "sweep_stray.json"], "sweep takes no parameter step"),
+            (["simulate", "--config", "rollout_stray.json"],
+             "lookahead takes no parameter count_rollout_steps"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):

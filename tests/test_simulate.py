@@ -273,12 +273,9 @@ class TestLookahead:
             b = monte_carlo(cfg, StrategySpec.beam(3, 1), 20_000, seed + 1)
             assert overlapping(a, b)
 
-    def test_rollout_steps_counted_and_excludable(self):
-        cfg = cfg_exp(2)
-        counted = monte_carlo(cfg, StrategySpec.lookahead(3, 2), 10, 0)
+    def test_rollout_steps_counted(self):
+        counted = monte_carlo(cfg_exp(2), StrategySpec.lookahead(3, 2), 10, 0)
         assert (counted.mean_steps, counted.mean_calls) == (2 * 3 * 3, 2 * 3 * 3)
-        excluded = monte_carlo(cfg, StrategySpec.lookahead(3, 2, count_rollout_steps=False), 10, 0)
-        assert (excluded.mean_steps, excluded.mean_calls) == (2 * 3, 2 * 3)
 
     def test_tabulated_depth_must_cover_rollouts(self):
         cfg = ProcessConfig(decay=DecayModel.tabulated([1.0, 1.0]), L=2)
