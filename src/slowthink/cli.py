@@ -687,18 +687,19 @@ _COMMANDS = {
     "fit": _cmd_fit,
 }
 
+# preset -> (runner, the flag keys it reads)
 _PRESETS = {
-    "table1": _preset_table1,
-    "calibration": _preset_calibration,
-    "nmin": _preset_nmin,
-    "gamma-sweep": _preset_gamma_sweep,
-    "bon-vs-mcts": _preset_bon_vs_mcts,
-    "dominance": _preset_dominance,
-    "fano": _cmd_fano_suite,
+    "table1": (_preset_table1, ("b", "L")),
+    "calibration": (_preset_calibration, ()),
+    "nmin": (_preset_nmin, ()),
+    "gamma-sweep": (_preset_gamma_sweep, ("lambda_tau", "lambda_delta", "layer", "trials", "seed")),
+    "bon-vs-mcts": (_preset_bon_vs_mcts, ("b", "L", "lambda_tau", "trials", "seed", "plot")),
+    "dominance": (_preset_dominance, ("trials", "seed")),
+    "fano": (_cmd_fano_suite, ("instances", "seed")),
 }
 
 
-_RUNNERS = {**_COMMANDS, **{f"reproduce:{name}": run for name, run in _PRESETS.items()}}
+_RUNNERS = {**_COMMANDS, **{f"reproduce:{name}": run for name, (run, _) in _PRESETS.items()}}
 
 
 def _emit(command: str, resolved: dict, output: _RunOutput, args, t0: float) -> int:
@@ -841,6 +842,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_flags(args: argparse.Namespace, *reads: str) -> None:
+    """Refuse each reproduce flag but --out, --manifest and those of ``reads``."""
+    stray = [k for k in vars(args) if k not in ("command", "preset", "out", "manifest", *reads)]
+    if stray:
+        flags = (f"--{'lambda' if k == 'lambda_tau' else k.replace('_', '-')}" for k in stray)
+        raise ValidationError(f"reproduce {args.preset} does not take {', '.join(flags)}")
+
+
 def _from_manifest(path: str | None) -> tuple[str, dict]:
     if not path:
         raise ValidationError("from-manifest requires --path MANIFEST")
@@ -874,10 +883,12 @@ def dispatch(argv) -> int:
     t0 = time.perf_counter()
     try:
         if getattr(args, "preset", None) == "from-manifest":
+            _reject_flags(args, "path")
             command, resolved = _from_manifest(getattr(args, "path", None))
         else:
             command = args.command
             if command == "reproduce":
+                _reject_flags(args, "config", *_PRESETS[args.preset][1])
                 command = f"reproduce:{args.preset}"
             resolved = _merge(_load_config(getattr(args, "config", None)), args)
         return _emit(command, resolved, _RUNNERS[command](resolved), args, t0)

@@ -636,6 +636,20 @@ class TestMalformedInput:
             (["hsic", "--config", "y_list.json"], "y must be a file path"),
             (["fit", "--config", "points_bool.json"], "points must be a file path"),
             (["fit", "--config", "svg_num.json"], "svg must be a file path, got 1"),
+            # a reproduce flag the preset does not read is named, not ignored
+            (["reproduce", "nmin", "--b", "1", "--trials", "5", "--plot", "x.svg"],
+             "error: reproduce nmin does not take --b, --trials, --plot"),
+            (["reproduce", "table1", "--b", "3", "--lambda", "2", "--lambda-delta", "4"],
+             "reproduce table1 does not take --lambda, --lambda-delta"),
+            (["reproduce", "dominance", "--trials", "10", "--path", "bad.json"],
+             "reproduce dominance does not take --path"),
+            (["reproduce", "fano", "--layer", "2"], "reproduce fano does not take --layer"),
+            (["reproduce", "gamma-sweep", "--plot", "x.svg"],
+             "reproduce gamma-sweep does not take --plot"),
+            (["reproduce", "from-manifest", "--path", "bad.json", "--config", "bad.json"],
+             "reproduce from-manifest does not take --config"),
+            (["reproduce", "from-manifest", "--path", "bad.json", "--seed", "3"],
+             "reproduce from-manifest does not take --seed"),
         ],
     )
     def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):
