@@ -858,19 +858,17 @@ def _from_manifest(path: str | None) -> tuple[str, dict]:
     if command not in _RUNNERS or not isinstance(config, dict):
         raise ValidationError(f"{path}: not a manifest written by this tool")
     recorded = manifest.get("environment")
-    recorded = recorded if isinstance(recorded, dict) else {}
-    current = reporting.run_environment()
+    recorded = {"slowthink": manifest.get("version", __version__),
+                **(recorded if isinstance(recorded, dict) else {})}
+    current = {"slowthink": __version__, **reporting.run_environment()}
     # scipy is recorded only when loaded, and no output depends on it
     changed = [key for key, value in current.items()
                if key != "scipy" and recorded.get(key, value) != value]
     if changed:
         old = ", ".join(f"{key} {recorded[key]}" for key in changed)
         new = ", ".join(f"{key} {current[key]}" for key in changed)
-        print(
-            f"warning: {path} was written under {old}, this is {new}; "
-            "sampled output may not be bit-identical",
-            file=sys.stderr,
-        )
+        print(f"warning: {path} was written under {old}, this is {new}; "
+              "sampled output may not be bit-identical", file=sys.stderr)
     return command, config
 
 

@@ -434,6 +434,22 @@ class TestDeterminismAndManifests:
             "be bit-identical"
         ]
 
+    def test_from_manifest_warns_on_version_mismatch(self, tmp_path, capsys):
+        rc, out, _ = run(tmp_path, "reproduce", "nmin")
+        manifest = out.with_suffix(".csv.manifest.json")
+        loaded = json.loads(manifest.read_text())
+        assert loaded["version"] == slowthink.__version__
+        loaded["version"] = "0.0.9"
+        manifest.write_text(json.dumps(loaded))
+        capsys.readouterr()
+        assert dispatch(["reproduce", "from-manifest", "--path", str(manifest),
+                         "--out", str(tmp_path / "replay.csv")]) == rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning:")] == [
+            f"warning: {manifest} was written under slowthink 0.0.9, this is "
+            f"slowthink {slowthink.__version__}; sampled output may not be bit-identical"
+        ]
+
     def test_manifest_rerun_preset(self, tmp_path):
         rc, out, _ = run(tmp_path, "reproduce", "table1", "--b", "3", "--L", "3")
         manifest = out.with_suffix(".csv.manifest.json")
