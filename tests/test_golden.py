@@ -137,247 +137,247 @@ GOLDEN = {
     "bounds-all": (
         0,
         "7ebe74ef150c3b2c15e3d675cb5ba882bf3fea3239d6a984be2e133bf80f0a44",
-        "89f865fff52613ee8de0f7fab47838ef069f0dbe50c0482d5939305411a5d561",
+        "3463fad731370665105b4acee7767bb9ebeeb1bd718b6d783eaba839403de775",
         None,
     ),
     "bounds-lookahead": (
         0,
         "e2ea9883cf4f08875deb14a07aa9fd59c8e63122a6f9b7bda4c5664962b87670",
-        "b4e06f2c7e44082752ac0399621940d46393ce67e7865f70ad141af089943a47",
+        "322fb0391c77d118d0c968b98cc2dd664f886caf35c0a04a52741e2e626288b3",
         None,
     ),
     "bounds-noisy-worst": (
         0,
         "d6ab33dc177fd1f75e3810b290d53fe7a80bdd3535b98932380294f4426d0d96",
-        "d38b8725a8c5bffed216c5d8510ed6ee955ce679e17f56d53263faea74c2d69b",
+        "93c5b42cbb895a110aa42c47deb119e22713bfde80082d582bf86dc93858aace",
         None,
     ),
     "bounds-single": (
         0,
         "554719dbbf03a5a63532a7eccb391ca08e590f29d6157a0860fa038b476c23fa",
-        "4b3a26995750317bce46e7e2f2dc612b86a87894bae14f57f78527703d1d9631",
+        "8bbd6bcfad1d2462736cf920f1cd789b5c6dce2581857f085ba8757a1f6e4001",
         None,
     ),
     "bounds-table-constant": (
         0,
         "d17e5671d7880fd4bf938dd0161c92be79299d8c14a6ef19a37bfed3fa1d50c5",
-        "930bf0dd7b41aac8f7f82fb8c770730a956885b51e03d98f47f9ed22f7ac89a9",
+        "694e4621f12476910d247ace50b76f775abbe85ba7d747fadad5d9f29851cfa7",
         None,
     ),
     "calibrate-stats": (
         0,
         "924f32a02a5a9875245bee1cb91ddcebf1ebf9227b24bdcd153ca60724009586",
-        "75d0b2f19d49a90f65f7ad6fd08bb92469c5a52a1afabcdf96d44e2841221a06",
+        "bff4c7bf519b4022389541c5928fa1efc864ee9dd550c41e39f1a5d06f9bcedc",
         None,
     ),
     "calibrate-traces": (
         0,
         "064511cf8e49e678da73dc2a1f4c34e6686a1991300fa1870b3d43ee3e8ebccf",
-        "cfc4a8e4d011dfd7ca7938c0cac4eb952f280c1a28027245d766a14608a91b19",
+        "dd4f3ed6745da357443588e616448cb503a0f276d1e48612048b17fa0fda3a3c",
         None,
     ),
     "fano-suite": (
         0,
         "1a88b56ffa576d1215724ec10a72350b2e65b13738906355218a7709527fc3bd",
-        "04eca3fc89da97aca2efce839e360bd4d4da3e01ece4df91c9f3dbee2cb54ba3",
+        "1d343db34f9efa0a3626de5f637fa91d1d8b1e344e4f2d95366afc97c990428e",
         None,
     ),
     "fano-suite-long": (
         0,
         "a8f38aa442f009f088b1bcce88a7515d5486e3f7925f2c5424ef6b9583ba2cb1",
-        "eef3946169453b45476ba1e533285c359b5fff7d0228f465f7b5fe46be2b6391",
+        "13c51017c7235e0bcaa551f53ff598ab09f4ee6dd8d85a9e598c20a91ab6f308",
         None,
     ),
     "fano-suite-long-mi-only": (
         1,
         "4427d6c0c2cb57ca6debd0b475d4ecb0a3b901b06e655b812bebd946a940edd7",
-        "ea1459ed531a01e6d093201d53b0b644b1b701d483004c58d508071c94a7d24c",
+        "84dc1422b372aabd74282b2290e7f9a4cc925bceaa523109a30e31286caba2a5",
         None,
     ),
     "fano-suite-mi-only": (
         1,
         "422815ddd3ab32d794dea335024c261b6c27f93d7878aaf5010fa23f985fd4b0",
-        "92b50f2777c22c6b3daa75e7fb93c824eccc4be4d19d9abd7bc8865cfccaa2b1",
+        "f9419054e2cfaaf5ff4a96a802bd49cffa5e026130c71eac1ffa00c403436727",
         None,
     ),
     "reproduce-bon-vs-mcts": (
         1,
         "e7754284ace08d54ecbe03d5698d3f867263f25f05c461f3ab9cb6a218e100ae",
-        "dc3d5f54cde806864a221b3acd62d479c5994971f7421fdab02625a247cbeb2e",
+        "46266c09e2961f6a19d38bfb8ddd46c119cb727592172be50b0b73b66b6ea41c",
         "e1cbd21c8a8b80915048889566db7f221382f4a769f3d4722caae16121624b53",
     ),
     "reproduce-bon-vs-mcts-fail": (
         1,
         "8d4d56843b617972cdfec8950b05852edf21dfd9b1336a8733ae1adae28b471e",
-        "7bb0109b24d3e6439bdb56240fe18f8eccf4cbf129f21f1249431c7687c3d0c3",
+        "c94829a93bc34a174fd9cab141b355bfa17faca34c257bc47f488f570c6ea7d5",
         None,
     ),
     "reproduce-calibration": (
         0,
         "d4c7e539d779152b49b13e6c02cba494213782bc80cf093540513a1747df85d3",
-        "49a06381f6e2383285c60a347f3ca993984043b43f43e8154140979ce5ddce77",
+        "44a210c8b8033b42e45b1a680be63ffbc4c8492dcf5f969e883fe29b6d55c7ad",
         None,
     ),
     "reproduce-config": (
         0,
         "3e16f7aad4878261a8ce90e78e9818b18cf3f5f9f89aef98514e379f0f321418",
-        "ef3b13d13afcf8da1b1f312e6fe3308b4657291892fee7bba5ea81c22030b156",
+        "2eaa5fdb18a5e452c7a499a3bf9d06c85850d6596e8e96bb4ab8d5cc84f38bfc",
         None,
     ),
     "reproduce-dominance": (
         0,
         "5b344998ba07380009705914ab6c82c83966cb59b81b55611ac4bdbdd2648fb0",
-        "015981bfde611962816885c74f533bdb9eba2455c24f981f9c01db234b43645e",
+        "f03cd4caf981dcc1d7fb2ec76fe64b7cd27e8a929f0f2f27583b47a0bc03dee9",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
         "0ad07ad616e7ec56b3dab63e739ca680bbce94505b371c2b81a430a008958977",
-        "63ee55dfdd49869a9a97f5f489ea727b30478d07242f80d59bfa62636e462a0b",
+        "58894089fa4032de8daaa4bc6ae5e84f5f624578acf7ccad0aadb8d2862efd9c",
         None,
     ),
     "reproduce-fano": (
         0,
         "8551efffe435a0197bbe7c5cfa19d7c32bff69e21073bf2d48b997b24057160c",
-        "9c66e125fd3f636042414646aea2a422f315021cbc3bd262b1c057975eeee670",
+        "b9994b47cb3b996f2424d00a135ea54c9378fba9882081269f5cd81b664549f2",
         None,
     ),
     "reproduce-gamma-sweep": (
         0,
         "917aa55711422c24b8bf46956d962b6c92e47c4c18db940b620d47da0d5a578b",
-        "4e84c4255aafb4d2c61287ff0e741e9a78bd565e671c5b6ab983fccdf8cdd5a9",
+        "263b4741ffa6db585b27df2a79f8621328b12dd565cf9203302c72f49bb6dd27",
         None,
     ),
     "reproduce-nmin": (
         0,
         "1a86bb5981c5314536aac5103077398aff1d025d5f437977f3a81b0cf492e9a0",
-        "d21e34175629797891707ab58e4fed42ceb561f34a024db311d90f934b1d3fd2",
+        "ca82c2299ec01b621ffbd17a9cb8f50ce2846852f8b915bbbf8518c2beda5111",
         None,
     ),
     "reproduce-table1": (
         0,
         "a402bf8fb13c88a86ff5ea10b7568df33174703c888519d1065a70a735e494a0",
-        "a5d0e27a5bdf768140fd5375e5ebe722a79515afdfab3a713c0416dc86a2668a",
+        "c2a6042ff8bdb4d6ca5d9fb4ff924b30486428ddd3fce514aa334a3b9216725b",
         None,
     ),
     "sim-beam-constant": (
         0,
         "d52b1d9c11e8899411df8ab6f404cf6864eb0bfd1be7abad561ea5f0873b5f2e",
-        "d001a7abb3faddb3fa982a77fa74068778bd2bfa58a36b3a61438126050d67d9",
+        "90c3ed925fef90e7b17fcaae3d736b30f3835d1d8c0e3afc31d578f550be7944",
         None,
     ),
     "sim-beam-noisy": (
         0,
         "b206bb8e91d7bd4ec06e5c219acd8d0d6e73c59ca30ab9cd9a89633addc9509e",
-        "51b466904ec66b5296fdbc689e0af4087747555718eb0a786a71d44126f64b06",
+        "33bb0fb562e71f715a06724b123ae341f5e7cec8a600b88b26f70774b6e1ed0d",
         None,
     ),
     "sim-beam-table-sweep": (
         0,
         "5354b7d204043c670d75272e0908f1095397d41b26d40945e61cc43ac8d7be0a",
-        "02aa204aa1b5e4fc652cadac4953f86c10c932138b88daac587f2ce1d6cad075",
+        "c70e30fe0bd24519c599e2d9d868d7b76f2a845b386cdb04ac8581ffbfdff6c1",
         "9285099c268c3d4c5f0369ecad120fe2f799e00d669c4b7f0ac456a324cb2b74",
     ),
     "sim-bon-max-sweep": (
         1,
         "29216ff9780b64bdbfc19d1fe1348331919c3cb22597fadc8f39c1e9616a3792",
-        "d772ce380dfbb8bb03ef6241b0ce3b119567dc1abc4d6b9ff8231a4c396dfab0",
+        "402609ed07db12ffc908557699a13733955f1beaa032ed1f83fc27034dd55d97",
         "a49662c0ebbbe008b592c84e4a834a89d80a773686403a73b62f5e89020bfab8",
     ),
     "sim-bon-max-sweep-fail": (
         1,
         "52d31f8d7a74f4e991c1c7ec8cac2f13d488b426bc5dd03df58000fae8f2cb19",
-        "2fb18d13b246a4cfac48734b4e7adbe3669e815a6415bd0748b061b25de46b5f",
+        "9422e7c2b0c8dfe43f2bae93669c6d4ae63c72154c8e2d16b587a1a019e1a7e6",
         None,
     ),
     "sim-bon-sc-sweep": (
         0,
         "ab019b036919f5ceb373877258931cc36994f8bc5e6f91e0f0b9e12e8675a516",
-        "7b2120fce75d48586a1dbe69fe2fe1d0456d8f9e767b1707a673a159eddfc18a",
+        "0f22757f09c233083232aae5970de629021a5a1c9d10533a40d790085afe46ea",
         None,
     ),
     "sim-bon-vote": (
         0,
         "96d4772832d48619fc8b53918b159f386399e95a172273da58f174b3dc7bbe9e",
-        "287e0e6564495314f61f72e006875798b44745c7d07c268b55c20ff478e507aa",
+        "d47bdc4f0176f7082b699218fcbdb6e2182e2b7cf7479f13c16c80e67db10d49",
         None,
     ),
     "sim-config": (
         0,
         "5ac5406548f8573ac0957d5e8a5c599c019159eddd020e2441efd8c7bad3d570",
-        "a22ddb388f6404850642babde3280a5ca2bf090ad11c5797c4acf77757a76e6d",
+        "b3773618befd977cab14447c1d27628821743a6861ee2f1af73a2b4e8d91e037",
         None,
     ),
     "sim-config-override": (
         0,
         "5cf5c2143b260f6691b5bbc1ea96fc008b50df8f8c856047a21c0308d0ddfd33",
-        "3ca0cddea6f1548ab4b3bc1a187d9208027b80fc9345c33e903fe52db0e0c88d",
+        "5ca066359775d93e6932671cd55c30e89ae69dfb8ec14f1e9be18f18d2df4b93",
         None,
     ),
     "sim-config-strategy-flag": (
         0,
         "dbbaf5b4a380dd53c65b750130007ddb1647408a281b64e02d07b5406901617a",
-        "e49964429e455cd1f9bba5e7ee7bb98e7a86b76c39f0ea441a11f15705abb995",
+        "e305005d8f4fbbd3244940001a790de01fb6ef35edd902525d773a40e6c1ec31",
         None,
     ),
     "sim-lookahead-noisy": (
         0,
         "d21b1cfe5b0cb4c2d5c981a35534351fd806a3c56ceee650b505bd95879aa9ee",
-        "a62a23b6570a9983ca8c95412336a3c054e799a766dd23d8e3b96ef7bec6a97c",
+        "1a9ba1c778815bfe62fbcb2aafe8021dad8115e6f0f818998e21ee6b0104fa46",
         None,
     ),
     "sim-lookahead-sweep": (
         0,
         "29da5b2728bc6092287f5f6b1db3f610f2a6ad4dddd31e57b306ac1371611eb9",
-        "dff60dd517001b0facac806b745e81ae949cef3dcfc8c0d1a58f55141411c297",
+        "503f4d6eb4efea1e791bdaa9072737a59ec3c9573afc0d4ecad1ca0713775554",
         None,
     ),
     "sim-lookahead-sweep-plot": (
         0,
         "77b899cc0ae77c4f31ea9ab086d1a08793c303251f1bbdd10be4beb50d22f23f",
-        "effeca2af13fd90e2090b7d0ff12515c26e8a4af0c4c1fab254f64e0cf63260f",
+        "19937f0e95bdd96d51ae6601d77113031e5d9a8c2e247e04f6f7588f63e56e27",
         "fdb26d69193af2d6f7046be3a360079be7ee8b911c61fa3d492b9432820c9b3a",
     ),
     "sim-mcts-best": (
         0,
         "5be13523fb629fc2fb4175cec3e5cbe575972564cce41ed0fe96ee64c40c10da",
-        "aa4bd221e332f9c9d3ba1ce1553e930997efff151783fa520c5ddb6913750095",
+        "9b7bf74e029c0fac67f3fa5b853f85395f875901c3a6fb272e74c507a717e298",
         None,
     ),
     "sim-mcts-best-constant": (
         0,
         "7589841b9b8cee9077d2f613a5bdcc661ad14a55281fc4139471b3e2c9388a6b",
-        "70737f90b758b2ef5acaddc569fb87bb4f1663a1c13f8d84d4113d7109ccbd61",
+        "46115f5f492a588d3fdfd42f5f8e6d9f3b7412d041516561902d482f1967b33f",
         None,
     ),
     "sim-mcts-best-noisy": (
         0,
         "a4c8cf3bdbbc4dbf524eb7d84f1013998e5a082b4e92b328db8c21299a6af487",
-        "3075de7f01b97384c7a6429b0bf908523f56c8ec926a0894ca97164cf52274df",
+        "d809173a71f635a13773f41994df8fe26f46b345052b39310c69ad1732805bfc",
         None,
     ),
     "sim-mcts-worst-constant": (
         0,
         "921a82567de74be3b780f5d77a9ea9f0dc78aa302ffb4b4db2b54210ee8bef48",
-        "084e78185121a0763e6a151debcaff7e58c9c32b27afbc238d0b7ab023139c6e",
+        "1e9674b26670fe795c19fa5c2c98de6925cda88809f7f7551e0080c1b8355f1a",
         None,
     ),
     "sim-mcts-worst-noisy": (
         0,
         "550f9751465f9ec4e97c1b592ba452f6988ec992d32eb06a288bed35bc8b25d0",
-        "582bf3dc21109b74698f31af422c160c54e8c47e9caba3c575ace793427f0bf7",
+        "405d725f59424d3e81dec94536c21e231aed747855f45a7bf99b5b3060208e75",
         None,
     ),
     "sim-single": (
         0,
         "f70e9bec899f548cc5df712e2a7c6a1de396cc2c1ef8ecbe8ddc8d7d76ffc7aa",
-        "5d9f0965ee03c291e245e0491f880e3474a821a3d8fb391d14fa396cad76b59a",
+        "5b965fbd3f8a8ac21f0ebfd4ae10b5a9196c59c229c02ea9d81bcf077a539115",
         None,
     ),
     "sim-single-table": (
         0,
         "514672f2fb05b19f4818d5be29fab17f6e0faa1aec3e17aa27032e3e88fc9e68",
-        "623dbd6467c2e1bb036e5fe54ba344f9d223031000eeccd3fbd14d094e071899",
+        "201633adf99827799e0e1331fa2adcf0ba9f39112559216371e96a7fb935e8eb",
         None,
     ),
 }
