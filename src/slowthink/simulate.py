@@ -17,7 +17,11 @@ processed in fixed-size blocks, each drawing from its own counter-based
 stream keyed by (master_seed, block index), so results are bit-identical for
 fixed inputs and independent of execution order. A trial whose candidates
 are all wrong has failed, so after each layer an engine keeps only the
-trials still open, and draws only for them and their correct cells.
+trials still open. Engines draw each open trial's count of correct
+candidates, one binomial per layer, and where a pick or a vote reads cells
+they put the correct ones first, as every such reader treats columns alike;
+only lookahead, whose noiseless pick takes the first of tied scores, draws
+each cell.
 ``exact_success`` computes the same success probabilities exactly, as small
 Markov chains over correct-candidate counts, and is the independent
 reference the engines are tested against.
@@ -292,9 +296,9 @@ def _blocks(trials: int, master_seed: int, width: int):
 
 
 def _bernoulli_and(rng, ok, p: float) -> None:
-    """``ok[ok] = rng.random(ok.sum()) < p`` in place, for a C-contiguous 2-D
-    ``ok``, a row chunk at a time: a False cell draws nothing, and the
-    uniforms reach the True cells in row-major order whatever the chunk."""
+    """Lookahead's step draw: ``ok[ok] = rng.random(ok.sum()) < p`` in place
+    for a C-contiguous 2-D ``ok``, by row chunks; False cells draw nothing,
+    and the uniforms reach True cells in row-major order whatever the chunk."""
     flat = ok.reshape(-1)
     step = ok.shape[1] * max(1, _CHUNK_CELLS // ok.shape[1])
     for start in range(0, flat.size, step):
@@ -336,15 +340,15 @@ def _sim_single(cfg, strategy, n, rng) -> int:
 
 def _sim_bon(cfg, strategy, n, rng) -> int:
     N, rule, std = strategy.N, strategy.rule, cfg.score_noise_std
-    path_ok = np.ones((n, N), dtype=bool)
-    for p in _step_probs(cfg, cfg.L):
-        _bernoulli_and(rng, path_ok, p)
-    path_ok = path_ok[path_ok.any(axis=1)]
-    n = len(path_ok)
+    # correct paths per open trial: paths are independent, each correct with
+    # the product of its step probabilities
+    c = rng.binomial(N, math.prod(_step_probs(cfg, cfg.L)), n)
+    c = c[c > 0]
     if rule != SELF_CONSISTENCY and std == 0:
         # without score noise orm_max picks a correct path, and orm_vote
         # label 0, whenever one exists
-        return n
+        return len(c)
+    path_ok = np.arange(N) < c[:, None]
     if rule == ORM_MAX:
         return int(_noisy_hits(rng, path_ok, 1.0, std).sum())
     width = cfg.answer.answer_space_size + 1
@@ -354,7 +358,7 @@ def _sim_bon(cfg, strategy, n, rng) -> int:
     # one chunk of rows holds both its N scores and its a + 1 tallies
     step = max(1, _CHUNK_CELLS // max(N, width))
     wins = 0
-    for start in range(0, n, step):
+    for start in range(0, len(c), step):
         rows = slice(start, start + step)
         m = len(labels[rows])
         # per-(trial, label) tallies: bincount over the flattened cell index
@@ -382,40 +386,36 @@ def _fed_candidates(k: int, b: int, alive):
 
 
 def _sim_beam(cfg, k, b, n, rng) -> int:
-    probs = _step_probs(cfg, cfg.L)
     sel = cfg.selector
+
+    def keep(c, width, top):
+        # the first c > 0 of width candidates are correct: how many correct
+        # ones the top `top` keep, dropping the trials that keep none
+        if sel.kind == NOISY_SCORE:
+            c = _noisy_hits(rng, np.arange(width) < c[:, None], sel.margin, sel.noise_std, top)
+            return c[c > 0]
+        c = np.minimum(top, c)
+        return c if sel.kind == IDEAL else c[rng.random(len(c)) < selector_success_prob(sel, b)]
+
     # alive beams per open trial; the root feeds all k candidates, as b do
     alive = np.full(n, b, dtype=np.int64)
-    if sel.kind == NOISY_SCORE:
-        margin, std = sel.margin, sel.noise_std
-        for p in probs:
-            corr = np.arange(k) % b < alive[:, None]
-            _bernoulli_and(rng, corr, p)
-            alive = _noisy_hits(rng, corr, margin, std, b)
-            alive = alive[alive > 0]
-        return int(_noisy_hits(rng, np.arange(b) < alive[:, None], margin, std).sum())
-    eps = selector_success_prob(sel, b)
-    for p in probs:
-        alive = np.minimum(b, rng.binomial(_fed_candidates(k, b, alive), p))
-        alive = alive[alive > 0]
-        if sel.kind != IDEAL:
-            alive = alive[rng.random(len(alive)) < eps]
-    return len(alive) if sel.kind == IDEAL else int((rng.random(len(alive)) < eps).sum())
+    for p in _step_probs(cfg, cfg.L):
+        c = rng.binomial(_fed_candidates(k, b, alive), p)
+        alive = keep(c[c > 0], k, b)
+    return len(keep(alive, b, 1))
 
 
 def _sim_mcts_worst(cfg, strategy, n, rng) -> int:
     b, sel = strategy.b, cfg.selector
-    # correct nodes of the deepest layer, one row per open trial
-    cur = np.ones((n, 1), dtype=bool)
+    c = np.ones(n, dtype=np.int64)  # correct nodes of the deepest layer, per open trial
     for depth, p in enumerate(_step_probs(cfg, cfg.L), start=1):
-        cur = np.repeat(cur, b, axis=1)
-        _bernoulli_and(rng, cur, p)
-        cur = cur[cur.any(axis=1)]
+        c = rng.binomial(b * c, p)
+        c = c[c > 0]
         if sel.kind == NOISY_SCORE:
-            cur = cur[_noisy_hits(rng, cur, sel.margin, sel.noise_std) > 0]
+            c = c[_noisy_hits(rng, np.arange(b**depth) < c[:, None], sel.margin, sel.noise_std) > 0]
         elif sel.kind != IDEAL:
-            cur = cur[rng.random(len(cur)) < selector_success_prob(sel, b**depth)]
-    return len(cur)
+            c = c[rng.random(len(c)) < selector_success_prob(sel, b**depth)]
+    return len(c)
 
 
 def _sim_lookahead(cfg, strategy, n, rng) -> int:

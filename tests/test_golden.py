@@ -97,7 +97,7 @@ CASES = {
                                        "--sweep", "gamma=0:2", "--plot", "la.svg"],
     # strategy tables whose verdict fails and exits 1
     "sim-bon-max-sweep-fail": ["simulate", "--strategy", "bon", "--rule", "orm_max",
-                               "--lambda", "1", "--trials", "10", "--seed", "0",
+                               "--lambda", "1", "--trials", "10", "--seed", "11",
                                "--sweep", "N=1,2"],
     "sim-config": ["simulate", "--config", "cfg.json"],
     "sim-config-override": ["simulate", "--config", "cfg.json", "--trials", "700",
@@ -202,13 +202,13 @@ GOLDEN = {
     ),
     "reproduce-bon-vs-mcts": (
         1,
-        "e7754284ace08d54ecbe03d5698d3f867263f25f05c461f3ab9cb6a218e100ae",
+        "4f8454e68fe3834ab3a17b68280cc8fffdb8ff835e46806cdf2e45513f77a23e",
         "46266c09e2961f6a19d38bfb8ddd46c119cb727592172be50b0b73b66b6ea41c",
-        "e1cbd21c8a8b80915048889566db7f221382f4a769f3d4722caae16121624b53",
+        "3154a4cee94af00290699d7e5beb597cdd5bea202b8e2d893588153063b41942",
     ),
     "reproduce-bon-vs-mcts-fail": (
         1,
-        "8d4d56843b617972cdfec8950b05852edf21dfd9b1336a8733ae1adae28b471e",
+        "a71d634b586a4a5250cc2dbe7a9ffea5ab8c10aa82273cdfb612203448eebf64",
         "c94829a93bc34a174fd9cab141b355bfa17faca34c257bc47f488f570c6ea7d5",
         None,
     ),
@@ -226,13 +226,13 @@ GOLDEN = {
     ),
     "reproduce-dominance": (
         0,
-        "5b344998ba07380009705914ab6c82c83966cb59b81b55611ac4bdbdd2648fb0",
+        "0cd3acbca3200b520fad987012f595911e4b58ceddc7a0028044e251138927df",
         "f03cd4caf981dcc1d7fb2ec76fe64b7cd27e8a929f0f2f27583b47a0bc03dee9",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
-        "0ad07ad616e7ec56b3dab63e739ca680bbce94505b371c2b81a430a008958977",
+        "8b9582ad4a39c3fbe16abb9db62f977eea6e7cc73f6d5de888e264ead53d8d48",
         "58894089fa4032de8daaa4bc6ae5e84f5f624578acf7ccad0aadb8d2862efd9c",
         None,
     ),
@@ -268,7 +268,7 @@ GOLDEN = {
     ),
     "sim-beam-noisy": (
         0,
-        "b206bb8e91d7bd4ec06e5c219acd8d0d6e73c59ca30ab9cd9a89633addc9509e",
+        "d7fcea8c0046a6833875a6ff1b202d0f932b243b637e9e8db5369002b2d998f6",
         "33bb0fb562e71f715a06724b123ae341f5e7cec8a600b88b26f70774b6e1ed0d",
         None,
     ),
@@ -279,26 +279,26 @@ GOLDEN = {
         "9285099c268c3d4c5f0369ecad120fe2f799e00d669c4b7f0ac456a324cb2b74",
     ),
     "sim-bon-max-sweep": (
-        1,
-        "29216ff9780b64bdbfc19d1fe1348331919c3cb22597fadc8f39c1e9616a3792",
+        0,
+        "6dc3be0ca432e72958bde56c5691505d7d3f863c4ccb4d1f90ebbc3441ab7bd9",
         "402609ed07db12ffc908557699a13733955f1beaa032ed1f83fc27034dd55d97",
-        "a49662c0ebbbe008b592c84e4a834a89d80a773686403a73b62f5e89020bfab8",
+        "dd698133650c6f5e996e228cc35240606a3241715c6def6029ac980993599833",
     ),
     "sim-bon-max-sweep-fail": (
         1,
-        "52d31f8d7a74f4e991c1c7ec8cac2f13d488b426bc5dd03df58000fae8f2cb19",
-        "9422e7c2b0c8dfe43f2bae93669c6d4ae63c72154c8e2d16b587a1a019e1a7e6",
+        "2ebe892f4a122da0978d653fa4424bb6dc1caa345ec78b432e82a77349c2f432",
+        "29c5b18ea222e1af0934b45cdde6a98cb6843c19e9e169ff1fc53746e4c53346",
         None,
     ),
     "sim-bon-sc-sweep": (
         0,
-        "ab019b036919f5ceb373877258931cc36994f8bc5e6f91e0f0b9e12e8675a516",
+        "e7e18214140a939dbab1addaf2a480dfead1f431626b56a6018a0dddc541304d",
         "0f22757f09c233083232aae5970de629021a5a1c9d10533a40d790085afe46ea",
         None,
     ),
     "sim-bon-vote": (
         0,
-        "96d4772832d48619fc8b53918b159f386399e95a172273da58f174b3dc7bbe9e",
+        "bd9f7f6a5fe1e91bc6fe75bd132d0ff3abfc7b2ff311aa47125ee480711a769a",
         "d47bdc4f0176f7082b699218fcbdb6e2182e2b7cf7479f13c16c80e67db10d49",
         None,
     ),
@@ -352,19 +352,19 @@ GOLDEN = {
     ),
     "sim-mcts-best-noisy": (
         0,
-        "a4c8cf3bdbbc4dbf524eb7d84f1013998e5a082b4e92b328db8c21299a6af487",
+        "341c1a91a3e52be6fb9514f6dca891288e99a1830e1fa8bf9e254279e76a4879",
         "d809173a71f635a13773f41994df8fe26f46b345052b39310c69ad1732805bfc",
         None,
     ),
     "sim-mcts-worst-constant": (
         0,
-        "921a82567de74be3b780f5d77a9ea9f0dc78aa302ffb4b4db2b54210ee8bef48",
+        "cd61b7ed744645b06135b8454120790eb51696f40f1c5a3af2cb3822b7df044e",
         "1e9674b26670fe795c19fa5c2c98de6925cda88809f7f7551e0080c1b8355f1a",
         None,
     ),
     "sim-mcts-worst-noisy": (
         0,
-        "550f9751465f9ec4e97c1b592ba452f6988ec992d32eb06a288bed35bc8b25d0",
+        "25c5e5a4d6fe8374dec99c165955911de650f99423733142716d76babb514cfb",
         "405d725f59424d3e81dec94536c21e231aed747855f45a7bf99b5b3060208e75",
         None,
     ),
