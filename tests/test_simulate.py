@@ -21,6 +21,7 @@ from slowthink.models import (
     DecayModel,
     SelectorModel,
     WrongModel,
+    step_correct_prob,
 )
 from slowthink.simulate import (
     BLOCK_TRIALS,
@@ -610,6 +611,89 @@ class TestStreamIdentity:
             assert engine(cfg, spec, 50, rng) == 0
             positions.append(stream_position(rng))
         assert positions[0] == positions[1]
+
+
+def _cell_probs(cfg):
+    return [step_correct_prob(cfg.decay, l) for l in range(1, cfg.L + 1)]
+
+
+def _cell_top_hits(rng, ok, sel, top):
+    # correct cells among the `top` best scores, every column scored alike
+    z = sel.margin * ok + sel.noise_std * rng.standard_normal(ok.shape)
+    best = np.argsort(-z, axis=1)[:, :top]
+    return np.take_along_axis(ok, best, axis=1).sum(axis=1)
+
+
+def _cell_beam(cfg, spec, n, rng):
+    # candidates dealt round-robin over the alive beams, one uniform per cell
+    k, b, sel = spec.k, spec.b, cfg.selector
+    alive = np.full(n, b)
+    for p in _cell_probs(cfg):
+        ok = (np.arange(k) % b < alive[:, None]) & (rng.random((n, k)) < p)
+        alive = _cell_top_hits(rng, ok, sel, b)
+    return int((_cell_top_hits(rng, np.arange(b) < alive[:, None], sel, 1) > 0).sum())
+
+
+def _cell_vote(cfg, spec, n, rng):
+    N, a = spec.N, cfg.answer.answer_space_size
+    ok = np.ones((n, N), dtype=bool)
+    for p in _cell_probs(cfg):
+        ok &= rng.random((n, N)) < p
+    labels = np.where(ok, 0, rng.integers(1, a + 1, (n, N)))
+    z = cfg.score_noise_std * rng.standard_normal((n, N)) + ok
+    rows = np.arange(n)[:, None]
+    sums = np.zeros((n, a + 1))
+    np.add.at(sums, (rows, labels), z)
+    held = np.zeros((n, a + 1), dtype=bool)
+    held[rows, labels] = True
+    return int((np.where(held, sums, -np.inf).argmax(axis=1) == 0).sum())
+
+
+def _cell_worst(cfg, spec, n, rng):
+    # every node of the tree drawn; a failed pick fails the trial for good
+    ok = np.ones((n, 1), dtype=bool)
+    for p in _cell_probs(cfg):
+        ok = np.repeat(ok, spec.b, axis=1)
+        ok &= rng.random(ok.shape) < p
+        ok &= (_cell_top_hits(rng, ok, cfg.selector, 1) > 0)[:, None]
+    return int(ok.any(axis=1).sum())
+
+
+NOISY_Q = SelectorModel.noisy_score(margin=1.0, noise_std=0.25)
+
+
+def cfg_flat(L, p, selector):
+    return ProcessConfig(decay=DecayModel.tabulated([p] * L), selector=selector, L=L)
+
+
+# name -> (config, strategy, per-cell reference engine)
+CELL_CASES = {
+    "beam-8-4": (cfg_flat(4, 0.5, NOISY_Q), StrategySpec.beam(8, 4), _cell_beam),
+    "beam-3-2": (cfg_exp(1, SelectorModel.noisy_score(1.0, 2.0), lam=2.0),
+                 StrategySpec.beam(3, 2), _cell_beam),
+    "orm-vote": (cfg_exp(2, answer=100, noise=0.5, lam=2.5), StrategySpec.bon(6, ORM_VOTE),
+                 _cell_vote),
+    "mcts-worst": (cfg_flat(6, 0.6, NOISY_Q), StrategySpec.mcts_worst(2), _cell_worst),
+}
+CELL_TRIALS = 20_000
+
+
+class TestCellReference:
+    """The engines draw per-trial correct counts and put the correct cells
+    first; a reference that draws every cell and keeps the dealt layout must
+    give the same law. These cases include the ones ``exact_success`` cannot
+    evaluate."""
+
+    @pytest.mark.parametrize("name", sorted(CELL_CASES))
+    def test_engine_matches_per_cell_draws(self, name):
+        cfg, spec, reference = CELL_CASES[name]
+        engine = monte_carlo(cfg, spec, CELL_TRIALS, 31).successes
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(32)))
+        cells = reference(cfg, spec, CELL_TRIALS, rng)
+        pooled = (engine + cells) / (2 * CELL_TRIALS)
+        assert 0.0 < pooled < 1.0
+        se = math.sqrt(pooled * (1 - pooled) * 2 / CELL_TRIALS)
+        assert abs(engine - cells) / CELL_TRIALS <= 4 * se, (engine, cells)
 
 
 class TestBlockMemory:
