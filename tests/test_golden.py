@@ -137,247 +137,247 @@ GOLDEN = {
     "bounds-all": (
         0,
         "7ebe74ef150c3b2c15e3d675cb5ba882bf3fea3239d6a984be2e133bf80f0a44",
-        "3463fad731370665105b4acee7767bb9ebeeb1bd718b6d783eaba839403de775",
+        "2a59a399595a7d471b5ec5f9a08a90a1a633dc5e20f97fcd033881f45a967d6d",
         None,
     ),
     "bounds-lookahead": (
         0,
         "e2ea9883cf4f08875deb14a07aa9fd59c8e63122a6f9b7bda4c5664962b87670",
-        "322fb0391c77d118d0c968b98cc2dd664f886caf35c0a04a52741e2e626288b3",
+        "303861015129672388980f19478243096bff5426fcda1f7365a55b15dea3b169",
         None,
     ),
     "bounds-noisy-worst": (
         0,
         "d6ab33dc177fd1f75e3810b290d53fe7a80bdd3535b98932380294f4426d0d96",
-        "93c5b42cbb895a110aa42c47deb119e22713bfde80082d582bf86dc93858aace",
+        "ea3b444d5485c669e35114f1f1c7fa3a7af4744cc19bb0c8d1605bc6df3d9ca8",
         None,
     ),
     "bounds-single": (
         0,
         "554719dbbf03a5a63532a7eccb391ca08e590f29d6157a0860fa038b476c23fa",
-        "8bbd6bcfad1d2462736cf920f1cd789b5c6dce2581857f085ba8757a1f6e4001",
+        "53686be6466e076ae35067eb254a0cdb9d158f6d29ba20dc62ff6a41ddb78eba",
         None,
     ),
     "bounds-table-constant": (
         0,
         "d17e5671d7880fd4bf938dd0161c92be79299d8c14a6ef19a37bfed3fa1d50c5",
-        "694e4621f12476910d247ace50b76f775abbe85ba7d747fadad5d9f29851cfa7",
+        "31fff20285446e110dfc56f53d82ef22c9914a49809112a047023e2c34e80e7b",
         None,
     ),
     "calibrate-stats": (
         0,
         "924f32a02a5a9875245bee1cb91ddcebf1ebf9227b24bdcd153ca60724009586",
-        "bff4c7bf519b4022389541c5928fa1efc864ee9dd550c41e39f1a5d06f9bcedc",
+        "21a365915e88a5b04e2a23bb388c5a29aa60faed94cdc7dee88c3d1928bc25d2",
         None,
     ),
     "calibrate-traces": (
         0,
         "064511cf8e49e678da73dc2a1f4c34e6686a1991300fa1870b3d43ee3e8ebccf",
-        "dd4f3ed6745da357443588e616448cb503a0f276d1e48612048b17fa0fda3a3c",
+        "d23bab85a320f083d8e90a9607a4af1c69fc034cf27387ed8fab571a44f008fc",
         None,
     ),
     "fano-suite": (
         0,
         "1a88b56ffa576d1215724ec10a72350b2e65b13738906355218a7709527fc3bd",
-        "1d343db34f9efa0a3626de5f637fa91d1d8b1e344e4f2d95366afc97c990428e",
+        "1be7dbd2359d9d6eee8b06b2ad325f4eb34ef926fbda0ed8b831d3459fab1d78",
         None,
     ),
     "fano-suite-long": (
         0,
         "a8f38aa442f009f088b1bcce88a7515d5486e3f7925f2c5424ef6b9583ba2cb1",
-        "13c51017c7235e0bcaa551f53ff598ab09f4ee6dd8d85a9e598c20a91ab6f308",
+        "04eebcaa8424bb25255c03ae2d75b363df95dd350ff7935b383d21cc3614f163",
         None,
     ),
     "fano-suite-long-mi-only": (
         1,
         "4427d6c0c2cb57ca6debd0b475d4ecb0a3b901b06e655b812bebd946a940edd7",
-        "84dc1422b372aabd74282b2290e7f9a4cc925bceaa523109a30e31286caba2a5",
+        "6c0ec6836d27d92f678a5fb818c82c7b39e368be1b949659ff8c1f4bee8716d2",
         None,
     ),
     "fano-suite-mi-only": (
         1,
         "422815ddd3ab32d794dea335024c261b6c27f93d7878aaf5010fa23f985fd4b0",
-        "f9419054e2cfaaf5ff4a96a802bd49cffa5e026130c71eac1ffa00c403436727",
+        "06fdf0e2b2ab41d3cb412a7d53a7471d9def0c69d313bdc566ba1a7eb206c469",
         None,
     ),
     "reproduce-bon-vs-mcts": (
         1,
         "4f8454e68fe3834ab3a17b68280cc8fffdb8ff835e46806cdf2e45513f77a23e",
-        "46266c09e2961f6a19d38bfb8ddd46c119cb727592172be50b0b73b66b6ea41c",
+        "219ba79debc749aae258c220f4da39425d65a75e557edb96a3d5accb351c4fab",
         "3154a4cee94af00290699d7e5beb597cdd5bea202b8e2d893588153063b41942",
     ),
     "reproduce-bon-vs-mcts-fail": (
         1,
         "a71d634b586a4a5250cc2dbe7a9ffea5ab8c10aa82273cdfb612203448eebf64",
-        "c94829a93bc34a174fd9cab141b355bfa17faca34c257bc47f488f570c6ea7d5",
+        "3f9a814c51fb4562e634937a29b8ce98add675342a51d504e1bc85d55a8da2d6",
         None,
     ),
     "reproduce-calibration": (
         0,
         "d4c7e539d779152b49b13e6c02cba494213782bc80cf093540513a1747df85d3",
-        "44a210c8b8033b42e45b1a680be63ffbc4c8492dcf5f969e883fe29b6d55c7ad",
+        "aaf17337b77377e5a643f040ca21e1ff21d501e89f090b9a14447bc923a99c1b",
         None,
     ),
     "reproduce-config": (
         0,
         "3e16f7aad4878261a8ce90e78e9818b18cf3f5f9f89aef98514e379f0f321418",
-        "2eaa5fdb18a5e452c7a499a3bf9d06c85850d6596e8e96bb4ab8d5cc84f38bfc",
+        "59159a18e49e856e074b0a137519f5ffeac53d2fb59e02a9b7a0f15c12ce3470",
         None,
     ),
     "reproduce-dominance": (
         0,
         "0cd3acbca3200b520fad987012f595911e4b58ceddc7a0028044e251138927df",
-        "f03cd4caf981dcc1d7fb2ec76fe64b7cd27e8a929f0f2f27583b47a0bc03dee9",
+        "c87608f7f67e113af114659fb298e80784b450bbe9f2c000f2b8fd13b1e89fdf",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
         "8b9582ad4a39c3fbe16abb9db62f977eea6e7cc73f6d5de888e264ead53d8d48",
-        "58894089fa4032de8daaa4bc6ae5e84f5f624578acf7ccad0aadb8d2862efd9c",
+        "29321cb98df60ab2e53b4a01d036be97da92e202da142bacdd943728af3e3340",
         None,
     ),
     "reproduce-fano": (
         0,
         "8551efffe435a0197bbe7c5cfa19d7c32bff69e21073bf2d48b997b24057160c",
-        "b9994b47cb3b996f2424d00a135ea54c9378fba9882081269f5cd81b664549f2",
+        "5a35fa845301fac2f177a6db698c5f5ef1646c773e18e264932d71cf93f9d22a",
         None,
     ),
     "reproduce-gamma-sweep": (
         0,
         "917aa55711422c24b8bf46956d962b6c92e47c4c18db940b620d47da0d5a578b",
-        "263b4741ffa6db585b27df2a79f8621328b12dd565cf9203302c72f49bb6dd27",
+        "679d34a77f7b8e7e03aa1713ccec3eea59618571fb19d11f2734cf09327216a7",
         None,
     ),
     "reproduce-nmin": (
         0,
         "1a86bb5981c5314536aac5103077398aff1d025d5f437977f3a81b0cf492e9a0",
-        "ca82c2299ec01b621ffbd17a9cb8f50ce2846852f8b915bbbf8518c2beda5111",
+        "859c19b7e9ce1b1acad242ad07ff8937c543ed3b9ade784572ce615f6cc49e89",
         None,
     ),
     "reproduce-table1": (
         0,
         "a402bf8fb13c88a86ff5ea10b7568df33174703c888519d1065a70a735e494a0",
-        "c2a6042ff8bdb4d6ca5d9fb4ff924b30486428ddd3fce514aa334a3b9216725b",
+        "61aa705f7c91b400f93672fb33b5fe5142072a57b174bfe728b1e73851517312",
         None,
     ),
     "sim-beam-constant": (
         0,
         "d52b1d9c11e8899411df8ab6f404cf6864eb0bfd1be7abad561ea5f0873b5f2e",
-        "90c3ed925fef90e7b17fcaae3d736b30f3835d1d8c0e3afc31d578f550be7944",
+        "e805b85c492449df63887f883c6b3c8312d0292150452a6df93f40cab9226418",
         None,
     ),
     "sim-beam-noisy": (
         0,
         "d7fcea8c0046a6833875a6ff1b202d0f932b243b637e9e8db5369002b2d998f6",
-        "33bb0fb562e71f715a06724b123ae341f5e7cec8a600b88b26f70774b6e1ed0d",
+        "fae0f8b92ff399ac93558625cb719b1f4fe8c8daa9226f3770f7b4df84da8900",
         None,
     ),
     "sim-beam-table-sweep": (
         0,
         "5354b7d204043c670d75272e0908f1095397d41b26d40945e61cc43ac8d7be0a",
-        "c70e30fe0bd24519c599e2d9d868d7b76f2a845b386cdb04ac8581ffbfdff6c1",
+        "246981db6d429fecb5f22aa17e69182a9a5fb90663c4afb36b88ce6c6034ec0d",
         "9285099c268c3d4c5f0369ecad120fe2f799e00d669c4b7f0ac456a324cb2b74",
     ),
     "sim-bon-max-sweep": (
         0,
         "6dc3be0ca432e72958bde56c5691505d7d3f863c4ccb4d1f90ebbc3441ab7bd9",
-        "402609ed07db12ffc908557699a13733955f1beaa032ed1f83fc27034dd55d97",
+        "cca41df66ec2902788331f82c8e6a5a5de6d15312d5965f3ae3997031e6cf0d3",
         "dd698133650c6f5e996e228cc35240606a3241715c6def6029ac980993599833",
     ),
     "sim-bon-max-sweep-fail": (
         1,
         "2ebe892f4a122da0978d653fa4424bb6dc1caa345ec78b432e82a77349c2f432",
-        "29c5b18ea222e1af0934b45cdde6a98cb6843c19e9e169ff1fc53746e4c53346",
+        "f4a8fe0b0c6c52d2a5bee7709c88402d16fe6e5a9dda36c6fde91ced82b7aace",
         None,
     ),
     "sim-bon-sc-sweep": (
         0,
         "e7e18214140a939dbab1addaf2a480dfead1f431626b56a6018a0dddc541304d",
-        "0f22757f09c233083232aae5970de629021a5a1c9d10533a40d790085afe46ea",
+        "9ae8f06e1eabf0b8f3b4eb097edcbeb632528772e1d1145872897f72ccf45e8e",
         None,
     ),
     "sim-bon-vote": (
         0,
         "bd9f7f6a5fe1e91bc6fe75bd132d0ff3abfc7b2ff311aa47125ee480711a769a",
-        "d47bdc4f0176f7082b699218fcbdb6e2182e2b7cf7479f13c16c80e67db10d49",
+        "4c3ef0bda4d84505babb8d12c0425c290769218ffe581aa76aa0243556b43f26",
         None,
     ),
     "sim-config": (
         0,
         "5ac5406548f8573ac0957d5e8a5c599c019159eddd020e2441efd8c7bad3d570",
-        "b3773618befd977cab14447c1d27628821743a6861ee2f1af73a2b4e8d91e037",
+        "afd6a4d59c3f7ebceaf07093e885093f2989bad6697eeae4dd124c17edb6db76",
         None,
     ),
     "sim-config-override": (
         0,
         "5cf5c2143b260f6691b5bbc1ea96fc008b50df8f8c856047a21c0308d0ddfd33",
-        "5ca066359775d93e6932671cd55c30e89ae69dfb8ec14f1e9be18f18d2df4b93",
+        "ed32a47c5b6028809aa35f774f00904b271c6073da6ce9a645d0dd298ba551c8",
         None,
     ),
     "sim-config-strategy-flag": (
         0,
         "dbbaf5b4a380dd53c65b750130007ddb1647408a281b64e02d07b5406901617a",
-        "e305005d8f4fbbd3244940001a790de01fb6ef35edd902525d773a40e6c1ec31",
+        "70de329c20337c93cc3c2b00d2a501c78c9479da66221f5ba79578ab5b5cd5f0",
         None,
     ),
     "sim-lookahead-noisy": (
         0,
         "d21b1cfe5b0cb4c2d5c981a35534351fd806a3c56ceee650b505bd95879aa9ee",
-        "1a9ba1c778815bfe62fbcb2aafe8021dad8115e6f0f818998e21ee6b0104fa46",
+        "57df940fe6e47cbff742d472f9390e9869ae5ecfeada4ccf3b450ffedbb79699",
         None,
     ),
     "sim-lookahead-sweep": (
         0,
         "29da5b2728bc6092287f5f6b1db3f610f2a6ad4dddd31e57b306ac1371611eb9",
-        "503f4d6eb4efea1e791bdaa9072737a59ec3c9573afc0d4ecad1ca0713775554",
+        "e1301c26ad78323c521e39c205c91ad19cdb3603e9f02b061ddb37a9980322e7",
         None,
     ),
     "sim-lookahead-sweep-plot": (
         0,
         "77b899cc0ae77c4f31ea9ab086d1a08793c303251f1bbdd10be4beb50d22f23f",
-        "19937f0e95bdd96d51ae6601d77113031e5d9a8c2e247e04f6f7588f63e56e27",
+        "688d608add6547312e303d89c741b8b30ce7acf5f3f4e78a1c2b8fbe7f759f1e",
         "fdb26d69193af2d6f7046be3a360079be7ee8b911c61fa3d492b9432820c9b3a",
     ),
     "sim-mcts-best": (
         0,
         "5be13523fb629fc2fb4175cec3e5cbe575972564cce41ed0fe96ee64c40c10da",
-        "9b7bf74e029c0fac67f3fa5b853f85395f875901c3a6fb272e74c507a717e298",
+        "ed8b090bf6692a8936ebf499a8d72be801794bdb3104d411fcb2fd9f3c053d05",
         None,
     ),
     "sim-mcts-best-constant": (
         0,
         "7589841b9b8cee9077d2f613a5bdcc661ad14a55281fc4139471b3e2c9388a6b",
-        "46115f5f492a588d3fdfd42f5f8e6d9f3b7412d041516561902d482f1967b33f",
+        "7ac75f7f909a1f4a32da5f38e1e9dd04800c2b5ed4b2fc61e04e96a3b8a7f3d3",
         None,
     ),
     "sim-mcts-best-noisy": (
         0,
         "341c1a91a3e52be6fb9514f6dca891288e99a1830e1fa8bf9e254279e76a4879",
-        "d809173a71f635a13773f41994df8fe26f46b345052b39310c69ad1732805bfc",
+        "b8e09b3c84ee7a84ca3926cb0740bb1b68708ae0d6bf9165c7511bde8eeb1af1",
         None,
     ),
     "sim-mcts-worst-constant": (
         0,
         "cd61b7ed744645b06135b8454120790eb51696f40f1c5a3af2cb3822b7df044e",
-        "1e9674b26670fe795c19fa5c2c98de6925cda88809f7f7551e0080c1b8355f1a",
+        "0dc7a71a0dc880fce8e980751e103f55cd8db096be863192ea7f65d052c47491",
         None,
     ),
     "sim-mcts-worst-noisy": (
         0,
         "25c5e5a4d6fe8374dec99c165955911de650f99423733142716d76babb514cfb",
-        "405d725f59424d3e81dec94536c21e231aed747855f45a7bf99b5b3060208e75",
+        "fb38a4f373aae8cf9440162bbbf379364b018e99d3069d51ffa2056f4618382b",
         None,
     ),
     "sim-single": (
         0,
         "f70e9bec899f548cc5df712e2a7c6a1de396cc2c1ef8ecbe8ddc8d7d76ffc7aa",
-        "5b965fbd3f8a8ac21f0ebfd4ae10b5a9196c59c229c02ea9d81bcf077a539115",
+        "d78a4379ed930997903658b7748f081eb9ad4319e5fc2978380127de80cb55f1",
         None,
     ),
     "sim-single-table": (
         0,
         "514672f2fb05b19f4818d5be29fab17f6e0faa1aec3e17aa27032e3e88fc9e68",
-        "201633adf99827799e0e1331fa2adcf0ba9f39112559216371e96a7fb935e8eb",
+        "8b1adba147cc6bd955e05a73bfb4044d8212642aaad5e8b78247b558573958be",
         None,
     ),
 }
