@@ -18,10 +18,10 @@ stream keyed by (master_seed, block index), so results are bit-identical for
 fixed inputs and independent of execution order. A trial whose candidates
 are all wrong has failed, so after each layer an engine keeps only the
 trials still open. Engines draw each open trial's count of correct
-candidates, one binomial per layer, and where a pick or a vote reads cells
-they put the correct ones first, as every such reader treats columns alike;
-only lookahead, whose noiseless pick takes the first of tied scores, draws
-each cell.
+candidates, one binomial per layer (one in all for Best-of-N's independent
+paths), and where a pick or a vote reads cells they put the correct ones
+first, as every such reader treats columns alike; only lookahead, whose
+noiseless pick takes the first of tied scores, draws each cell.
 ``exact_success`` computes the same success probabilities exactly, as small
 Markov chains over correct-candidate counts, and is the independent
 reference the engines are tested against.
