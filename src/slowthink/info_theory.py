@@ -4,57 +4,86 @@ decoder error, and the Fano-style lower bound tying them together.
 
 All quantities are in nats. A reasoning step is modelled as a finite joint
 distribution p(t, r) between the latent step t and the emitted response r;
-a multi-step process is a sequence of such joints.
+a multi-step process is a sequence of such joints. Every function runs through
+one draw loop (``_draw``), one batched evaluator of per-joint terms
+(``_evaluate``) and one scalar prefix walk over those terms (``_walk``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
-from .errors import RangeError, ValidationError
+from .errors import RangeError, ResourceLimitError, ValidationError
 
 MASS_TOL = 1e-12
 _HOLD_TOL = 1e-12
 # fano_suite gives up after this many drawn sequences per requested instance
 MAX_ATTEMPTS_FACTOR = 200
+# fano_suite refuses sequences that may hold more padded cells than this
+SEQUENCE_CELL_LIMIT = 2**18
+# fano_suite draws whole sequences in chunks of about this many padded cells
+CHUNK_CELLS = 2**15
 
 
-def _ent(arr: np.ndarray) -> float:
-    nz = arr[arr > 0]
-    return float(-(nz * np.log(nz)).sum())
+def _total(x: np.ndarray) -> np.ndarray:
+    """Sum along axis 0 in index order (``np.add.reduce`` sums pairwise when
+    axis 0 is the only one, so one joint would not get its bits in a batch)."""
+    return np.cumsum(x, axis=0)[-1]
 
 
-def _validated_dist(dist) -> np.ndarray:
-    p = np.asarray(dist, dtype=np.float64)
-    if p.ndim != 1 or p.size < 1:
-        raise ValidationError("distribution must be a nonempty 1-D array")
-    if not p.min() >= 0.0:  # also rejects NaN
+def _ent(cells: np.ndarray) -> np.ndarray:
+    """-sum p ln p along axis 0, with 0 ln 0 = 0."""
+    return -_total(cells * np.log(np.where(cells > 0, cells, 1.0)))
+
+
+def _renormalized(cells: np.ndarray) -> np.ndarray:
+    """Each column of ``cells``, checked to be a distribution (no negative or
+    NaN entry, mass 1 within ``MASS_TOL``) and divided once by its mass."""
+    if not cells.min() >= 0.0:  # also rejects NaN
         raise ValidationError("distribution has negative or NaN entries")
-    total = float(p.sum())
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValidationError(f"distribution mass {total} is not 1 within {MASS_TOL}")
-    return p / total
+    total = _total(cells)
+    off = np.abs(total - 1.0) > MASS_TOL
+    if off.any():
+        raise ValidationError(f"distribution mass {total[off][0]} is not 1 within {MASS_TOL}")
+    return cells / total
+
+
+def _evaluate(cells: np.ndarray, t_sizes, r_sizes):
+    """``FiniteJoint``'s checks and terms for joints zero-padded into ``cells[t,
+    r, j]``: renormalized cells, both marginals and per joint ``(|T|, H(t),
+    I(t; r), H(t | r), MAP error)``. Sums run along axis 0 in index order and
+    padding adds exact zeros, so a joint gets the same terms alone as in a batch."""
+    t_pad, r_pad, _ = cells.shape
+    p = _renormalized(cells.reshape(t_pad * r_pad, -1)).reshape(cells.shape)
+    t_marginal, r_marginal = _total(p.transpose(1, 0, 2)), _total(p)
+    if ((t_marginal > 0).sum(0) < t_sizes).any() or ((r_marginal > 0).sum(0) < r_sizes).any():
+        raise ValidationError("marginals must be strictly positive; drop "
+                              "zero-probability symbols from the support")
+    h_t, h_r, h_tr = _ent(t_marginal), _ent(r_marginal), _ent(p.reshape(t_pad * r_pad, -1))
+    terms = (h_t, np.maximum(h_t + h_r - h_tr, 0.0), np.maximum(h_tr - h_r, 0.0),
+             np.maximum(1.0 - _total(p.max(axis=0)), 0.0))
+    return p, t_marginal, r_marginal, list(zip(t_sizes, *(a.tolist() for a in terms)))
 
 
 @dataclass(frozen=True)
 class FiniteJoint:
     """Joint distribution p(t, r) over finite supports, rows indexed by t.
 
-    Entries must be nonnegative (NaN is rejected) and sum to 1 within
-    ``MASS_TOL`` (the mass is then renormalized exactly once); both marginals
-    must be strictly positive, i.e. zero-probability symbols are removed from
-    the support before construction. The marginals are summed once here and
-    stored read-only next to ``probs``.
+    Entries must be nonnegative (NaN is rejected) and sum to 1 within ``MASS_TOL``
+    (the mass is then renormalized exactly once); both marginals must be strictly
+    positive, i.e. zero-probability symbols are removed from the support before
+    construction. The marginals and the terms the checks read (``_evaluate``)
+    are computed once here and stored read-only next to ``probs``.
     """
 
     probs: np.ndarray
     _t_marginal: np.ndarray = field(init=False, repr=False, compare=False)
     _r_marginal: np.ndarray = field(init=False, repr=False, compare=False)
+    _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=np.float64)
@@ -62,18 +91,12 @@ class FiniteJoint:
             raise ValidationError("joint must be a 2-D matrix")
         if p.shape[0] < 2 or p.shape[1] < 2:
             raise ValidationError(f"support sizes must be >= 2, got {p.shape}")
-        p = _validated_dist(p.ravel()).reshape(p.shape)
-        t_marginal = p.sum(axis=1)
-        r_marginal = p.sum(axis=0)
-        if t_marginal.min() <= 0 or r_marginal.min() <= 0:
-            raise ValidationError(
-                "marginals must be strictly positive; drop zero-probability "
-                "symbols from the support"
-            )
-        for name, arr in (("probs", p), ("_t_marginal", t_marginal),
-                          ("_r_marginal", r_marginal)):
+        p, t_marginal, r_marginal, (terms,) = _evaluate(p[:, :, None], p.shape[:1], p.shape[1:])
+        for name, arr in (("probs", p[:, :, 0]), ("_t_marginal", t_marginal[:, 0]),
+                          ("_r_marginal", r_marginal[:, 0])):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_terms", terms)
 
     @property
     def t_support_size(self) -> int:
@@ -145,60 +168,41 @@ class FanoReport:
 
 def entropy(dist) -> float:
     """Shannon entropy -sum p ln p of a distribution, with 0 ln 0 = 0."""
-    return _ent(_validated_dist(dist))
-
-
-def _layer_terms(joint: FiniteJoint) -> tuple[float, float, float]:
-    """H(t), I(t; r) and H(t | r) of one joint, from three entropies."""
-    h_t = _ent(joint.t_marginal())
-    h_r = _ent(joint.r_marginal())
-    h_tr = _ent(joint.probs.ravel())
-    return h_t, max(h_t + h_r - h_tr, 0.0), max(h_tr - h_r, 0.0)
+    p = np.asarray(dist, dtype=np.float64)
+    if p.ndim != 1 or p.size < 1:
+        raise ValidationError("distribution must be a nonempty 1-D array")
+    return float(_ent(_renormalized(p[:, None]))[0])
 
 
 def conditional_entropy(joint: FiniteJoint) -> float:
     """H(t | r): the per-step information loss."""
-    return _layer_terms(joint)[2]
+    return joint._terms[3]
 
 
 def mutual_information(joint: FiniteJoint) -> float:
     """I(t; r) = H(t) + H(r) - H(t, r)."""
-    return _layer_terms(joint)[1]
+    return joint._terms[2]
 
 
-@dataclass(frozen=True)
-class _Prefix:
-    """What the checks at layer l read, accumulated over layers 1..l."""
-
-    l: int
-    layer: FiniteJoint
-    loss: float  # H(t_l | r_l)
-    snowball: float  # sum of H(t_i | r_i) over i < l, added in layer order
-    mi_nonincreasing: bool  # I(t_i; r_i) nonincreasing over i <= l
-    entropy_condition: bool  # H(t_l) >= mean of H(t_i) over i < l
+def map_decoder_error(joint: FiniteJoint) -> float:
+    """Error probability of the maximum-a-posteriori decoder t_hat(r), the
+    minimum achievable over all decoders: 1 - sum_r max_t p(t, r), clamped at
+    0 against rounding when every column has a single nonzero cell."""
+    return joint._terms[4]
 
 
-def _prefixes(seq: ChannelSequence) -> Iterator[_Prefix]:
-    """Walk the layers once: each layer's terms are computed once, and the
-    snowball sum and the mutual-information condition are carried forward.
-    The entropy condition's mean stays ``np.mean`` over the prefix, whose
-    pairwise summation a running sum would not reproduce beyond 8 terms."""
-    ents: list[float] = []
-    snow = 0.0
-    mi_prev = math.inf
-    mi_noninc = True
-    for l, layer in enumerate(seq.layers, start=1):
-        h_t, mi, loss = _layer_terms(layer)
+def _walk(layers):
+    """Yields ``(l, terms, snowball, mi_nonincreasing, entropy_condition)`` per
+    layer: the snowball summed over i < l in layer order, H(t_l) compared with
+    np.mean's value for the earlier H(t_i) (a pairwise sum, not a running one)."""
+    ents, snow, mi_prev, mi_noninc = [], 0.0, math.inf, True
+    for l, terms in enumerate(layers, start=1):
+        _, h_t, mi, loss, _ = terms
         mi_noninc = mi_noninc and mi <= mi_prev
-        entropy_cond = l == 1 or h_t >= float(np.mean(ents))
-        yield _Prefix(l, layer, loss, snow, mi_noninc, entropy_cond)
+        yield l, terms, snow, mi_noninc, l == 1 or h_t >= float(np.add.reduce(ents)) / (l - 1)
         ents.append(h_t)
         snow += loss
         mi_prev = mi
-
-
-def _prefix_at(seq: ChannelSequence, l: int) -> _Prefix:
-    return next(islice(_prefixes(seq), l - 1, None))
 
 
 def snowball(seq: ChannelSequence, l: int) -> float:
@@ -206,15 +210,8 @@ def snowball(seq: ChannelSequence, l: int) -> float:
     H(t_i | r_i). Defined for 2 <= l <= len(seq) + 1."""
     if not 2 <= l <= len(seq) + 1:
         raise RangeError(f"l must be in 2..{len(seq) + 1}, got {l}")
-    last = _prefix_at(seq, l - 1)
-    return last.snowball + last.loss
-
-
-def map_decoder_error(joint: FiniteJoint) -> float:
-    """Error probability of the maximum-a-posteriori decoder t_hat(r), the
-    minimum achievable over all decoders: 1 - sum_r max_t p(t, r), clamped at
-    0 against rounding when every column has a single nonzero cell."""
-    return max(float(1.0 - joint.probs.max(axis=0).sum()), 0.0)
+    *_, (_, terms, snow, _, _) = _walk([j._terms for j in seq.layers[: l - 1]])
+    return snow + terms[3]
 
 
 def binary_entropy(p: float) -> float:
@@ -231,34 +228,20 @@ def check_info_loss_inequality(seq: ChannelSequence, l: int) -> InfoLossReport:
     two assumptions it rests on separately. One pass over layers 1..l."""
     if not 2 <= l <= len(seq):
         raise RangeError(f"l must be in 2..{len(seq)}, got {l}")
-    p = _prefix_at(seq, l)
-    rhs = p.snowball / (l - 1)
-    return InfoLossReport(
-        l=l,
-        lhs=p.loss,
-        rhs=rhs,
-        mi_nonincreasing=p.mi_nonincreasing,
-        entropy_condition=p.entropy_condition,
-        holds=p.loss >= rhs - _HOLD_TOL,
-    )
+    *_, (_, terms, snow, mi_noninc, entropy_cond) = _walk([j._terms for j in seq.layers[:l]])
+    return InfoLossReport(l=l, lhs=terms[3], rhs=snow / (l - 1), mi_nonincreasing=mi_noninc,
+                          entropy_condition=entropy_cond,
+                          holds=terms[3] >= snow / (l - 1) - _HOLD_TOL)
 
 
-def _fano_report(p: _Prefix) -> FanoReport:
-    lhs = map_decoder_error(p.layer)
+def _fano_report(l, terms, snow, mi_noninc, entropy_cond) -> FanoReport:
+    size, _, _, _, lhs = terms
     h_b = binary_entropy(lhs)
-    size = p.layer.t_support_size
     defined = size > 2
-    rhs = (p.snowball / (p.l - 1) - h_b) / math.log(size - 1) if defined else float("nan")
-    return FanoReport(
-        l=p.l,
-        lhs=lhs,
-        rhs=rhs,
-        h_b=h_b,
-        assumption_holds=p.mi_nonincreasing,
-        entropy_condition=p.entropy_condition,
-        defined=defined,
-        holds=not defined or lhs >= rhs - _HOLD_TOL,
-    )
+    rhs = (snow / (l - 1) - h_b) / math.log(size - 1) if defined else float("nan")
+    return FanoReport(l=l, lhs=lhs, rhs=rhs, h_b=h_b, assumption_holds=mi_noninc,
+                      entropy_condition=entropy_cond, defined=defined,
+                      holds=not defined or lhs >= rhs - _HOLD_TOL)
 
 
 def fano_check(seq: ChannelSequence, l: int) -> FanoReport:
@@ -266,11 +249,51 @@ def fano_check(seq: ChannelSequence, l: int) -> FanoReport:
     information-theoretic lower bound
     ``[snowball/(l-1) - H_b(error)] / ln(|T_l| - 1)``.
 
-    Cost: one pass over layers 1..l, three entropies per layer (O(l)).
+    Cost: a scalar walk over the terms of layers 1..l (O(l)), which each
+    ``FiniteJoint`` computed once, when it was built.
     """
     if not 2 <= l <= len(seq):
         raise RangeError(f"l must be in 2..{len(seq)}, got {l}")
-    return _fano_report(_prefix_at(seq, l))
+    *_, step = _walk([j._terms for j in seq.layers[:l]])
+    return _fano_report(*step)
+
+
+def _draw(rng: np.random.Generator, lengths, sizes, width: tuple[int, int], max_cells=0):
+    """Per length taken from ``lengths``, that many joints of (t, r) = ``sizes()``,
+    each ``rng.standard_exponential(t * r)`` times the reciprocal of its sum in
+    cell order: bit for bit ``rng.dirichlet(np.ones(t * r))``, without its
+    argument checks. A draw with a zero cell is redrawn while a marginal is
+    empty. Stops after the sequence that fills ``max_cells`` padded cells.
+    Returns ``cells[t, r, j]`` padded to ``width``, support sizes, sequence ends."""
+    draws, t_sizes, r_sizes, ends = [], [], [], []
+    for length in lengths:
+        for _ in range(length):
+            t, r = sizes()
+            e = rng.standard_exponential(t * r)
+            while not e.all():  # a zero cell: redraw while a marginal is empty
+                held = e.reshape(t, r) > 0
+                if held.any(0).all() and held.any(1).all():
+                    break
+                e = rng.standard_exponential(t * r)
+            draws.append(e)
+            t_sizes.append(t)
+            r_sizes.append(r)
+        ends.append(len(draws))
+        if len(draws) * width[0] * width[1] >= max_cells:
+            break
+    # scatter cell k of joint j, row k // r and column k % r, to cells[row, column, j]
+    count = np.multiply(t_sizes, r_sizes)
+    k = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    r_of = np.repeat(r_sizes, count)
+    cells = np.zeros(width + (len(draws),))
+    cells.reshape(-1)[(k // r_of * width[1] + k % r_of) * len(draws)
+                      + np.repeat(np.arange(len(draws)), count)] = np.concatenate(draws)
+    cells *= 1.0 / _total(cells.reshape(width[0] * width[1], -1))
+    return cells, t_sizes, r_sizes, ends
+
+
+def _support_sizes(rng: np.random.Generator, lo: int, hi: int):
+    return lambda: (int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1)))
 
 
 def random_joint(rng: np.random.Generator, t_size: int, r_size: int) -> FiniteJoint:
@@ -278,30 +301,19 @@ def random_joint(rng: np.random.Generator, t_size: int, r_size: int) -> FiniteJo
     a marginal underflows to zero (``FiniteJoint`` rejects it)."""
     if t_size < 2 or r_size < 2:
         raise ValidationError(f"support sizes must be >= 2, got {t_size}x{r_size}")
-    alpha = np.ones(t_size * r_size)
-    while True:
-        try:
-            return FiniteJoint(rng.dirichlet(alpha).reshape(t_size, r_size))
-        except ValidationError:
-            continue
+    return FiniteJoint(_draw(rng, [1], lambda: (t_size, r_size), (t_size, r_size))[0][:, :, 0])
 
 
-def random_sequence(
-    rng: np.random.Generator,
-    length: int,
-    support_range: tuple[int, int] = (3, 6),
-) -> ChannelSequence:
+def random_sequence(rng: np.random.Generator, length: int,
+                    support_range: tuple[int, int] = (3, 6)) -> ChannelSequence:
     """Sequence of independent Dirichlet-uniform layers with support sizes
     drawn uniformly from ``support_range`` (inclusive)."""
     lo, hi = support_range
     if length < 1:
         raise ValidationError(f"length must be >= 1, got {length}")
-    layers = []
-    for _ in range(length):
-        t = int(rng.integers(lo, hi + 1))
-        r = int(rng.integers(lo, hi + 1))
-        layers.append(random_joint(rng, t, r))
-    return ChannelSequence(tuple(layers))
+    cells, t_sizes, r_sizes, _ = _draw(rng, [length], _support_sizes(rng, lo, hi), (hi, hi))
+    return ChannelSequence(tuple(FiniteJoint(cells[:t, :r, j])
+                                 for j, (t, r) in enumerate(zip(t_sizes, r_sizes))))
 
 
 @dataclass(frozen=True)
@@ -318,13 +330,8 @@ class FanoSuiteResult:
         return self.violations == 0
 
 
-def fano_suite(
-    instances: int,
-    support_range: tuple[int, int] = (3, 6),
-    max_len: int = 8,
-    seed: int = 0,
-    require_entropy_condition: bool = True,
-) -> FanoSuiteResult:
+def fano_suite(instances: int, support_range: tuple[int, int] = (3, 6), max_len: int = 8,
+               seed: int = 0, require_entropy_condition: bool = True) -> FanoSuiteResult:
     """Generate seeded random channel sequences and verify the decoder-error
     lower bound on every qualifying layer.
 
@@ -332,10 +339,12 @@ def fano_suite(
     and satisfies the mutual-information condition (plus, by default, the
     entropy condition; without it the bound is not guaranteed and violations
     are expected). Sequences are drawn until ``instances`` qualify, at most
-    ``MAX_ATTEMPTS_FACTOR * instances`` of them.
+    ``MAX_ATTEMPTS_FACTOR * instances`` of them. ``max_len`` layers padded to
+    the largest support may hold at most ``SEQUENCE_CELL_LIMIT`` cells.
 
-    Cost per sequence: one pass over its layers, three entropies per layer
-    (O(L)), stopped at the first layer where the mutual information rises.
+    Cost: one batched evaluation per chunk of about ``CHUNK_CELLS`` padded
+    cells, then a scalar walk over each sequence's layers (O(L)), stopped at
+    the first layer where the mutual information rises.
     """
     if instances < 1:
         raise ValidationError(f"instances must be >= 1, got {instances}")
@@ -343,42 +352,32 @@ def fano_suite(
         raise ValidationError(f"max_len must be >= 2, got {max_len}")
     lo, hi = support_range
     if not 2 <= lo <= hi:
-        raise ValidationError(
-            f"support range must satisfy 2 <= min <= max, got min={lo}, max={hi}"
-        )
+        raise ValidationError(f"support range must satisfy 2 <= min <= max, got min={lo}, "
+                              f"max={hi}")
+    if max_len * hi * hi > SEQUENCE_CELL_LIMIT:
+        raise ResourceLimitError(f"{max_len} layers at support {hi} hold up to {max_len * hi * hi}"
+                                 f" cells per sequence, past the limit of {SEQUENCE_CELL_LIMIT}")
     rng = np.random.default_rng(seed)
-    kept = 0
-    checks = 0
-    violations = 0
-    rows: list[tuple[int, FanoReport]] = []
-    for attempt in range(MAX_ATTEMPTS_FACTOR * instances):
-        if kept >= instances:
-            break
-        length = int(rng.integers(2, max_len + 1))
-        seq = random_sequence(rng, length, support_range)
-        qualifying = []
-        for p in islice(_prefixes(seq), 1, None):
-            rep = _fano_report(p)
-            if not rep.assumption_holds:
-                break  # the condition then fails for every longer prefix too
-            if not rep.defined:
-                continue
-            if require_entropy_condition and not rep.entropy_condition:
-                continue
-            qualifying.append(rep)
-        if not qualifying:
-            continue
-        kept += 1
-        for rep in qualifying:
-            checks += 1
-            if not rep.holds:
-                violations += 1
-            rows.append((attempt, rep))
+    budget = MAX_ATTEMPTS_FACTOR * instances
+    lengths = (int(rng.integers(2, max_len + 1)) for _ in range(budget))
+    sizes = _support_sizes(rng, lo, hi)
+    attempt, kept, rows = 0, 0, []
+    while kept < instances and attempt < budget:
+        cells, t_sizes, r_sizes, ends = _draw(rng, lengths, sizes, (hi, hi), CHUNK_CELLS)
+        layers = _evaluate(cells, t_sizes, r_sizes)[3]
+        for start, end in zip([0] + ends, ends):
+            qualifying = []
+            for l, terms, snow, mi_ok, ent_ok in islice(_walk(layers[start:end]), 1, None):
+                if not mi_ok:
+                    break  # the condition then fails for every longer prefix too
+                if terms[0] > 2 and (ent_ok or not require_entropy_condition):
+                    qualifying.append((attempt, _fano_report(l, terms, snow, mi_ok, ent_ok)))
+            kept += bool(qualifying)
+            rows += qualifying
+            attempt += 1
+            if kept == instances:
+                break
     if kept < instances:
-        raise ValidationError(
-            f"only {kept} of {instances} qualifying sequences found; "
-            "widen the attempt budget"
-        )
-    return FanoSuiteResult(
-        instances=kept, checks=checks, violations=violations, reports=tuple(rows)
-    )
+        raise ValidationError(f"only {kept} of {instances} qualifying sequences found; "
+                              "widen the attempt budget")
+    return FanoSuiteResult(kept, len(rows), sum(not rep.holds for _, rep in rows), tuple(rows))

@@ -223,6 +223,17 @@ class TestFanoSuiteCommand:
         assert any(r["holds"] == "false" for r in rows)
         assert "FAIL" in capsys.readouterr().err
 
+    def test_exhausted_attempt_budget_exits_2(self, tmp_path, capsys):
+        # binary supports leave every bound undefined, so nothing qualifies
+        rc, _, rows = run(
+            tmp_path, "fano-suite", "--support-min", "2", "--support-max", "2",
+            "--instances", "1",
+        )
+        assert (rc, rows) == (2, [])
+        assert capsys.readouterr().err == (
+            "error: only 0 of 1 qualifying sequences found; widen the attempt budget\n"
+        )
+
 
 class TestHsicAndFitCommands:
     @staticmethod
@@ -595,6 +606,11 @@ class TestMalformedInput:
             (["simulate", "--config", "sweep_stray.json"], "sweep takes no parameter step"),
             (["simulate", "--config", "rollout_stray.json"],
              "lookahead takes no parameter count_rollout_steps"),
+            # the suite's padded cells per sequence are checked before any draw
+            (["fano-suite", "--support-min", "100000", "--support-max", "100000",
+              "--instances", "1"], "cells per sequence, past the limit of 262144"),
+            (["fano-suite", "--max-L", "1000000000", "--instances", "2"],
+             "cells per sequence, past the limit of 262144"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):

@@ -7,7 +7,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slowthink import info_theory
@@ -329,9 +329,38 @@ class TestFanoCheck:
         result = fano_suite(instances=300, seed=123, require_entropy_condition=False)
         assert result.violations > 0
 
+    def test_attempt_budget_is_exact(self, monkeypatch):
+        # binary supports leave every bound undefined, so no sequence qualifies
+        # and the suite draws exactly its attempt budget of sequence lengths
+        lengths = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def integers(self, low, high):
+                if (low, high) == (2, 9):
+                    lengths.append(low)
+                return self.rng.integers(low, high)
+
+            def standard_exponential(self, size):
+                return self.rng.standard_exponential(size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        with pytest.raises(ValidationError, match="only 0 of 3 qualifying sequences found"):
+            fano_suite(instances=3, support_range=(2, 2))
+        assert len(lengths) == info_theory.MAX_ATTEMPTS_FACTOR * 3
+
+        lengths.clear()
+        result = fano_suite(instances=4, support_range=(2, 3), seed=5)
+        assert len(lengths) <= info_theory.MAX_ATTEMPTS_FACTOR * 4
+        assert max(idx for idx, _ in result.reports) < len(lengths)
+        assert max(idx for idx, _ in result.reports) < info_theory.MAX_ATTEMPTS_FACTOR * 4
+
 
 @st.composite
-def joints(draw) -> FiniteJoint:
+def joint_cells(draw) -> np.ndarray:
     """Joints on supports 2..6 from small integer or float weights, so that
     zero cells and exactly tied layers come up often."""
     t = draw(st.integers(2, 6))
@@ -341,7 +370,11 @@ def joints(draw) -> FiniteJoint:
     w = w.reshape(t, r)
     for i in range(max(t, r)):  # every row and column keeps some mass
         w[i % t, i % r] += 1.0
-    return FiniteJoint(w / w.sum())
+    return w / w.sum()
+
+
+def joints():
+    return joint_cells().map(FiniteJoint)
 
 
 @st.composite
@@ -402,18 +435,20 @@ class TestOnePassEquivalence:
             total += conditional_entropy(j)
         assert snowball(seq, len(seq) + 1) == total
 
-    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.just(((2, 4), 12)))
+    @example(seed=11, both=True, config=((3, 6), 8))  # the benchmark's configuration
     @settings(max_examples=10, deadline=None)
-    def test_suite_keeps_every_qualifying_check(self, seed, both):
+    def test_suite_keeps_every_qualifying_check(self, seed, both, config):
+        support, max_len = config
         result = fano_suite(
-            instances=5, support_range=(2, 4), max_len=12, seed=seed,
+            instances=5, support_range=support, max_len=max_len, seed=seed,
             require_entropy_condition=both,
         )
         # replay the draws and select the qualifying layers through fano_check
         rng = np.random.default_rng(seed)
         expected = []
         for attempt in range(result.reports[-1][0] + 1):
-            seq = random_sequence(rng, int(rng.integers(2, 13)), (2, 4))
+            seq = random_sequence(rng, int(rng.integers(2, max_len + 1)), support)
             expected += [
                 (attempt, rep)
                 for rep in (fano_check(seq, l) for l in range(2, len(seq) + 1))
@@ -421,6 +456,36 @@ class TestOnePassEquivalence:
                 and (rep.entropy_condition or not both)
             ]
         assert result.reports == tuple(expected)
+
+
+def oracle_entropy(dist) -> float:
+    mp.mp.dps = 40
+    return float(-sum(mp.mpf(x) * mp.log(mp.mpf(x)) for x in dist if x > 0))
+
+
+class TestBatchedEvaluator:
+    """The suite evaluates its joints zero-padded in batches; every other
+    function evaluates one joint alone."""
+
+    @given(st.lists(joint_cells(), min_size=1, max_size=5), st.integers(6, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_terms_are_the_same_alone_and_in_a_wider_batch(self, arrays, width):
+        batch = [np.full((width, width), width**-2.0)] + arrays + [np.eye(width) / width]
+        cells = np.zeros((width, width, len(batch)))
+        for j, a in enumerate(batch):
+            cells[: a.shape[0], : a.shape[1], j] = a
+        shapes = [a.shape for a in batch]
+        batched = info_theory._evaluate(cells, [t for t, _ in shapes], [r for _, r in shapes])[3]
+        for a, terms in zip(batch, batched):
+            joint = FiniteJoint(a)
+            assert terms == (a.shape[0], info_theory._ent(joint.t_marginal()),
+                             mutual_information(joint), conditional_entropy(joint),
+                             map_decoder_error(joint))
+            _, h_t, mi, loss, err = terms
+            assert h_t == pytest.approx(oracle_entropy(a.sum(axis=1)), abs=1e-12)
+            assert mi == pytest.approx(oracle_mutual_information(joint), abs=1e-12)
+            assert loss == pytest.approx(oracle_conditional_entropy(joint), abs=1e-12)
+            assert err == pytest.approx(1.0 - math.fsum(joint.probs.max(axis=0)), abs=1e-12)
 
 
 class TestGenerators:
@@ -443,12 +508,13 @@ class TestGenerators:
                 self.draws = iter(draws)
                 self.calls = 0
 
-            def dirichlet(self, alpha):
-                assert np.array_equal(alpha, np.ones(4))
+            def standard_exponential(self, size):
+                assert size == 4
                 self.calls += 1
                 return next(self.draws)
 
-        second = np.array([0.1, 0.2, 0.3, 0.4])
+        # the cells sum to 1 exactly, so normalizing keeps them bit for bit
+        second = np.array([0.125, 0.25, 0.375, 0.25])
         stub = Stub([np.array([0.0, 0.0, 0.5, 0.5]), second])
         joint = random_joint(stub, 2, 2)
         assert stub.calls == 2
