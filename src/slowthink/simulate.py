@@ -20,8 +20,8 @@ are all wrong has failed, so after each layer an engine keeps only the
 trials still open. Engines draw each open trial's count of correct
 candidates, one binomial per layer (one in all for Best-of-N's independent
 paths), and where a pick or a vote reads cells they put the correct ones
-first, as every such reader treats columns alike; only lookahead, whose
-noiseless pick takes the first of tied scores, draws each cell.
+first, as every such reader treats columns alike; a pick without score
+noise draws nothing.
 ``exact_success`` computes the same success probabilities exactly, as small
 Markov chains over correct-candidate counts, and is the independent
 reference the engines are tested against.
@@ -295,28 +295,14 @@ def _blocks(trials: int, master_seed: int, width: int):
         yield min(rows, trials - start), np.random.Generator(np.random.Philox(seq))
 
 
-def _bernoulli_and(rng, ok, p: float) -> None:
-    """Lookahead's step draw: ``ok[ok] = rng.random(ok.sum()) < p`` in place
-    for a C-contiguous 2-D ``ok``, by row chunks; False cells draw nothing,
-    and the uniforms reach True cells in row-major order whatever the chunk."""
-    flat = ok.reshape(-1)
-    step = ok.shape[1] * max(1, _CHUNK_CELLS // ok.shape[1])
-    for start in range(0, flat.size, step):
-        cells = flat[start : start + step]
-        if cells.all():  # the same values as the sparse draw, with no scatter
-            np.less(rng.random(cells.size), p, out=cells)
-        else:
-            live = np.flatnonzero(cells)
-            cells[live] = rng.random(live.size) < p
-
-
-def _noisy_hits(rng, ok, margin: float, std: float, b: int = 1, hit=None) -> np.ndarray:
+def _noisy_hits(rng, ok, margin: float, std: float, b: int = 1) -> np.ndarray:
     """Per row, how many of the b top scores of ``margin * ok + std * Z``, Z
-    standard normal, fall on True cells of ``hit`` (default ``ok``); at b = 1
-    the first of tied scores wins. Z is drawn a row chunk of about
+    standard normal, fall on True cells; at std = 0 (margin > 0) that is
+    min(b, True cells), and nothing is drawn. Z is drawn a row chunk of about
     _CHUNK_CELLS cells at a time into one reused buffer, in the order one
     dense draw would read the stream."""
-    hit = ok if hit is None else hit
+    if std == 0:
+        return np.minimum(b, ok.sum(axis=1))
     n, width = ok.shape
     step = max(1, _CHUNK_CELLS // width)
     buf = np.empty(min(n, step) * width)
@@ -328,7 +314,7 @@ def _noisy_hits(rng, ok, margin: float, std: float, b: int = 1, hit=None) -> np.
         z *= std
         z += margin * chunk
         top = z.argmax(axis=1)[:, None] if b == 1 else np.argpartition(-z, b - 1, axis=1)[:, :b]
-        hits[rows] = np.take_along_axis(hit[rows], top, axis=1).sum(axis=1)
+        hits[rows] = np.take_along_axis(chunk, top, axis=1).sum(axis=1)
     return hits
 
 
@@ -422,13 +408,15 @@ def _sim_lookahead(cfg, strategy, n, rng) -> int:
     b, gamma = strategy.b, strategy.gamma
     margin, std = _score_params(cfg)
     for l in range(1, cfg.L + 1):
-        cand_ok = np.ones((n, b), dtype=bool)
-        _bernoulli_and(rng, cand_ok, step_correct_prob(cfg.decay, l))
-        cand_ok = cand_ok[cand_ok.any(axis=1)]
-        roll_ok = cand_ok.copy()
-        for j in range(1, gamma + 1):
-            _bernoulli_and(rng, roll_ok, step_correct_prob(cfg.decay, l + j))
-        n = int(_noisy_hits(rng, roll_ok, margin, std, hit=cand_ok).sum())
+        # c correct candidates per open trial, a of them A: rollout correct too
+        c = rng.binomial(b, step_correct_prob(cfg.decay, l), n)
+        c = c[c > 0]
+        r = math.prod(step_correct_prob(cfg.decay, l + j) for j in range(1, gamma + 1))
+        a = rng.binomial(c, r)
+        miss = _noisy_hits(rng, np.arange(b) < a[:, None], margin, std) == 0
+        # a pick off the A cells falls uniformly on one of the other b - a
+        c, a = c[miss], a[miss]
+        n = len(miss) - len(c) + int((rng.random(len(c)) * (b - a) < c - a).sum())
     return n
 
 

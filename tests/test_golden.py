@@ -322,21 +322,21 @@ GOLDEN = {
     ),
     "sim-lookahead-noisy": (
         0,
-        "d21b1cfe5b0cb4c2d5c981a35534351fd806a3c56ceee650b505bd95879aa9ee",
+        "6ce51393aebef3787957bb16bcf6576f0285c9d91e1fe1f79f5d6c444d0388b1",
         "57df940fe6e47cbff742d472f9390e9869ae5ecfeada4ccf3b450ffedbb79699",
         None,
     ),
     "sim-lookahead-sweep": (
         0,
-        "29da5b2728bc6092287f5f6b1db3f610f2a6ad4dddd31e57b306ac1371611eb9",
+        "bd1bd762bd3eb189ba9163481975860de397a90a2dc64e2d8ff5f961ad351c2f",
         "e1301c26ad78323c521e39c205c91ad19cdb3603e9f02b061ddb37a9980322e7",
         None,
     ),
     "sim-lookahead-sweep-plot": (
         0,
-        "77b899cc0ae77c4f31ea9ab086d1a08793c303251f1bbdd10be4beb50d22f23f",
+        "9ddbce4be20b80e3b6874bcb4a5686e9c3e93e09ecae3607f39fa4641c976ec1",
         "688d608add6547312e303d89c741b8b30ce7acf5f3f4e78a1c2b8fbe7f759f1e",
-        "fdb26d69193af2d6f7046be3a360079be7ee8b911c61fa3d492b9432820c9b3a",
+        "79a2ba29e0d8c1d109a1653dd9bf03ad687222ef2a12b27a3dd7dace912bf4c2",
     ),
     "sim-mcts-best": (
         0,
