@@ -17,6 +17,7 @@ from scipy.stats import binom
 from slowthink import bounds, simulate
 from slowthink.errors import RangeError, ResourceLimitError, ValidationError
 from slowthink.models import (
+    NOISY_SCORE,
     AnswerModel,
     DecayModel,
     SelectorModel,
@@ -612,6 +613,16 @@ class TestStreamIdentity:
             positions.append(stream_position(rng))
         assert positions[0] == positions[1]
 
+    @pytest.mark.parametrize("spec", [
+        StrategySpec.beam(5, 2), StrategySpec.mcts_best(3), StrategySpec.mcts_worst(2),
+    ], ids=lambda spec: spec.describe())
+    def test_zero_noise_pick_draws_nothing(self, spec):
+        # margin > 0 decides a pick without score noise, so it draws no
+        # normals and leaves the stream exactly as the ideal selector does
+        counts = {monte_carlo(cfg_exp(3, selector, lam=2.0), spec, 50_000, 4).successes
+                  for selector in (IDEAL, SelectorModel.noisy_score(1.0, 0.0))}
+        assert len(counts) == 1, counts
+
 
 def _cell_probs(cfg):
     return [step_correct_prob(cfg.decay, l) for l in range(1, cfg.L + 1)]
@@ -659,11 +670,29 @@ def _cell_worst(cfg, spec, n, rng):
     return int(ok.any(axis=1).sum())
 
 
+def _cell_lookahead(cfg, spec, n, rng):
+    # one uniform per candidate and per rollout step; the first of tied
+    # scores wins, and the pick commits if its step is correct
+    b, sel = spec.b, cfg.selector
+    margin, std = ((sel.margin, sel.noise_std) if sel.kind == NOISY_SCORE
+                   else (1.0, cfg.score_noise_std))
+    alive = np.ones(n, dtype=bool)
+    for l in range(1, cfg.L + 1):
+        cand_ok = rng.random((n, b)) < step_correct_prob(cfg.decay, l)
+        roll_ok = cand_ok.copy()
+        for j in range(1, spec.gamma + 1):
+            roll_ok &= rng.random((n, b)) < step_correct_prob(cfg.decay, l + j)
+        pick = (margin * roll_ok + std * rng.standard_normal((n, b))).argmax(axis=1)
+        alive &= cand_ok[np.arange(n), pick]
+    return int(alive.sum())
+
+
 NOISY_Q = SelectorModel.noisy_score(margin=1.0, noise_std=0.25)
 
 
-def cfg_flat(L, p, selector):
-    return ProcessConfig(decay=DecayModel.tabulated([p] * L), selector=selector, L=L)
+def cfg_flat(L, p, selector, rollout=0):
+    return ProcessConfig(decay=DecayModel.tabulated([p] * (L + rollout)),
+                         selector=selector, L=L)
 
 
 # name -> (config, strategy, per-cell reference engine)
@@ -674,6 +703,11 @@ CELL_CASES = {
     "orm-vote": (cfg_exp(2, answer=100, noise=0.5, lam=2.5), StrategySpec.bon(6, ORM_VOTE),
                  _cell_vote),
     "mcts-worst": (cfg_flat(6, 0.6, NOISY_Q), StrategySpec.mcts_worst(2), _cell_worst),
+    "lookahead-noisy": (cfg_flat(3, 0.6, NOISY_Q, 2), StrategySpec.lookahead(4, 2),
+                        _cell_lookahead),
+    # no score noise: only the tie rule decides a pick without an A candidate
+    "lookahead-ideal": (cfg_flat(3, 0.5, IDEAL, 1), StrategySpec.lookahead(3, 1),
+                        _cell_lookahead),
 }
 CELL_TRIALS = 20_000
 
