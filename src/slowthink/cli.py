@@ -697,6 +697,8 @@ _PRESETS = {
     "dominance": (_preset_dominance, ("trials", "seed")),
     "fano": (_cmd_fano_suite, ("instances", "seed")),
 }
+# Keys some preset reads from a config but no flag sets.
+_CONFIG_ONLY = ("b_values", "L_values", "gammas", "margin", "noise_std", "answer_space_size")
 
 
 _RUNNERS = {**_COMMANDS, **{f"reproduce:{name}": run for name, (run, _) in _PRESETS.items()}}
@@ -872,6 +874,14 @@ def _from_manifest(path: str | None) -> tuple[str, dict]:
     return command, config
 
 
+def _config_keys(parser: argparse.ArgumentParser) -> list[str]:
+    """Top-level keys some subcommand reads, as one config file serves them
+    all: every flag's key up to its first dot, and the config-only keys."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    keys = {a.dest.partition(".")[0] for p in sub.choices.values() for a in p._actions}
+    return sorted(keys - {"help", *_NOT_CONFIG} | set(_CONFIG_ONLY))
+
+
 def dispatch(argv) -> int:
     parser = build_parser()
     try:
@@ -889,6 +899,7 @@ def dispatch(argv) -> int:
                 _reject_flags(args, "config", *_PRESETS[args.preset][1])
                 command = f"reproduce:{args.preset}"
             resolved = _merge(_load_config(getattr(args, "config", None)), args)
+        reject_stray_keys(resolved, "the config", _config_keys(parser))
         return _emit(command, resolved, _RUNNERS[command](resolved), args, t0)
     except (SlowthinkError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -519,6 +519,9 @@ class TestMalformedInput:
                             "sweep": {"param": "N", "values": [1], "step": 2}},
             "rollout_stray": {"strategy": {"kind": "lookahead", "b": 2, "gamma": 1,
                                            "count_rollout_steps": False}},
+            "LL": {"LL": 5},
+            "tau_label_manifest": {"command": "simulate", "config": {
+                "strategy": {"kind": "single_path"}, "trials": 10, "tau_label": "x"}},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -606,6 +609,10 @@ class TestMalformedInput:
             (["simulate", "--config", "sweep_stray.json"], "sweep takes no parameter step"),
             (["simulate", "--config", "rollout_stray.json"],
              "lookahead takes no parameter count_rollout_steps"),
+            # so is a top-level key that no subcommand reads
+            (["bounds", "--config", "LL.json"], "the config takes no parameter LL;"),
+            (["reproduce", "from-manifest", "--path", "tau_label_manifest.json"],
+             "the config takes no parameter tau_label;"),
             # the suite's padded cells per sequence are checked before any draw
             (["fano-suite", "--support-min", "100000", "--support-max", "100000",
               "--instances", "1"], "cells per sequence, past the limit of 262144"),
