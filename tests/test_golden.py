@@ -137,247 +137,247 @@ GOLDEN = {
     "bounds-all": (
         0,
         "7ebe74ef150c3b2c15e3d675cb5ba882bf3fea3239d6a984be2e133bf80f0a44",
-        "2a59a399595a7d471b5ec5f9a08a90a1a633dc5e20f97fcd033881f45a967d6d",
+        "d027e04b9c5394cfa79389f915cf61290c6c0fee2f13fb965f48ab3d9cba1147",
         None,
     ),
     "bounds-lookahead": (
         0,
         "e2ea9883cf4f08875deb14a07aa9fd59c8e63122a6f9b7bda4c5664962b87670",
-        "303861015129672388980f19478243096bff5426fcda1f7365a55b15dea3b169",
+        "ba25824127fa61f644dcda39fc521ecd947f02d1d8b7dd29fa27e856fad3b5ab",
         None,
     ),
     "bounds-noisy-worst": (
         0,
         "d6ab33dc177fd1f75e3810b290d53fe7a80bdd3535b98932380294f4426d0d96",
-        "ea3b444d5485c669e35114f1f1c7fa3a7af4744cc19bb0c8d1605bc6df3d9ca8",
+        "f44e658824654fd09083cac52d75e2b0a6916cbd3f30530e480653101673c9b8",
         None,
     ),
     "bounds-single": (
         0,
         "554719dbbf03a5a63532a7eccb391ca08e590f29d6157a0860fa038b476c23fa",
-        "53686be6466e076ae35067eb254a0cdb9d158f6d29ba20dc62ff6a41ddb78eba",
+        "ca155c6b9d1eaaf5fb4afbad85a7bde2acc134d4dc02dcccbf648d4d5a9e20a8",
         None,
     ),
     "bounds-table-constant": (
         0,
         "d17e5671d7880fd4bf938dd0161c92be79299d8c14a6ef19a37bfed3fa1d50c5",
-        "31fff20285446e110dfc56f53d82ef22c9914a49809112a047023e2c34e80e7b",
+        "c4fb1ee68043ff4aa0fb0764530ba365f5a40d81805c502144b3a2c90a670969",
         None,
     ),
     "calibrate-stats": (
         0,
         "924f32a02a5a9875245bee1cb91ddcebf1ebf9227b24bdcd153ca60724009586",
-        "21a365915e88a5b04e2a23bb388c5a29aa60faed94cdc7dee88c3d1928bc25d2",
+        "09c92cf359be8e00d457e388f7ce5ee18234f0c9df29229487c4e1d2b907b5b6",
         None,
     ),
     "calibrate-traces": (
         0,
         "064511cf8e49e678da73dc2a1f4c34e6686a1991300fa1870b3d43ee3e8ebccf",
-        "d23bab85a320f083d8e90a9607a4af1c69fc034cf27387ed8fab571a44f008fc",
+        "5358a6c76b775a99a604d4b8cf4c4d822c6abe2714595ba7e175f9d9eab50692",
         None,
     ),
     "fano-suite": (
         0,
         "1a88b56ffa576d1215724ec10a72350b2e65b13738906355218a7709527fc3bd",
-        "1be7dbd2359d9d6eee8b06b2ad325f4eb34ef926fbda0ed8b831d3459fab1d78",
+        "78f01806a1e64bd566bb3dfaf5fa08d821a20686f76411df9494d4782c16fd8c",
         None,
     ),
     "fano-suite-long": (
         0,
         "a8f38aa442f009f088b1bcce88a7515d5486e3f7925f2c5424ef6b9583ba2cb1",
-        "04eebcaa8424bb25255c03ae2d75b363df95dd350ff7935b383d21cc3614f163",
+        "391bdcef7d84c7ce23924604247a10e398f7c1fa9e9f55287b04fd57e3111008",
         None,
     ),
     "fano-suite-long-mi-only": (
         1,
         "4427d6c0c2cb57ca6debd0b475d4ecb0a3b901b06e655b812bebd946a940edd7",
-        "6c0ec6836d27d92f678a5fb818c82c7b39e368be1b949659ff8c1f4bee8716d2",
+        "db7bfe3f4fef07bc8dd50e59ec1e918a5798a7baf7daa30f5ee6e98618e8ad0d",
         None,
     ),
     "fano-suite-mi-only": (
         1,
         "422815ddd3ab32d794dea335024c261b6c27f93d7878aaf5010fa23f985fd4b0",
-        "06fdf0e2b2ab41d3cb412a7d53a7471d9def0c69d313bdc566ba1a7eb206c469",
+        "585d817975f0f4f12def79bb9e44bfd262e5c45f67426903b61fb469a2b7fa75",
         None,
     ),
     "reproduce-bon-vs-mcts": (
         1,
         "4f8454e68fe3834ab3a17b68280cc8fffdb8ff835e46806cdf2e45513f77a23e",
-        "219ba79debc749aae258c220f4da39425d65a75e557edb96a3d5accb351c4fab",
+        "31c0ff5c7a58313d414de55ad627e68cde4e9d407d3196e8961995fa83f5a11f",
         "3154a4cee94af00290699d7e5beb597cdd5bea202b8e2d893588153063b41942",
     ),
     "reproduce-bon-vs-mcts-fail": (
         1,
         "a71d634b586a4a5250cc2dbe7a9ffea5ab8c10aa82273cdfb612203448eebf64",
-        "3f9a814c51fb4562e634937a29b8ce98add675342a51d504e1bc85d55a8da2d6",
+        "a59605ec83bdcff4b184c5a1d042f45859b51f66bcae0a1b140f6d04b1fa00ba",
         None,
     ),
     "reproduce-calibration": (
         0,
         "d4c7e539d779152b49b13e6c02cba494213782bc80cf093540513a1747df85d3",
-        "aaf17337b77377e5a643f040ca21e1ff21d501e89f090b9a14447bc923a99c1b",
+        "991352ab8189e1304dc9126e28ad448f31949aaa816402e646e5c9490b139c76",
         None,
     ),
     "reproduce-config": (
         0,
         "3e16f7aad4878261a8ce90e78e9818b18cf3f5f9f89aef98514e379f0f321418",
-        "59159a18e49e856e074b0a137519f5ffeac53d2fb59e02a9b7a0f15c12ce3470",
+        "03bc19ea9f54f6afc153df5d1c329bca45db0c75138c78582cd45bb66a0e3664",
         None,
     ),
     "reproduce-dominance": (
         0,
         "0cd3acbca3200b520fad987012f595911e4b58ceddc7a0028044e251138927df",
-        "c87608f7f67e113af114659fb298e80784b450bbe9f2c000f2b8fd13b1e89fdf",
+        "7f1e665a8bdd481160f0e0a4845ce0d7fac8bfcdef7933b53db6ac4eadd5dacf",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
         "8b9582ad4a39c3fbe16abb9db62f977eea6e7cc73f6d5de888e264ead53d8d48",
-        "29321cb98df60ab2e53b4a01d036be97da92e202da142bacdd943728af3e3340",
+        "f40ec64e5014d81ccd04635813e513373b340604291b9ac1dc6887f491ae4f83",
         None,
     ),
     "reproduce-fano": (
         0,
         "8551efffe435a0197bbe7c5cfa19d7c32bff69e21073bf2d48b997b24057160c",
-        "5a35fa845301fac2f177a6db698c5f5ef1646c773e18e264932d71cf93f9d22a",
+        "43ce08aa1c9bfe63569b1efbf9728116ef46b603173c9f04857b41989ad4a086",
         None,
     ),
     "reproduce-gamma-sweep": (
         0,
         "917aa55711422c24b8bf46956d962b6c92e47c4c18db940b620d47da0d5a578b",
-        "679d34a77f7b8e7e03aa1713ccec3eea59618571fb19d11f2734cf09327216a7",
+        "d0c7d3d56e6b0362ba1b461d7b18c626f2a7791581bce3aa07a6cad505f63c4b",
         None,
     ),
     "reproduce-nmin": (
         0,
         "1a86bb5981c5314536aac5103077398aff1d025d5f437977f3a81b0cf492e9a0",
-        "859c19b7e9ce1b1acad242ad07ff8937c543ed3b9ade784572ce615f6cc49e89",
+        "5c334d0856c4f1864ec15493fd706e116d3ab517991921d513dbeb1cdb06b170",
         None,
     ),
     "reproduce-table1": (
         0,
         "a402bf8fb13c88a86ff5ea10b7568df33174703c888519d1065a70a735e494a0",
-        "61aa705f7c91b400f93672fb33b5fe5142072a57b174bfe728b1e73851517312",
+        "24da0424485eb638e294bb11a6edd821041b76d408875f42efc8da5e070b107e",
         None,
     ),
     "sim-beam-constant": (
         0,
         "d52b1d9c11e8899411df8ab6f404cf6864eb0bfd1be7abad561ea5f0873b5f2e",
-        "e805b85c492449df63887f883c6b3c8312d0292150452a6df93f40cab9226418",
+        "7c181e29a5a874bc61bdd946c297ad4ea86eb70410eafcc00b2ba87dba6bd0a2",
         None,
     ),
     "sim-beam-noisy": (
         0,
         "d7fcea8c0046a6833875a6ff1b202d0f932b243b637e9e8db5369002b2d998f6",
-        "fae0f8b92ff399ac93558625cb719b1f4fe8c8daa9226f3770f7b4df84da8900",
+        "6176ccb181b8bf831c08165396d1dbdfd076a31e22fa97288f9a63d76f5f27cd",
         None,
     ),
     "sim-beam-table-sweep": (
         0,
         "5354b7d204043c670d75272e0908f1095397d41b26d40945e61cc43ac8d7be0a",
-        "246981db6d429fecb5f22aa17e69182a9a5fb90663c4afb36b88ce6c6034ec0d",
+        "2a3277b7a0b65bf2da4328184810e6200c204e00874258649ed35dde697c27b1",
         "9285099c268c3d4c5f0369ecad120fe2f799e00d669c4b7f0ac456a324cb2b74",
     ),
     "sim-bon-max-sweep": (
         0,
         "6dc3be0ca432e72958bde56c5691505d7d3f863c4ccb4d1f90ebbc3441ab7bd9",
-        "cca41df66ec2902788331f82c8e6a5a5de6d15312d5965f3ae3997031e6cf0d3",
+        "41e85ff50843b5bebf1da407861e5925ef27cea04c8a0af7e382ac59a1c96910",
         "dd698133650c6f5e996e228cc35240606a3241715c6def6029ac980993599833",
     ),
     "sim-bon-max-sweep-fail": (
         1,
         "2ebe892f4a122da0978d653fa4424bb6dc1caa345ec78b432e82a77349c2f432",
-        "f4a8fe0b0c6c52d2a5bee7709c88402d16fe6e5a9dda36c6fde91ced82b7aace",
+        "10be71da954a3b921b5fef355b908b10f92239da7d53adabd9e6c15663550b0f",
         None,
     ),
     "sim-bon-sc-sweep": (
         0,
         "e7e18214140a939dbab1addaf2a480dfead1f431626b56a6018a0dddc541304d",
-        "9ae8f06e1eabf0b8f3b4eb097edcbeb632528772e1d1145872897f72ccf45e8e",
+        "9037533ecf4c2d5a455a3e1cac61e5302ac0e8b8237c1814ed77a08a72e657c2",
         None,
     ),
     "sim-bon-vote": (
         0,
         "bd9f7f6a5fe1e91bc6fe75bd132d0ff3abfc7b2ff311aa47125ee480711a769a",
-        "4c3ef0bda4d84505babb8d12c0425c290769218ffe581aa76aa0243556b43f26",
+        "dccc94cc41302ec39733fb9108f6659480175820841cf12e1148fd80f7a42582",
         None,
     ),
     "sim-config": (
         0,
         "5ac5406548f8573ac0957d5e8a5c599c019159eddd020e2441efd8c7bad3d570",
-        "afd6a4d59c3f7ebceaf07093e885093f2989bad6697eeae4dd124c17edb6db76",
+        "540541ae4c202073d731dd08a3fe1132fe8cd4e0cd9848cd5e04eae79af745bd",
         None,
     ),
     "sim-config-override": (
         0,
         "5cf5c2143b260f6691b5bbc1ea96fc008b50df8f8c856047a21c0308d0ddfd33",
-        "ed32a47c5b6028809aa35f774f00904b271c6073da6ce9a645d0dd298ba551c8",
+        "baad7903dcdab85b4e6627c2f8d45d13e85c7576b0d311c1626da3f102940999",
         None,
     ),
     "sim-config-strategy-flag": (
         0,
         "dbbaf5b4a380dd53c65b750130007ddb1647408a281b64e02d07b5406901617a",
-        "70de329c20337c93cc3c2b00d2a501c78c9479da66221f5ba79578ab5b5cd5f0",
+        "99300892915e7ad3daa710ad875c2982442505f9e3fac71161c7772e2a3bc808",
         None,
     ),
     "sim-lookahead-noisy": (
         0,
         "6ce51393aebef3787957bb16bcf6576f0285c9d91e1fe1f79f5d6c444d0388b1",
-        "57df940fe6e47cbff742d472f9390e9869ae5ecfeada4ccf3b450ffedbb79699",
+        "c8b5f501379813d7bceb4e10c092085068e23622c7e4f13f87a98a4f071e38de",
         None,
     ),
     "sim-lookahead-sweep": (
         0,
         "bd1bd762bd3eb189ba9163481975860de397a90a2dc64e2d8ff5f961ad351c2f",
-        "e1301c26ad78323c521e39c205c91ad19cdb3603e9f02b061ddb37a9980322e7",
+        "138c0ded87f98dfa85184239154af705414da2ddb09088720d4c31fecd3bfd21",
         None,
     ),
     "sim-lookahead-sweep-plot": (
         0,
         "9ddbce4be20b80e3b6874bcb4a5686e9c3e93e09ecae3607f39fa4641c976ec1",
-        "688d608add6547312e303d89c741b8b30ce7acf5f3f4e78a1c2b8fbe7f759f1e",
+        "b027e99cc71bfdd651ac0667a94eda2863e26882f1ab859d92436aacf2cf50df",
         "79a2ba29e0d8c1d109a1653dd9bf03ad687222ef2a12b27a3dd7dace912bf4c2",
     ),
     "sim-mcts-best": (
         0,
         "5be13523fb629fc2fb4175cec3e5cbe575972564cce41ed0fe96ee64c40c10da",
-        "ed8b090bf6692a8936ebf499a8d72be801794bdb3104d411fcb2fd9f3c053d05",
+        "ff356e61b59a307ab2d4aeab8abe6cd5240a652031c0ed893f1faa6c37cb044b",
         None,
     ),
     "sim-mcts-best-constant": (
         0,
         "7589841b9b8cee9077d2f613a5bdcc661ad14a55281fc4139471b3e2c9388a6b",
-        "7ac75f7f909a1f4a32da5f38e1e9dd04800c2b5ed4b2fc61e04e96a3b8a7f3d3",
+        "0e4ee718189548f4af2be2fa2b9ce216286e61877bc08dcd7c2e1db17d9d6d07",
         None,
     ),
     "sim-mcts-best-noisy": (
         0,
         "341c1a91a3e52be6fb9514f6dca891288e99a1830e1fa8bf9e254279e76a4879",
-        "b8e09b3c84ee7a84ca3926cb0740bb1b68708ae0d6bf9165c7511bde8eeb1af1",
+        "dc051635dbcc6ebca6441350c98bce446e1ac03839545be62a26615081b386c8",
         None,
     ),
     "sim-mcts-worst-constant": (
         0,
         "cd61b7ed744645b06135b8454120790eb51696f40f1c5a3af2cb3822b7df044e",
-        "0dc7a71a0dc880fce8e980751e103f55cd8db096be863192ea7f65d052c47491",
+        "370da437b848caa526a12f6f75aec4a59ec610bf583a001de49de5dee2dc8160",
         None,
     ),
     "sim-mcts-worst-noisy": (
         0,
         "25c5e5a4d6fe8374dec99c165955911de650f99423733142716d76babb514cfb",
-        "fb38a4f373aae8cf9440162bbbf379364b018e99d3069d51ffa2056f4618382b",
+        "c7f4405bacafb22d0e183ae88e315fd3cfd1733da097f72192e7ba99f1a00cc1",
         None,
     ),
     "sim-single": (
         0,
         "f70e9bec899f548cc5df712e2a7c6a1de396cc2c1ef8ecbe8ddc8d7d76ffc7aa",
-        "d78a4379ed930997903658b7748f081eb9ad4319e5fc2978380127de80cb55f1",
+        "cc5131be10cc7ce89c9f28ae88333bb7bafebfbe8b22003ffb3096bddc8e8653",
         None,
     ),
     "sim-single-table": (
         0,
         "514672f2fb05b19f4818d5be29fab17f6e0faa1aec3e17aa27032e3e88fc9e68",
-        "8b1adba147cc6bd955e05a73bfb4044d8212642aaad5e8b78247b558573958be",
+        "7b7f0b4a64faa78c1d1e3d0e305cf0489427d92b935a9e529d596d93d5b82d95",
         None,
     ),
 }
