@@ -609,15 +609,15 @@ class TestMalformedInput:
             (["simulate", "--config", "sweep_stray.json"], "sweep takes no parameter step"),
             (["simulate", "--config", "rollout_stray.json"],
              "lookahead takes no parameter count_rollout_steps"),
-            # so is a top-level key that no subcommand reads
-            (["bounds", "--config", "LL.json"], "the config takes no parameter LL;"),
-            (["reproduce", "from-manifest", "--path", "tau_label_manifest.json"],
-             "the config takes no parameter tau_label;"),
             # the suite's padded cells per sequence are checked before any draw
             (["fano-suite", "--support-min", "100000", "--support-max", "100000",
               "--instances", "1"], "cells per sequence, past the limit of 262144"),
             (["fano-suite", "--max-L", "1000000000", "--instances", "2"],
              "cells per sequence, past the limit of 262144"),
+            # a top-level key that no subcommand reads is named too
+            (["bounds", "--config", "LL.json"], "the config takes no parameter LL;"),
+            (["reproduce", "from-manifest", "--path", "tau_label_manifest.json"],
+             "the config takes no parameter tau_label;"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):
