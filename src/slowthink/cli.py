@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import itertools
 import json
 import math
 import sys
@@ -215,30 +216,33 @@ def _cmd_bounds(resolved: dict) -> _RunOutput:
     return _RunOutput(header, rows)
 
 
-def _strategy_row(cfg, spec, trials, seed) -> dict:
-    """Every strategy-table column of one Monte Carlo run, keyed by header
-    name; bound, vacuous and verify are empty when the strategy has no bound."""
-    report = simulate.monte_carlo(cfg, spec, trials, seed)
-    bound = simulate.matching_bound(cfg, spec)
-    return {
-        "strategy": spec.kind,
-        "rule": spec.rule or "",
-        "N": spec.N or "",
-        "k": spec.k or "",
-        "b": spec.b or "",
-        "gamma": "" if spec.gamma is None else spec.gamma,
-        "trials": trials,
-        "seed": seed,
-        "estimate": report.estimate,
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
-        "mean_steps": report.mean_steps,
-        "mean_calls": report.mean_calls,
-        "bound": "" if bound is None else bound,
-        "vacuous": "" if bound is None else bounds.is_vacuous(bound),
-        "verify": "" if bound is None
-        else "pass" if simulate.verify_bounds(report, bound) else "fail",
-    }
+def _strategy_rows(runs: list) -> list[dict]:
+    """Every strategy-table column, keyed by header name, of each (cfg, spec,
+    trials, seed) run of one Monte Carlo batch; bound, vacuous and verify are
+    empty when the strategy has no bound."""
+    rows = []
+    for (cfg, spec, trials, seed), report in zip(runs, simulate.monte_carlo_batch(runs)):
+        bound = simulate.matching_bound(cfg, spec)
+        rows.append({
+            "strategy": spec.kind,
+            "rule": spec.rule or "",
+            "N": spec.N or "",
+            "k": spec.k or "",
+            "b": spec.b or "",
+            "gamma": "" if spec.gamma is None else spec.gamma,
+            "trials": trials,
+            "seed": seed,
+            "estimate": report.estimate,
+            "ci_low": report.ci_low,
+            "ci_high": report.ci_high,
+            "mean_steps": report.mean_steps,
+            "mean_calls": report.mean_calls,
+            "bound": "" if bound is None else bound,
+            "vacuous": "" if bound is None else bounds.is_vacuous(bound),
+            "verify": "" if bound is None
+            else "pass" if simulate.verify_bounds(report, bound) else "fail",
+        })
+    return rows
 
 
 def _cmd_simulate(resolved: dict) -> _RunOutput:
@@ -266,7 +270,7 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
         "estimate", "ci_low", "ci_high", "mean_steps", "mean_calls",
         "bound", "vacuous", "verify",
     )
-    rows = [_strategy_row(cfg, spec, trials, seed) for spec in specs]
+    rows = _strategy_rows([(cfg, spec, trials, seed) for spec in specs])
     if plot_path and sweep:
         xs = [float(v) for v in sweep["values"]]
         series = [(xs, [r["estimate"] for r in rows])]
@@ -598,27 +602,19 @@ def _preset_dominance(resolved: dict) -> _RunOutput:
         "lambda_tau", "L", "strategy", "estimate", "ci_low", "ci_high",
         "bound", "vacuous", "verify",
     )
-    rows = []
-    for lam in (0.5, 1.0):
-        for L in (2, 3, 5):
-            cfg = simulate.ProcessConfig(
-                decay=DecayModel.exponential(lam),
-                selector=SelectorModel.ideal(),
-                L=L,
-            )
-            specs = [simulate.StrategySpec.single_path()]
-            specs += [
-                simulate.StrategySpec.beam(k, b) for k, b in ((2, 2), (4, 2), (4, 4))
-            ]
-            specs += [
-                simulate.StrategySpec.bon(n, simulate.ORM_MAX) for n in (2, 4, 8, 16)
-            ]
-            specs += [simulate.StrategySpec.mcts_best(b) for b in (2, 4)]
-            specs += [simulate.StrategySpec.mcts_worst(2)]
-            for spec in specs:
-                seed += 1
-                row = _strategy_row(cfg, spec, trials, seed)
-                rows.append({**row, "lambda_tau": lam, "L": L, "strategy": spec.describe()})
+    specs = [
+        simulate.StrategySpec.single_path(),
+        *(simulate.StrategySpec.beam(k, b) for k, b in ((2, 2), (4, 2), (4, 4))),
+        *(simulate.StrategySpec.bon(n, simulate.ORM_MAX) for n in (2, 4, 8, 16)),
+        *(simulate.StrategySpec.mcts_best(b) for b in (2, 4)),
+        simulate.StrategySpec.mcts_worst(2),
+    ]
+    configs = [simulate.ProcessConfig(DecayModel.exponential(lam), SelectorModel.ideal(), L=L)
+               for lam in (0.5, 1.0) for L in (2, 3, 5)]
+    runs = [(cfg, spec, trials, seed + i)
+            for i, (cfg, spec) in enumerate(itertools.product(configs, specs), start=1)]
+    rows = [{**row, "lambda_tau": cfg.decay.lambda_tau, "L": cfg.L, "strategy": spec.describe()}
+            for (cfg, spec, _, _), row in zip(runs, _strategy_rows(runs))]
     ok = all(r["verify"] != "fail" for r in rows)
     summary = (
         f"dominance: {len(rows)} configurations -> {'PASS' if ok else 'FAIL'}"
@@ -649,11 +645,11 @@ def _preset_bon_vs_mcts(resolved: dict) -> _RunOutput:
         "strategy", "N", "estimate", "ci_low", "ci_high",
         "mean_calls", "n_res", "n_call", "gap_vs_envelope",
     )
-    envelope = _strategy_row(cfg, simulate.StrategySpec.mcts_worst(b), trials, seed)
-    bon = [
-        _strategy_row(cfg, simulate.StrategySpec.bon(n, simulate.ORM_MAX), trials, seed + n)
-        for n in sorted({n_lo, matched, n_hi})
-    ]
+    envelope, *bon = _strategy_rows(
+        [(cfg, simulate.StrategySpec.mcts_worst(b), trials, seed)]
+        + [(cfg, simulate.StrategySpec.bon(n, simulate.ORM_MAX), trials, seed + n)
+           for n in sorted({n_lo, matched, n_hi})]
+    )
     rows = [
         {**row, "n_res": rng.low, "n_call": rng.high,
          "gap_vs_envelope": abs(row["estimate"] - envelope["estimate"])}

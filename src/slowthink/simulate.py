@@ -14,14 +14,17 @@ Sibling candidates are sampled independently given their shared parent.
 
 ``monte_carlo`` aggregates trials through vectorized engines: trials are
 processed in fixed-size blocks, each drawing from its own counter-based
-stream keyed by (master_seed, block index), so results are bit-identical for
-fixed inputs and independent of execution order. A trial whose candidates
-are all wrong has failed, so after each layer an engine keeps only the
-trials still open. Engines draw each open trial's count of correct
-candidates, one binomial per layer (one in all for Best-of-N's independent
-paths), and where a pick or a vote reads cells they put the correct ones
-first, as every such reader treats columns alike; a pick without score
-noise draws nothing.
+stream keyed by (master_seed, block index). ``monte_carlo_batch`` runs the
+blocks of many runs on one thread pool, a worker per usable CPU up to
+MAX_WORKERS, and sums integer successes, so results are bit-identical for
+fixed inputs whatever the worker count or the order blocks finish in. Peak
+memory is up to one block per worker; the widest known block, ``orm_vote``
+at N = 2^16, takes 124 MiB. A trial whose candidates are all wrong has
+failed, so after each layer an engine keeps only the trials still open.
+Engines draw each open trial's count of correct candidates, one binomial per
+layer (one in all for Best-of-N's independent paths), and where a pick or a
+vote reads cells they put the correct ones first, as every such reader
+treats columns alike; a pick without score noise draws nothing.
 ``exact_success`` computes the same success probabilities exactly, as small
 Markov chains over correct-candidate counts, and is the independent
 reference the engines are tested against.
@@ -32,6 +35,7 @@ Everything that varies by strategy kind is one row of ``_REGISTRY``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -79,6 +83,8 @@ NODE_LIMIT = 10**6
 # Trials per block in monte_carlo; blocks shrink when per-trial arrays are wide.
 BLOCK_TRIALS = 32_768
 _BLOCK_CELLS = 1 << 23
+MAX_WORKERS = 4  # most threads drawing blocks at once; each holds one block
+_pool = None  # built on first use
 # Engines make wide draws in row chunks of about this many cells, so that
 # their buffers stay in cache; no drawn value depends on the chunk size.
 _CHUNK_CELLS = 1 << 17
@@ -276,7 +282,8 @@ def lookahead_selection_success(
     p_good = min(lambda_tau * math.exp(-d), 1.0)
     p_flag = max(1.0 - wrong.lambda_delta * math.exp(-d), 0.0)
     successes = 0
-    for size, rng in _blocks(trials, master_seed, 1):
+    for size, seq in _blocks(trials, master_seed, 1):
+        rng = np.random.Generator(np.random.Philox(seq))
         # only a good evaluation can still succeed, so only it draws a flag
         good = int((rng.random(size) < p_good).sum())
         successes += int((rng.random(good) < p_flag).sum())
@@ -291,8 +298,7 @@ def lookahead_selection_success(
 def _blocks(trials: int, master_seed: int, width: int):
     rows = int(min(BLOCK_TRIALS, max(1, _BLOCK_CELLS // max(width, 1))))
     for index, start in enumerate(range(0, trials, rows)):
-        seq = np.random.SeedSequence((master_seed, index))
-        yield min(rows, trials - start), np.random.Generator(np.random.Philox(seq))
+        yield min(rows, trials - start), np.random.SeedSequence((master_seed, index))
 
 
 def _noisy_hits(rng, ok, margin: float, std: float, b: int = 1) -> np.ndarray:
@@ -318,17 +324,17 @@ def _noisy_hits(rng, ok, margin: float, std: float, b: int = 1) -> np.ndarray:
     return hits
 
 
-def _sim_single(cfg, strategy, n, rng) -> int:
-    for p in _step_probs(cfg, cfg.L):
+def _sim_single(cfg, strategy, probs, n, rng) -> int:
+    for p in probs:
         n = int((rng.random(n) < p).sum())
     return n
 
 
-def _sim_bon(cfg, strategy, n, rng) -> int:
+def _sim_bon(cfg, strategy, probs, n, rng) -> int:
     N, rule, std = strategy.N, strategy.rule, cfg.score_noise_std
     # correct paths per open trial: paths are independent, each correct with
     # the product of its step probabilities
-    c = rng.binomial(N, math.prod(_step_probs(cfg, cfg.L)), n)
+    c = rng.binomial(N, math.prod(probs), n)
     c = c[c > 0]
     if rule != SELF_CONSISTENCY and std == 0:
         # without score noise orm_max picks a correct path, and orm_vote
@@ -371,7 +377,7 @@ def _fed_candidates(k: int, b: int, alive):
     return alive * full + np.minimum(rem, alive)
 
 
-def _sim_beam(cfg, k, b, n, rng) -> int:
+def _sim_beam(cfg, k, b, probs, n, rng) -> int:
     sel = cfg.selector
 
     def keep(c, width, top):
@@ -381,37 +387,37 @@ def _sim_beam(cfg, k, b, n, rng) -> int:
             c = _noisy_hits(rng, np.arange(width) < c[:, None], sel.margin, sel.noise_std, top)
             return c[c > 0]
         c = np.minimum(top, c)
-        return c if sel.kind == IDEAL else c[rng.random(len(c)) < selector_success_prob(sel, b)]
+        return c if sel.kind == IDEAL else c[rng.random(len(c)) < sel.epsilon]
 
     # alive beams per open trial; the root feeds all k candidates, as b do
     alive = np.full(n, b, dtype=np.int64)
-    for p in _step_probs(cfg, cfg.L):
+    for p in probs:
         c = rng.binomial(_fed_candidates(k, b, alive), p)
         alive = keep(c[c > 0], k, b)
     return len(keep(alive, b, 1))
 
 
-def _sim_mcts_worst(cfg, strategy, n, rng) -> int:
+def _sim_mcts_worst(cfg, strategy, probs, n, rng) -> int:
     b, sel = strategy.b, cfg.selector
     c = np.ones(n, dtype=np.int64)  # correct nodes of the deepest layer, per open trial
-    for depth, p in enumerate(_step_probs(cfg, cfg.L), start=1):
+    for depth, p in enumerate(probs, start=1):
         c = rng.binomial(b * c, p)
         c = c[c > 0]
         if sel.kind == NOISY_SCORE:
             c = c[_noisy_hits(rng, np.arange(b**depth) < c[:, None], sel.margin, sel.noise_std) > 0]
         elif sel.kind != IDEAL:
-            c = c[rng.random(len(c)) < selector_success_prob(sel, b**depth)]
+            c = c[rng.random(len(c)) < sel.epsilon]
     return len(c)
 
 
-def _sim_lookahead(cfg, strategy, n, rng) -> int:
+def _sim_lookahead(cfg, strategy, probs, n, rng) -> int:
     b, gamma = strategy.b, strategy.gamma
     margin, std = _score_params(cfg)
     for l in range(1, cfg.L + 1):
         # c correct candidates per open trial, a of them A: rollout correct too
-        c = rng.binomial(b, step_correct_prob(cfg.decay, l), n)
+        c = rng.binomial(b, probs[l - 1], n)
         c = c[c > 0]
-        r = math.prod(step_correct_prob(cfg.decay, l + j) for j in range(1, gamma + 1))
+        r = math.prod(probs[l : l + gamma])
         a = rng.binomial(c, r)
         miss = _noisy_hits(rng, np.arange(b) < a[:, None], margin, std) == 0
         # a pick off the A cells falls uniformly on one of the other b - a
@@ -580,7 +586,7 @@ class _Kind(NamedTuple):
     params: tuple[str, ...]  # StrategySpec fields and config keys
     budget: Callable  # (cfg, spec) -> per-trial (steps, model calls)
     width: Callable  # (cfg, spec) -> widest per-trial engine array
-    engine: Callable  # (cfg, spec, n, rng) -> successes in n trials
+    engine: Callable  # (cfg, spec, p_1..p_{L+gamma}, n, rng) -> successes in n trials
     exact: Callable  # (cfg, spec) -> success probability, None if intractable
     bound: Callable | None  # (cfg, spec) -> closed-form upper bound
 
@@ -600,7 +606,7 @@ _REGISTRY = {
     ),
     BEAM: _Kind(
         ("k", "b"), lambda c, s: (s.k * c.L,) * 2, lambda c, s: s.k,
-        lambda c, s, n, rng: _sim_beam(c, s.k, s.b, n, rng),
+        lambda c, s, probs, n, rng: _sim_beam(c, s.k, s.b, probs, n, rng),
         lambda c, s: _exact_beam(c, s.k, s.b),
         lambda c, s: _bounds.width_expansion_bound_exact(
             c.decay, _beam_selector(c, s.k, s.b), c.L, s.k, s.b
@@ -608,7 +614,7 @@ _REGISTRY = {
     ),
     MCTS_BEST: _Kind(
         ("b",), lambda c, s: (s.b * c.L,) * 2, lambda c, s: s.b,
-        lambda c, s, n, rng: _sim_beam(c, s.b, s.b, n, rng),
+        lambda c, s, probs, n, rng: _sim_beam(c, s.b, s.b, probs, n, rng),
         lambda c, s: _exact_beam(c, s.b, s.b),
         lambda c, s: _bounds.mcts_best_bound(c.decay, _beam_selector(c, s.b, s.b), c.L, s.b),
     ),
@@ -630,22 +636,50 @@ def monte_carlo(
     """Run independent trials of a strategy and aggregate successes with a
     Wilson 95% interval and exact budget accounting. Output is bit-identical
     for fixed (cfg, strategy, trials, master_seed)."""
-    if trials < 1:
-        raise RangeError(f"trials must be >= 1, got {trials}")
-    if master_seed < 0:
-        raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
-    row = _REGISTRY[strategy.kind]
-    width = row.width(cfg, strategy)
-    if width > NODE_LIMIT:
-        raise ResourceLimitError(
-            f"{strategy.describe()} needs per-trial arrays {width} wide, "
-            f"over the {NODE_LIMIT} limit"
-        )
-    steps, calls = row.budget(cfg, strategy)
-    successes = 0
-    for size, rng in _blocks(trials, master_seed, width):
-        successes += row.engine(cfg, strategy, size, rng)
-    return MonteCarloReport.of(successes, trials, steps, calls)
+    return monte_carlo_batch([(cfg, strategy, trials, master_seed)])[0]
+
+
+def _run_block(engine, args, size: int, seq) -> int:
+    return engine(*args, size, np.random.Generator(np.random.Philox(seq)))
+
+
+def monte_carlo_batch(runs: list) -> list[MonteCarloReport]:
+    """``monte_carlo`` of each (cfg, strategy, trials, master_seed) run. Every
+    run is checked before any block is drawn; then the blocks of all runs go
+    to one thread pool, at most 2 * MAX_WORKERS of them at a time."""
+    global _pool
+    plans = []
+    for cfg, strategy, trials, master_seed in runs:
+        if trials < 1:
+            raise RangeError(f"trials must be >= 1, got {trials}")
+        if master_seed < 0:
+            raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
+        row = _REGISTRY[strategy.kind]
+        width = row.width(cfg, strategy)
+        if width > NODE_LIMIT:
+            raise ResourceLimitError(f"{strategy.describe()} needs per-trial arrays {width}"
+                                     f" wide, over the {NODE_LIMIT} limit")
+        args = (cfg, strategy, _step_probs(cfg, cfg.L + (strategy.gamma or 0)))
+        plans.append((row.engine, args, _blocks(trials, master_seed, width)))
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+        _pool = ThreadPoolExecutor(min(MAX_WORKERS, cpus or os.cpu_count() or 1))
+    successes, pending = [0] * len(plans), []
+    try:
+        for i, (engine, args, blocks) in enumerate(plans):
+            for size, seq in blocks:
+                pending.append((i, _pool.submit(_run_block, engine, args, size, seq)))
+                if len(pending) > 2 * MAX_WORKERS:
+                    j, done = pending.pop(0)
+                    successes[j] += done.result()
+        for j, done in pending:
+            successes[j] += done.result()
+    finally:
+        for _, future in pending:
+            future.cancel()
+    return [MonteCarloReport.of(n, trials, *_REGISTRY[spec.kind].budget(cfg, spec))
+            for n, (cfg, spec, trials, _) in zip(successes, runs)]
 
 
 def exact_success(cfg: ProcessConfig, strategy: StrategySpec) -> float | None:

@@ -324,19 +324,22 @@ class TestReproducePresets:
 
 
 # Runs each argv list given on its command line through cli.dispatch in a
-# fresh interpreter, then reports the exit codes and any scipy module loaded.
+# fresh interpreter, then reports the exit codes, any scipy module loaded and
+# whether importing cli alone loaded concurrent.futures.
 _IMPORT_PROBE = """
 import json, sys
 from slowthink import cli
+futures = "concurrent.futures" in sys.modules
 codes = [cli.dispatch(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes,
+print(json.dumps({"codes": codes, "futures_at_import": futures,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
 def test_commands_do_not_load_scipy(tmp_path):
     """Runtime needs only numpy: scipy is a test-only oracle, and importing it
-    used to cost more than half of every command's start-up."""
+    used to cost more than half of every command's start-up. Nor does the
+    import build the Monte Carlo thread pool, which is made on first use."""
     rng = np.random.default_rng(3)
     for name in ("x", "y"):
         rows = ["f0,f1,length"] + [f"{a},{b},{n}" for a, b, n in zip(
@@ -384,6 +387,7 @@ def test_commands_do_not_load_scipy(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert all(code in (0, 1) for code in report["codes"]), (report, proc.stderr)
     assert report["scipy"] == []
+    assert report["futures_at_import"] is False
 
 
 class TestDeterminismAndManifests:

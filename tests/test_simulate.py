@@ -4,6 +4,7 @@ determinism."""
 
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -327,11 +328,42 @@ class TestMonteCarloMachinery:
             assert a == b
 
     def test_block_layout_is_part_of_the_contract(self):
-        # per-block streams: results depend on (trials, seed) only
-        cfg = cfg_exp(2)
-        a = monte_carlo(cfg, StrategySpec.single_path(), 70_000, 7)
-        b = monte_carlo(cfg, StrategySpec.single_path(), 70_000, 7)
-        assert a.successes == b.successes
+        # block i holds the next BLOCK_TRIALS trials (the last one the rest)
+        # and draws from the Philox stream keyed by (master_seed, i)
+        cfg, spec, trials, seed = cfg_exp(2), StrategySpec.beam(4, 2), 70_000, 7
+        engine = simulate._REGISTRY[spec.kind].engine
+        probs = [step_correct_prob(cfg.decay, l) for l in (1, 2)]
+        total = 0
+        for index, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+            total += engine(cfg, spec, probs, min(BLOCK_TRIALS, trials - start), rng)
+        assert monte_carlo(cfg, spec, trials, seed).successes == total
+
+    def test_reports_do_not_depend_on_the_worker_count(self):
+        # every kind in one batch, each run three blocks long
+        runs = [(cfg, spec, 2 * BLOCK_TRIALS + 1000, seed)
+                for seed, (cfg, spec) in enumerate(EXACT_CASES.values())]
+        batches = []
+        for workers in (1, 3):
+            with ThreadPoolExecutor(workers) as pool, \
+                    mock.patch.object(simulate, "_pool", pool):
+                batches.append(simulate.monte_carlo_batch(runs))
+        assert batches[0] == batches[1] == [monte_carlo(*run) for run in runs]
+
+    def test_engine_errors_surface_and_leave_the_pool_working(self):
+        cfg, spec, trials = cfg_exp(2), StrategySpec.single_path(), 3 * BLOCK_TRIALS + 5
+        expected = monte_carlo(cfg, spec, trials, 3)
+        row = simulate._REGISTRY[spec.kind]
+
+        def engine(cfg, spec, probs, n, rng):
+            if n < BLOCK_TRIALS:
+                raise FloatingPointError("tail block")
+            return row.engine(cfg, spec, probs, n, rng)
+
+        with mock.patch.dict(simulate._REGISTRY, {spec.kind: row._replace(engine=engine)}):
+            with pytest.raises(FloatingPointError, match="tail block"):
+                monte_carlo(cfg, spec, trials, 3)
+        assert monte_carlo(cfg, spec, trials, 3) == expected
 
     def test_single_trial_interval(self):
         report = monte_carlo(cfg_exp(1), StrategySpec.single_path(), 1, 0)
@@ -360,6 +392,14 @@ class TestMonteCarloMachinery:
     def test_wide_strategies_are_refused_before_sampling(self, answer, spec):
         with pytest.raises(ResourceLimitError, match="over the 1000000 limit"):
             monte_carlo(cfg_exp(1, answer=answer), spec, 1, 0)
+        # a batch draws no block, not even for the runs before the refused one
+        fine = (cfg_exp(1), StrategySpec.single_path(), 10**5, 0)
+        with mock.patch.object(simulate, "_run_block") as run_block:
+            with pytest.raises(ResourceLimitError, match="over the 1000000 limit"):
+                simulate.monte_carlo_batch([fine, (cfg_exp(1, answer=answer), spec, 1, 0)])
+            with pytest.raises(RangeError):
+                simulate.monte_carlo_batch([fine, (*fine[:2], 0, 0)])
+        run_block.assert_not_called()
 
 
 NOISY = SelectorModel.noisy_score(margin=1.0, noise_std=0.5)
@@ -608,8 +648,9 @@ class TestStreamIdentity:
                 decay=DecayModel.tabulated([0.0] * (L + 2)), selector=selector,
                 answer=AnswerModel(7), L=L, score_noise_std=0.5,
             )
+            probs = [0.0] * (L + (spec.gamma or 0))  # depths 1..L, and the rollouts
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((9, 0))))
-            assert engine(cfg, spec, 50, rng) == 0
+            assert engine(cfg, spec, probs, 50, rng) == 0
             positions.append(stream_position(rng))
         assert positions[0] == positions[1]
 
@@ -751,6 +792,17 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2**20
+
+    def test_pooled_blocks_peak_stays_small(self):
+        # at most MAX_WORKERS blocks hold arrays at once; queued blocks hold none
+        cfg, spec = cfg_exp(2, NOISY, lam=2.5), StrategySpec.beam(2**16, 2)
+        tracemalloc.start()
+        try:
+            monte_carlo(cfg, spec, 2 * (simulate._BLOCK_CELLS // 2**16) + 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < simulate.MAX_WORKERS * 24 * 2**20
 
 
 class TestVerifyAndMatchingBounds:
