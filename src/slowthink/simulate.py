@@ -669,10 +669,10 @@ def monte_carlo_batch(runs: list) -> list[MonteCarloReport]:
     try:
         for i, (engine, args, blocks) in enumerate(plans):
             for size, seq in blocks:
-                pending.append((i, _pool.submit(_run_block, engine, args, size, seq)))
-                if len(pending) > 2 * MAX_WORKERS:
+                if len(pending) == 2 * MAX_WORKERS:
                     j, done = pending.pop(0)
                     successes[j] += done.result()
+                pending.append((i, _pool.submit(_run_block, engine, args, size, seq)))
         for j, done in pending:
             successes[j] += done.result()
     finally:
