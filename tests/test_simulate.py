@@ -3,6 +3,7 @@ equivalences, budget bookkeeping, bound dominance, and bit-level
 determinism."""
 
 import math
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -803,6 +804,28 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
         assert peak < simulate.MAX_WORKERS * 24 * 2**20
+
+    def test_queued_blocks_are_bounded(self):
+        # a long run keeps at most 2 * MAX_WORKERS blocks unfinished at once,
+        # not one future per block
+        cfg, spec = cfg_exp(1), StrategySpec.single_path()
+        row, futures, unfinished = simulate._REGISTRY[spec.kind], [], []
+
+        def slow(*args):
+            time.sleep(0.001)
+            return row.engine(*args)
+
+        class Pool(ThreadPoolExecutor):
+            def submit(self, *args):
+                futures.append(super().submit(*args))
+                unfinished.append(sum(not f.done() for f in futures))
+                return futures[-1]
+
+        with Pool(2) as pool, mock.patch.object(simulate, "_pool", pool), \
+                mock.patch.dict(simulate._REGISTRY, {spec.kind: row._replace(engine=slow)}):
+            monte_carlo(cfg, spec, 100 * BLOCK_TRIALS, 0)
+        assert len(futures) == 100
+        assert max(unfinished) <= 2 * simulate.MAX_WORKERS
 
 
 class TestVerifyAndMatchingBounds:
