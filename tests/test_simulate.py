@@ -313,6 +313,19 @@ class TestLookaheadProbe:
         # at depth 1 every wrong candidate still masquerades as plausible
         assert lookahead_selection_success(1.0, wrong, 1, 0, 500, 0).successes == 0
 
+    def test_block_layout_is_part_of_the_contract(self):
+        # block i holds the next BLOCK_TRIALS trials and draws from the Philox
+        # stream keyed by (master_seed, i): a good evaluation per trial, then
+        # a flag per good one
+        wrong, l, gamma, trials, seed = WrongModel(math.e**3 / 2), 1, 2, 2 * BLOCK_TRIALS + 1000, 5
+        p_good, p_flag = math.exp(-(l + gamma)), 1 - wrong.lambda_delta * math.exp(-(l + gamma))
+        total = 0
+        for index, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+            good = int((rng.random(min(BLOCK_TRIALS, trials - start)) < p_good).sum())
+            total += int((rng.random(good) < p_flag).sum())
+        assert lookahead_selection_success(1.0, wrong, l, gamma, trials, seed).successes == total
+
 
 class TestMonteCarloMachinery:
     def test_bit_identical_reports(self):
