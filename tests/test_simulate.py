@@ -326,6 +326,24 @@ class TestLookaheadProbe:
             total += int((rng.random(good) < p_flag).sum())
         assert lookahead_selection_success(1.0, wrong, l, gamma, trials, seed).successes == total
 
+    def test_reports_do_not_depend_on_the_worker_count(self):
+        args = (1.0, WrongModel(math.e**3 / 2), 1, 2, 2 * BLOCK_TRIALS + 1000, 5)
+        reports = []
+        for workers in (1, 3):
+            with ThreadPoolExecutor(workers) as pool, \
+                    mock.patch.object(simulate, "_pool", pool):
+                reports.append(lookahead_selection_success(*args))
+        assert reports[0] == reports[1] == lookahead_selection_success(*args)
+
+    def test_inputs_are_checked_before_sampling(self):
+        wrong = WrongModel(math.e**3 / 2)
+        with mock.patch.object(simulate, "_run_block") as run_block:
+            with pytest.raises(RangeError, match="trials must be >= 1, got 0"):
+                lookahead_selection_success(1.0, wrong, 1, 2, 0, 5)
+            with pytest.raises(ValidationError, match="master_seed must be >= 0, got -1"):
+                lookahead_selection_success(1.0, wrong, 1, 2, 10, -1)
+        run_block.assert_not_called()
+
 
 class TestMonteCarloMachinery:
     def test_bit_identical_reports(self):
