@@ -257,8 +257,11 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
     if sweep:
         reject_stray_keys(checked_section(sweep, "sweep"), "sweep", ("param", "values"))
         param, values = sweep.get("param"), sweep.get("values")
-        if not (isinstance(param, str) and isinstance(values, list)):
-            raise ValidationError('sweep must be {"param": NAME, "values": [V1, ...]}')
+        if not (isinstance(param, str) and isinstance(values, list) and values):
+            raise ValidationError(f'sweep must be {{"param": NAME, "values": [V1, ...]}} with one'
+                                  f' value or more, got {sweep!r}')
+        if plot_path:  # the plot's x axis reads the values as numbers
+            xs = [checked_number(v, f"plotted {param}") for v in values]
         specs = [
             simulate.StrategySpec.from_config({**strategy_cfg, param: value})
             for value in values
@@ -272,7 +275,6 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
     )
     rows = _strategy_rows([(cfg, spec, trials, seed) for spec in specs])
     if plot_path and sweep:
-        xs = [float(v) for v in sweep["values"]]
         series = [(xs, [r["estimate"] for r in rows])]
         labels = ["estimate"]
         if all(r["bound"] != "" for r in rows):

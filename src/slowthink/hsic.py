@@ -148,6 +148,8 @@ def permutation_null(
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     kc, lc = _centered_grams(x, y, cfg)
     rng = np.random.default_rng(seed)
     # Gather into reused buffers (a fresh n x n array can page-fault on every

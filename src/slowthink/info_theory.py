@@ -350,6 +350,8 @@ def fano_suite(instances: int, support_range: tuple[int, int] = (3, 6), max_len:
         raise ValidationError(f"instances must be >= 1, got {instances}")
     if max_len < 2:
         raise ValidationError(f"max_len must be >= 2, got {max_len}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     lo, hi = support_range
     if not 2 <= lo <= hi:
         raise ValidationError(f"support range must satisfy 2 <= min <= max, got min={lo}, "

@@ -524,6 +524,10 @@ class TestMalformedInput:
             "rollout_stray": {"strategy": {"kind": "lookahead", "b": 2, "gamma": 1,
                                            "count_rollout_steps": False}},
             "LL": {"LL": 5},
+            "sweep_empty": {"strategy": {"kind": "bon", "N": 2}, "trials": 10,
+                            "sweep": {"param": "N", "values": []}},
+            "sweep_rule": {"strategy": {"kind": "bon", "N": 2}, "trials": 10,
+                           "sweep": {"param": "rule", "values": ["orm_max", "orm_vote"]}},
             "tau_label_manifest": {"command": "simulate", "config": {
                 "strategy": {"kind": "single_path"}, "trials": 10, "tau_label": "x"}},
         }
@@ -693,6 +697,18 @@ class TestMalformedInput:
              "reproduce from-manifest does not take --config"),
             (["reproduce", "from-manifest", "--path", "bad.json", "--seed", "3"],
              "reproduce from-manifest does not take --seed"),
+            # a negative seed is refused by every seeded command
+            (["fano-suite", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["reproduce", "fano", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["hsic", "--x", "y.csv", "--y", "y.csv", "--permutation-test", "5", "--seed", "-1"],
+             "seed must be >= 0, got -1"),
+            (["reproduce", "gamma-sweep", "--seed", "-1"], "seed must be >= 0, got -1"),
+            # a sweep takes one value or more, and numbers when plotted
+            (["simulate", "--strategy", "bon", "--sweep", "N=5:1"], "with one value or more"),
+            (["simulate", "--strategy", "bon", "--sweep", "N="], "with one value or more"),
+            (["simulate", "--config", "sweep_empty.json"], "with one value or more"),
+            (["simulate", "--config", "sweep_rule.json", "--plot", "x.svg"],
+             "plotted rule must be a number, got 'orm_max'"),
         ],
     )
     def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):
