@@ -7,12 +7,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import slowthink
+from slowthink import simulate
 from slowthink.cli import dispatch
 from slowthink.reporting import run_environment
 
@@ -388,6 +391,41 @@ def test_commands_do_not_load_scipy(tmp_path):
     assert all(code in (0, 1) for code in report["codes"]), (report, proc.stderr)
     assert report["scipy"] == []
     assert report["futures_at_import"] is False
+
+
+def test_pool_threads_call_only_private_functions(tmp_path, monkeypatch):
+    """The bench tracer times public functions on one span stack, which stays
+    right only while the Monte Carlo pool's threads call none of them."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if (event == "call" and threading.current_thread() is not threading.main_thread()
+                and frame.f_globals.get("__name__", "").startswith("slowthink.")):
+            called.add(frame.f_code.co_qualname)
+
+    noisy = ["--selector", "noisy:1,0.25", "--lambda", "2.5", "--trials", "3000"]
+    bon = ["--strategy", "bon", "--N", "8", "--answer-space", "20", "--trials", "3000"]
+    commands = [
+        ["reproduce", "dominance", "--trials", "3000"],
+        ["reproduce", "bon-vs-mcts", "--trials", "3000"],
+        ["reproduce", "gamma-sweep", "--trials", "3000"],
+        ["simulate", "--strategy", "beam", "--k", "8", "--b", "4", "--L", "4"] + noisy,
+        ["simulate", "--strategy", "lookahead", "--b", "3", "--gamma", "2", "--L", "4"] + noisy,
+        ["simulate", "--strategy", "mcts_worst", "--b", "2", "--L", "4"] + noisy,
+        ["simulate", *bon, "--rule", "orm_vote", "--score-noise", "0.5"],
+        ["simulate", *bon, "--rule", "self_consistency"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    threading.setprofile(profile)  # profiles the threads started from here on
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            monkeypatch.setattr(simulate, "_pool", pool)
+            codes = [dispatch(argv + ["--out", f"out{i}.csv"]) for i, argv in enumerate(commands)]
+    finally:
+        threading.setprofile(None)
+    assert all(code in (0, 1) for code in codes)
+    assert "_run_block" in called
+    assert sorted(name for name in called if name.split(".")[0][0] not in "_<") == []
 
 
 class TestDeterminismAndManifests:
