@@ -254,7 +254,7 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
     seed = _number(resolved, "seed", 0)
     plot_path = _path(resolved, "plot")
     sweep = resolved.get("sweep")
-    if sweep:
+    if sweep is not None:
         reject_stray_keys(checked_section(sweep, "sweep"), "sweep", ("param", "values"))
         param, values = sweep.get("param"), sweep.get("values")
         if not (isinstance(param, str) and isinstance(values, list) and values):

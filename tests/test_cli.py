@@ -564,6 +564,7 @@ class TestMalformedInput:
             "LL": {"LL": 5},
             "sweep_empty": {"strategy": {"kind": "bon", "N": 2}, "trials": 10,
                             "sweep": {"param": "N", "values": []}},
+            "sweep_bare": {"strategy": {"kind": "bon", "N": 2}, "trials": 10, "sweep": {}},
             "sweep_rule": {"strategy": {"kind": "bon", "N": 2}, "trials": 10,
                            "sweep": {"param": "rule", "values": ["orm_max", "orm_vote"]}},
             "tau_label_manifest": {"command": "simulate", "config": {
@@ -745,6 +746,7 @@ class TestMalformedInput:
             (["simulate", "--strategy", "bon", "--sweep", "N=5:1"], "with one value or more"),
             (["simulate", "--strategy", "bon", "--sweep", "N="], "with one value or more"),
             (["simulate", "--config", "sweep_empty.json"], "with one value or more"),
+            (["simulate", "--config", "sweep_bare.json"], "with one value or more, got {}"),
             (["simulate", "--config", "sweep_rule.json", "--plot", "x.svg"],
              "plotted rule must be a number, got 'orm_max'"),
         ],
