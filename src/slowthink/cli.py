@@ -600,6 +600,8 @@ def _preset_gamma_sweep(resolved: dict) -> _RunOutput:
 def _preset_dominance(resolved: dict) -> _RunOutput:
     trials = _number(resolved, "trials", 100_000)
     seed = _number(resolved, "seed", 31_000)
+    if seed < 0:  # the runs draw from seed + 1 on, which the runner accepts from -1
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     header = (
         "lambda_tau", "L", "strategy", "estimate", "ci_low", "ci_high",
         "bound", "vacuous", "verify",

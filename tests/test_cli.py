@@ -742,6 +742,7 @@ class TestMalformedInput:
             (["hsic", "--x", "y.csv", "--y", "y.csv", "--permutation-test", "5", "--seed", "-1"],
              "seed must be >= 0, got -1"),
             (["reproduce", "gamma-sweep", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["reproduce", "dominance", "--seed", "-1"], "seed must be >= 0, got -1"),
             # a sweep takes one value or more, and numbers when plotted
             (["simulate", "--strategy", "bon", "--sweep", "N=5:1"], "with one value or more"),
             (["simulate", "--strategy", "bon", "--sweep", "N="], "with one value or more"),
