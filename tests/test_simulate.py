@@ -702,15 +702,22 @@ def _cell_probs(cfg):
 
 
 def _cell_top_hits(rng, ok, sel, top):
-    # correct cells among the `top` best scores, every column scored alike
+    # correct cells among the `top` picked: an ideal pick keeps min(top,
+    # correct), a constant pick does so if one uniform per trial falls below
+    # eps and keeps none otherwise, and a noisy pick takes the best scores,
+    # every column scored alike
+    if sel.kind != NOISY_SCORE:
+        hits = np.minimum(top, ok.sum(axis=1))
+        return hits if sel.kind == IDEAL.kind else hits * (rng.random(len(ok)) < sel.epsilon)
     z = sel.margin * ok + sel.noise_std * rng.standard_normal(ok.shape)
     best = np.argsort(-z, axis=1)[:, :top]
     return np.take_along_axis(ok, best, axis=1).sum(axis=1)
 
 
 def _cell_beam(cfg, spec, n, rng):
-    # candidates dealt round-robin over the alive beams, one uniform per cell
-    k, b, sel = spec.k, spec.b, cfg.selector
+    # candidates dealt round-robin over the alive beams, one uniform per
+    # cell; mcts_best is beam search with k = b
+    k, b, sel = spec.k or spec.b, spec.b, cfg.selector
     alive = np.full(n, b)
     for p in _cell_probs(cfg):
         ok = (np.arange(k) % b < alive[:, None]) & (rng.random((n, k)) < p)
@@ -773,6 +780,10 @@ CELL_CASES = {
     "beam-8-4": (cfg_flat(4, 0.5, NOISY_Q), StrategySpec.beam(8, 4), _cell_beam),
     "beam-3-2": (cfg_exp(1, SelectorModel.noisy_score(1.0, 2.0), lam=2.0),
                  StrategySpec.beam(3, 2), _cell_beam),
+    "beam-ideal": (cfg_flat(4, 0.4, IDEAL), StrategySpec.beam(8, 4), _cell_beam),
+    "beam-constant": (cfg_flat(3, 0.4, CONST), StrategySpec.beam(5, 2), _cell_beam),
+    "mcts-best-ideal": (cfg_flat(4, 0.6, IDEAL), StrategySpec.mcts_best(3), _cell_beam),
+    "mcts-best-constant": (cfg_flat(4, 0.6, CONST), StrategySpec.mcts_best(3), _cell_beam),
     "orm-vote": (cfg_exp(2, answer=100, noise=0.5, lam=2.5), StrategySpec.bon(6, ORM_VOTE),
                  _cell_vote),
     "mcts-worst": (cfg_flat(6, 0.6, NOISY_Q), StrategySpec.mcts_worst(2), _cell_worst),
