@@ -27,6 +27,10 @@ Engines draw each open trial's count of correct candidates, one binomial per
 layer (one in all for Best-of-N's independent paths), and where a pick or a
 vote reads cells they put the correct ones first, as every such reader
 treats columns alike; a pick without score noise draws nothing.
+Beam search and mcts_best keep a histogram of open trials by alive-beam
+count and draw one binomial per occupied count; a constant pick draws
+Bin(h, eps) for the h trials at each kept count, and a noisy pick still
+draws per-trial scores.
 ``exact_success`` computes the same success probabilities exactly, as small
 Markov chains over correct-candidate counts, and is the independent
 reference the engines are tested against.
@@ -286,8 +290,12 @@ def _noisy_hits(rng, ok, margin: float, std: float, b: int = 1) -> np.ndarray:
         z = rng.standard_normal(out=buf[: chunk.size].reshape(chunk.shape))
         z *= std
         z += margin * chunk
-        top = z.argmax(axis=1)[:, None] if b == 1 else np.argpartition(-z, b - 1, axis=1)[:, :b]
-        hits[rows] = np.take_along_axis(chunk, top, axis=1).sum(axis=1)
+        if b == 1:
+            hits[rows] = np.take_along_axis(chunk, z.argmax(axis=1)[:, None], axis=1)[:, 0]
+        else:
+            # at or above the row's b-th highest score; a tie has probability 0
+            t = np.partition(z, width - b, axis=1)[:, width - b, None]
+            hits[rows] = (chunk & (z >= t)).sum(axis=1)
     return hits
 
 
@@ -347,21 +355,30 @@ def _fed_candidates(k: int, b: int, alive):
 def _sim_beam(cfg, k, b, probs, n, rng) -> int:
     sel = cfg.selector
 
-    def keep(c, width, top):
-        # the first c > 0 of width candidates are correct: how many correct
-        # ones the top `top` keep, dropping the trials that keep none
-        if sel.kind == NOISY_SCORE:
-            c = _noisy_hits(rng, np.arange(width) < c[:, None], sel.margin, sel.noise_std, top)
-            return c[c > 0]
-        c = np.minimum(top, c)
-        return c if sel.kind == IDEAL else c[rng.random(len(c)) < sel.epsilon]
+    def tally(hist, draw, size):
+        # histogram over 0..size-1 of draw(c, m) over the m = hist[c] open
+        # trials at each count c > 0; trials at count 0 have failed
+        drawn = [draw(c, hist[c]) for c in np.flatnonzero(hist[1:]) + 1]
+        return np.bincount(np.concatenate([np.empty(0, np.intp), *drawn]), minlength=size)
 
-    # alive beams per open trial; the root feeds all k candidates, as b do
-    alive = np.full(n, b, dtype=np.int64)
+    def keep(hist, width, top):
+        # hist[c] open trials have c correct candidates, the first c of
+        # width: how many trials keep each count 0..top of correct ones
+        if sel.kind == NOISY_SCORE:
+            return tally(hist, lambda c, m: _noisy_hits(
+                rng, np.broadcast_to(np.arange(width) < c, (m, width)),
+                sel.margin, sel.noise_std, top), top + 1)
+        kept = np.append(hist[:top], hist[top:].sum())
+        if sel.kind != IDEAL:
+            kept[1:] = rng.binomial(kept[1:], sel.epsilon)  # kept[0] is never read
+        return kept
+
+    # open trials per alive-beam count; the root feeds all k candidates, as b do
+    alive = np.bincount([b], minlength=b + 1) * n
     for p in probs:
-        c = rng.binomial(_fed_candidates(k, b, alive), p)
-        alive = keep(c[c > 0], k, b)
-    return len(keep(alive, b, 1))
+        fed = tally(alive, lambda a, m: rng.binomial(_fed_candidates(k, b, a), p, m), k + 1)
+        alive = keep(fed, k, b)
+    return int(keep(alive, b, 1)[1])
 
 
 def _sim_mcts_worst(cfg, strategy, probs, n, rng) -> int:

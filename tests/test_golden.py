@@ -226,13 +226,13 @@ GOLDEN = {
     ),
     "reproduce-dominance": (
         0,
-        "0cd3acbca3200b520fad987012f595911e4b58ceddc7a0028044e251138927df",
+        "d8104c66493b6c9e08d229f7544da8cf1eb35a27d42b520c632599183aac1e85",
         "7f1e665a8bdd481160f0e0a4845ce0d7fac8bfcdef7933b53db6ac4eadd5dacf",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
-        "8b9582ad4a39c3fbe16abb9db62f977eea6e7cc73f6d5de888e264ead53d8d48",
+        "2fb6852f6e84c2a8e2a588642481bbb315ab970f3838337c309cdd0cd78679de",
         "f40ec64e5014d81ccd04635813e513373b340604291b9ac1dc6887f491ae4f83",
         None,
     ),
@@ -262,13 +262,13 @@ GOLDEN = {
     ),
     "sim-beam-constant": (
         0,
-        "d52b1d9c11e8899411df8ab6f404cf6864eb0bfd1be7abad561ea5f0873b5f2e",
+        "ae6a1a682336494ade00dc82e8eec2a4774909dffaf5d779d74e33a7c684e550",
         "7c181e29a5a874bc61bdd946c297ad4ea86eb70410eafcc00b2ba87dba6bd0a2",
         None,
     ),
     "sim-beam-noisy": (
         0,
-        "d7fcea8c0046a6833875a6ff1b202d0f932b243b637e9e8db5369002b2d998f6",
+        "7e25bd1dee021ba7f87761c8e7bf46b882ee872aa8d24c770081ea31e89c5471",
         "6176ccb181b8bf831c08165396d1dbdfd076a31e22fa97288f9a63d76f5f27cd",
         None,
     ),
@@ -304,7 +304,7 @@ GOLDEN = {
     ),
     "sim-config": (
         0,
-        "5ac5406548f8573ac0957d5e8a5c599c019159eddd020e2441efd8c7bad3d570",
+        "639920043cc32b460f3f54cc83352726ffe463cb935bc8ecc27bc99eb83c1920",
         "540541ae4c202073d731dd08a3fe1132fe8cd4e0cd9848cd5e04eae79af745bd",
         None,
     ),
@@ -316,7 +316,7 @@ GOLDEN = {
     ),
     "sim-config-strategy-flag": (
         0,
-        "dbbaf5b4a380dd53c65b750130007ddb1647408a281b64e02d07b5406901617a",
+        "c440cfe242d55c47e9c73b2cd0849bb988a002708c5bf3e4bb7dc644b84500dd",
         "99300892915e7ad3daa710ad875c2982442505f9e3fac71161c7772e2a3bc808",
         None,
     ),
@@ -346,13 +346,13 @@ GOLDEN = {
     ),
     "sim-mcts-best-constant": (
         0,
-        "7589841b9b8cee9077d2f613a5bdcc661ad14a55281fc4139471b3e2c9388a6b",
+        "a4987de9007fabe1c2aa96e8a223d651bd143393cc30b15c23a68e9301d909b4",
         "0e4ee718189548f4af2be2fa2b9ce216286e61877bc08dcd7c2e1db17d9d6d07",
         None,
     ),
     "sim-mcts-best-noisy": (
         0,
-        "341c1a91a3e52be6fb9514f6dca891288e99a1830e1fa8bf9e254279e76a4879",
+        "a4c8cf3bdbbc4dbf524eb7d84f1013998e5a082b4e92b328db8c21299a6af487",
         "dc051635dbcc6ebca6441350c98bce446e1ac03839545be62a26615081b386c8",
         None,
     ),

@@ -696,6 +696,31 @@ class TestStreamIdentity:
                   for selector in (IDEAL, SelectorModel.noisy_score(1.0, 0.0))}
         assert len(counts) == 1, counts
 
+    @pytest.mark.parametrize("selector", [IDEAL, CONST], ids=["ideal", "constant"])
+    def test_beam_draws_only_candidate_counts(self, selector):
+        # open trials are grouped by alive-beam count, so a layer draws one
+        # binomial with a scalar n per occupied count; a constant pick draws
+        # one binomial over the kept counts per layer and at the end
+        L, b = 5, 4
+        cfg, spec = cfg_exp(L, selector, lam=2.0), StrategySpec.beam(8, b)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, 0))))
+        calls = []
+
+        class Logged:
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    calls.append((name, np.ndim(args[0])))
+                    return getattr(rng, name)(*args, **kwargs)
+                return draw
+
+        engine = simulate._REGISTRY[spec.kind].engine
+        assert engine(cfg, spec, simulate._step_probs(cfg, L), BLOCK_TRIALS, Logged()) > 0
+        assert {name for name, _ in calls} == {"binomial"}
+        assert calls.count(("binomial", 0)) <= L * b
+        picks = calls.count(("binomial", 1))
+        assert picks == (L + 1 if selector is CONST else 0)
+        assert len(calls) == calls.count(("binomial", 0)) + picks
+
 
 def _cell_probs(cfg):
     return [step_correct_prob(cfg.decay, l) for l in range(1, cfg.L + 1)]
