@@ -666,7 +666,7 @@ def _run_jobs(jobs: list) -> list[int]:
         if trials < 1:
             raise RangeError(f"trials must be >= 1, got {trials}")
         if master_seed < 0:
-            raise ValidationError(f"master_seed must be >= 0, got {master_seed}")
+            raise ValidationError(f"seed must be >= 0, got {master_seed}")
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None

@@ -750,6 +750,11 @@ class TestMalformedInput:
             (["simulate", "--config", "sweep_bare.json"], "with one value or more, got {}"),
             (["simulate", "--config", "sweep_rule.json", "--plot", "x.svg"],
              "plotted rule must be a number, got 'orm_max'"),
+            # every seeded command words a negative seed alike
+            (["simulate", "--strategy", "single_path", "--seed", "-1"],
+             "error: seed must be >= 0, got -1"),
+            (["reproduce", "gamma-sweep", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+            (["reproduce", "bon-vs-mcts", "--seed", "-1"], "error: seed must be >= 0, got -1"),
         ],
     )
     def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):

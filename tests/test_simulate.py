@@ -340,7 +340,7 @@ class TestLookaheadProbe:
         with mock.patch.object(simulate, "_run_block") as run_block:
             with pytest.raises(RangeError, match="trials must be >= 1, got 0"):
                 lookahead_selection_success(1.0, wrong, 1, 2, 0, 5)
-            with pytest.raises(ValidationError, match="master_seed must be >= 0, got -1"):
+            with pytest.raises(ValidationError, match="^seed must be >= 0, got -1"):
                 lookahead_selection_success(1.0, wrong, 1, 2, 10, -1)
         run_block.assert_not_called()
 
