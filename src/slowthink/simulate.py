@@ -376,8 +376,8 @@ def _sim_beam(cfg, k, b, probs, n, rng) -> int:
     # open trials per alive-beam count; the root feeds all k candidates, as b do
     alive = np.bincount([b], minlength=b + 1) * n
     for p in probs:
-        fed = tally(alive, lambda a, m: rng.binomial(_fed_candidates(k, b, a), p, m), k + 1)
-        alive = keep(fed, k, b)
+        correct = tally(alive, lambda a, m: rng.binomial(_fed_candidates(k, b, a), p, m), k + 1)
+        alive = keep(correct, k, b)
     return int(keep(alive, b, 1)[1])
 
 
