@@ -717,9 +717,7 @@ class TestStreamIdentity:
         assert engine(cfg, spec, simulate._step_probs(cfg, L), BLOCK_TRIALS, Logged()) > 0
         assert {name for name, _ in calls} == {"binomial"}
         assert calls.count(("binomial", 0)) <= L * b
-        picks = calls.count(("binomial", 1))
-        assert picks == (L + 1 if selector is CONST else 0)
-        assert len(calls) == calls.count(("binomial", 0)) + picks
+        assert calls.count(("binomial", 1)) == (L + 1 if selector is CONST else 0)
 
 
 def _cell_probs(cfg):
