@@ -583,7 +583,9 @@ _REGISTRY = {
     ),
     BON: _Kind(
         ("N", "rule"), lambda c, s: (s.N * c.L, s.N),
-        lambda c, s: max(s.N, c.answer.answer_space_size + 1), _sim_bon, _exact_bon,
+        # orm_max reads only its N paths; the votes also tally a + 1 labels
+        lambda c, s: s.N if s.rule == ORM_MAX else max(s.N, c.answer.answer_space_size + 1),
+        _sim_bon, _exact_bon,
         # the engine picks by ORM scores and never consults cfg.selector, so
         # the paper's eps_N factor does not apply: bound it as ideal
         lambda c, s: _bounds.bon_bound(c.decay, SelectorModel.ideal(), c.L, s.N),

@@ -628,8 +628,8 @@ class TestMalformedInput:
              "over the 1000000 limit"),
             (["simulate", "--strategy", "beam", "--k", "100000000", "--b", "1",
               "--trials", "1"], "over the 1000000 limit"),
-            (["simulate", "--strategy", "bon", "--N", "2", "--answer-space", "100000000",
-              "--trials", "1"], "over the 1000000 limit"),
+            (["simulate", "--strategy", "bon", "--N", "2", "--rule", "self_consistency",
+              "--answer-space", "100000000", "--trials", "1"], "over the 1000000 limit"),
             (["bounds", "--strategy", "beam-exact", "--k", str(10**400), "--b", "2",
               "--lambda", "1", "--L", "2"], "k is too large"),
             (["bounds", "--strategy", "beam-exact", "--k", str(10**400), "--b", "2",

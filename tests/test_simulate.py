@@ -162,6 +162,13 @@ class TestBon:
         single = monte_carlo(cfg, StrategySpec.single_path(), 20_000, 8)
         assert rep.ci_low > single.ci_high
 
+    def test_max_selection_ignores_the_answer_space(self):
+        # orm_max never reads answer labels, so they do not size its blocks
+        spec = StrategySpec.bon(4, ORM_MAX)
+        a, b = (monte_carlo(cfg_exp(2, answer=size, noise=0.5, lam=2.5), spec, 100_000, 1)
+                for size in (1, 1000))
+        assert a == b
+
     def test_budget_bookkeeping(self):
         cfg = cfg_exp(3)
         report = monte_carlo(cfg, StrategySpec.bon(5, ORM_MAX), 10, 0)
