@@ -12,9 +12,8 @@ selection derails the retained set; noisy-score selectors act mechanistically
 through sampled scores (margin for correct candidates plus Gaussian noise).
 Sibling candidates are sampled independently given their shared parent.
 
-``monte_carlo`` aggregates trials through vectorized engines. One block
-runner, ``_run_jobs``, serves it, ``monte_carlo_batch`` and the gamma-sweep
-probe ``lookahead_selection_success``: it processes trials in fixed-size
+``monte_carlo_batch`` is the one entry point to the vectorized engines;
+``monte_carlo`` is a batch of one run. It processes trials in fixed-size
 blocks, each drawing from its own counter-based stream keyed by (master_seed,
 block index), runs the blocks of many runs on one thread pool, a worker per
 usable CPU up to MAX_WORKERS, and sums integer successes, so results are
@@ -63,7 +62,6 @@ from .models import (
     AnswerModel,
     DecayModel,
     SelectorModel,
-    WrongModel,
     _GRID,
     _top_correct as _selection_integral,
     selector_success_prob,
@@ -626,70 +624,50 @@ def monte_carlo(
 
 
 def monte_carlo_batch(runs: list) -> list[MonteCarloReport]:
-    """``monte_carlo`` of each (cfg, strategy, trials, master_seed) run, every
-    run checked before ``_run_jobs`` draws the blocks of all of them."""
-    jobs = []
+    """``monte_carlo`` of each (cfg, strategy, trials, master_seed) run. Every
+    run is checked before any block is drawn. Block b of a run holds the next
+    BLOCK_TRIALS trials, fewer when a row is wide, and draws from the stream
+    keyed by (master_seed, b); the blocks of all runs go to one thread pool,
+    at most 2 * MAX_WORKERS of them at a time."""
+    global _pool
+    args, rows = [], []
     for cfg, strategy, trials, master_seed in runs:
-        row = _REGISTRY[strategy.kind]
-        width = row.width(cfg, strategy)
+        width = _REGISTRY[strategy.kind].width(cfg, strategy)
         if width > NODE_LIMIT:
             raise ResourceLimitError(f"{strategy.describe()} needs per-trial arrays {width}"
                                      f" wide, over the {NODE_LIMIT} limit")
-        args = (cfg, strategy, _step_probs(cfg, cfg.L + (strategy.gamma or 0)))
-        jobs.append((row.engine, args, trials, master_seed, width))
-    return [MonteCarloReport.of(n, trials, *_REGISTRY[spec.kind].budget(cfg, spec))
-            for n, (cfg, spec, trials, _) in zip(_run_jobs(jobs), runs)]
-
-
-def lookahead_selection_success(
-    lambda_tau: float, wrong: WrongModel, l: int, gamma: int, trials: int, master_seed: int
-) -> MonteCarloReport:
-    """Monte Carlo estimate of the selection-success probability of a
-    depth-(l+gamma) lookahead evaluation: the evaluation is good, and then
-    it flags the wrong candidate, a two-step single path."""
-    p_good = min(lambda_tau * math.exp(-(l + gamma)), 1.0)
-    p_flag = max(1.0 - wrong.lambda_delta * math.exp(-(l + gamma)), 0.0)
-    job = (_sim_single, (None, None, (p_good, p_flag)), trials, master_seed, 1)
-    return MonteCarloReport.of(_run_jobs([job])[0], trials, 1 + gamma, 1 + gamma)
-
-
-def _run_block(engine, args, size: int, seq) -> int:
-    return engine(*args, size, np.random.Generator(np.random.Philox(seq)))
-
-
-def _run_jobs(jobs: list) -> list[int]:
-    """Successes of each (engine, args, trials, master_seed, width) job. Every
-    job is checked before any block is drawn. Block b of a job holds the next
-    BLOCK_TRIALS trials, fewer when a row is wide, and draws from the stream
-    keyed by (master_seed, b); the blocks of all jobs go to one thread pool,
-    at most 2 * MAX_WORKERS of them at a time."""
-    global _pool
-    for _, _, trials, master_seed, _ in jobs:
         if trials < 1:
             raise RangeError(f"trials must be >= 1, got {trials}")
         if master_seed < 0:
             raise ValidationError(f"seed must be >= 0, got {master_seed}")
+        args.append((cfg, strategy, _step_probs(cfg, cfg.L + (strategy.gamma or 0))))
+        rows.append(int(min(BLOCK_TRIALS, max(1, _BLOCK_CELLS // width))))
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
         _pool = ThreadPoolExecutor(min(MAX_WORKERS, cpus or os.cpu_count() or 1))
-    successes, pending = [0] * len(jobs), []
+    successes, pending = [0] * len(runs), []
     try:
-        for i, (engine, args, trials, master_seed, width) in enumerate(jobs):
-            rows = int(min(BLOCK_TRIALS, max(1, _BLOCK_CELLS // max(width, 1))))
-            for b, start in enumerate(range(0, trials, rows)):
+        for i, (_, strategy, trials, master_seed) in enumerate(runs):
+            engine = _REGISTRY[strategy.kind].engine
+            for b, start in enumerate(range(0, trials, rows[i])):
                 if len(pending) == 2 * MAX_WORKERS:
                     j, done = pending.pop(0)
                     successes[j] += done.result()
                 seq = np.random.SeedSequence((master_seed, b))
-                pending.append((i, _pool.submit(_run_block, engine, args,
-                                                min(rows, trials - start), seq)))
+                pending.append((i, _pool.submit(_run_block, engine, args[i],
+                                                min(rows[i], trials - start), seq)))
         for j, done in pending:
             successes[j] += done.result()
     finally:
         for _, future in pending:
             future.cancel()
-    return successes
+    return [MonteCarloReport.of(n, trials, *_REGISTRY[spec.kind].budget(cfg, spec))
+            for n, (cfg, spec, trials, _) in zip(successes, runs)]
+
+
+def _run_block(engine, args, size: int, seq) -> int:
+    return engine(*args, size, np.random.Generator(np.random.Philox(seq)))
 
 
 def exact_success(cfg: ProcessConfig, strategy: StrategySpec) -> float | None:

@@ -22,7 +22,6 @@ from slowthink.simulate import (
     SELF_CONSISTENCY,
     ProcessConfig,
     StrategySpec,
-    lookahead_selection_success,
     matching_bound,
     monte_carlo,
     verify_bounds,
@@ -221,24 +220,25 @@ def test_criterion_6_budget_matched_comparison():
     )
 
 
-def test_criterion_7_lookahead_optimum():
+def test_criterion_7_lookahead_optimum(tmp_path):
     problems = []
     for lam_delta in (math.e**3 / 2, math.e**4 / 2):
-        wrong = WrongModel(lam_delta)
         layers = [l for l in (1, 2, 3) if math.log(2 * lam_delta) > l + 1]
         for l in layers:
-            star = bounds.optimal_rollout(wrong, l)
+            star = bounds.optimal_rollout(WrongModel(lam_delta), l)
             if star != max(math.log(2.0 * lam_delta) - l, 0.0):
                 problems.append(f"analytic form mismatch at l={l}")
-            sweep = [
-                (g, lookahead_selection_success(1.0, wrong, l, g, 100_000, 900 + l + g))
-                for g in range(0, 7)
-            ]
-            peak = max(sweep, key=lambda item: item[1].estimate)[0]
-            if abs(peak - star) > 1.0:
+            # gammas 0..6 draw from seeds 900 + l + gamma; exit 0 means the
+            # peak lies within +/-1 of the optimum
+            rc = dispatch([
+                "reproduce", "gamma-sweep", "--lambda-delta", repr(lam_delta),
+                "--layer", str(l), "--trials", "100000", "--seed", str(900 + l),
+                "--out", str(tmp_path / "sweep.csv"),
+            ])
+            if rc != 0:
                 problems.append(
                     f"ln(2 lam_delta)={math.log(2 * lam_delta):.1f}, l={l}: "
-                    f"peak {peak} vs optimum {star:.2f}"
+                    f"gamma-sweep exited {rc} against optimum {star:.2f}"
                 )
     # boundary clipping cases stay exact
     if bounds.optimal_rollout(WrongModel(0.5), 1) != 0.0:

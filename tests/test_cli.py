@@ -755,6 +755,9 @@ class TestMalformedInput:
              "error: seed must be >= 0, got -1"),
             (["reproduce", "gamma-sweep", "--seed", "-1"], "error: seed must be >= 0, got -1"),
             (["reproduce", "bon-vs-mcts", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+            # gamma-sweep checks its trials and lambda_tau before any probe draws
+            (["reproduce", "gamma-sweep", "--trials", "0"], "error: trials must be >= 1, got 0"),
+            (["reproduce", "gamma-sweep", "--lambda", "-1"], "error: lambda_tau must be > 0, got -1"),
         ],
     )
     def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):

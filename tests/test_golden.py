@@ -244,7 +244,7 @@ GOLDEN = {
     ),
     "reproduce-gamma-sweep": (
         0,
-        "917aa55711422c24b8bf46956d962b6c92e47c4c18db940b620d47da0d5a578b",
+        "0a1b245307faa5a03ef5154b350269c8f478252c00de092eddb35709dff53639",
         "857ecc0b959c778c9323c695c7b4c3c970154a718331ca8aad783bc1ec5ce27f",
         None,
     ),

@@ -2,6 +2,8 @@
 equivalences, budget bookkeeping, bound dominance, and bit-level
 determinism."""
 
+import csv
+import json
 import math
 import time
 import tracemalloc
@@ -17,6 +19,7 @@ from scipy.special import ndtr
 from scipy.stats import binom
 
 from slowthink import bounds, simulate
+from slowthink.cli import dispatch
 from slowthink.errors import RangeError, ResourceLimitError, ValidationError
 from slowthink.models import (
     NOISY_SCORE,
@@ -35,7 +38,6 @@ from slowthink.simulate import (
     ProcessConfig,
     StrategySpec,
     exact_success,
-    lookahead_selection_success,
     matching_bound,
     monte_carlo,
     verify_bounds,
@@ -297,59 +299,40 @@ class TestLookahead:
             exact_success(cfg, spec)
 
 
-class TestLookaheadProbe:
-    def test_trial_matches_product_law(self):
-        wrong = WrongModel(math.e**3 / 2)
-        rep = lookahead_selection_success(1.0, wrong, 1, 2, 100_000, 22)
-        d = 3.0
-        expected = min(math.exp(-d), 1.0) * max(1 - wrong.lambda_delta * math.exp(-d), 0.0)
-        assert rep.ci_low <= expected <= rep.ci_high
+def gamma_sweep(tmp_path, gammas, *flags):
+    """Exit code and CSV rows of ``reproduce gamma-sweep`` over these gammas."""
+    config, out = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    config.write_text(json.dumps({"gammas": gammas}))
+    rc = dispatch(["reproduce", "gamma-sweep", "--config", str(config), *flags,
+                   "--out", str(out)])
+    with open(out, newline="") as fh:
+        return rc, list(csv.DictReader(fh))
 
-    def test_sweep_peaks_at_analytic_optimum(self):
-        wrong = WrongModel(math.e**3 / 2)
-        sweep = [
-            (g, lookahead_selection_success(1.0, wrong, 1, g, 50_000, 23 + g))
-            for g in range(7)
-        ]
-        best_gamma = max(sweep, key=lambda item: item[1].estimate)[0]
-        star = bounds.optimal_rollout(wrong, 1)
+
+class TestLookaheadProbe:
+    """The rows of ``reproduce gamma-sweep``, at lambda_delta = e^3 / 2."""
+
+    def test_trial_matches_product_law(self, tmp_path):
+        rc, [row] = gamma_sweep(tmp_path, [2], "--layer", "1", "--trials", "100000",
+                                "--seed", "22")
+        d = 3.0
+        expected = min(math.exp(-d), 1.0) * max(1 - math.e**3 / 2 * math.exp(-d), 0.0)
+        assert rc == 0
+        assert float(row["ci_low"]) <= expected <= float(row["ci_high"])
+
+    def test_sweep_peaks_at_analytic_optimum(self, tmp_path):
+        rc, rows = gamma_sweep(tmp_path, list(range(7)), "--layer", "1", "--trials", "50000",
+                               "--seed", "23")
+        best_gamma = int(max(rows, key=lambda row: float(row["estimate"]))["gamma"])
+        star = bounds.optimal_rollout(WrongModel(math.e**3 / 2), 1)
+        assert rc == 0
         assert abs(best_gamma - star) <= 1.0
 
-    def test_too_shallow_evaluation_never_distinguishes(self):
-        wrong = WrongModel(math.e**3 / 2)
+    def test_too_shallow_evaluation_never_distinguishes(self, tmp_path):
         # at depth 1 every wrong candidate still masquerades as plausible
-        assert lookahead_selection_success(1.0, wrong, 1, 0, 500, 0).successes == 0
-
-    def test_block_layout_is_part_of_the_contract(self):
-        # block i holds the next BLOCK_TRIALS trials and draws from the Philox
-        # stream keyed by (master_seed, i): a good evaluation per trial, then
-        # a flag per good one
-        wrong, l, gamma, trials, seed = WrongModel(math.e**3 / 2), 1, 2, 2 * BLOCK_TRIALS + 1000, 5
-        p_good, p_flag = math.exp(-(l + gamma)), 1 - wrong.lambda_delta * math.exp(-(l + gamma))
-        total = 0
-        for index, start in enumerate(range(0, trials, BLOCK_TRIALS)):
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
-            good = int((rng.random(min(BLOCK_TRIALS, trials - start)) < p_good).sum())
-            total += int((rng.random(good) < p_flag).sum())
-        assert lookahead_selection_success(1.0, wrong, l, gamma, trials, seed).successes == total
-
-    def test_reports_do_not_depend_on_the_worker_count(self):
-        args = (1.0, WrongModel(math.e**3 / 2), 1, 2, 2 * BLOCK_TRIALS + 1000, 5)
-        reports = []
-        for workers in (1, 3):
-            with ThreadPoolExecutor(workers) as pool, \
-                    mock.patch.object(simulate, "_pool", pool):
-                reports.append(lookahead_selection_success(*args))
-        assert reports[0] == reports[1] == lookahead_selection_success(*args)
-
-    def test_inputs_are_checked_before_sampling(self):
-        wrong = WrongModel(math.e**3 / 2)
-        with mock.patch.object(simulate, "_run_block") as run_block:
-            with pytest.raises(RangeError, match="trials must be >= 1, got 0"):
-                lookahead_selection_success(1.0, wrong, 1, 2, 0, 5)
-            with pytest.raises(ValidationError, match="^seed must be >= 0, got -1"):
-                lookahead_selection_success(1.0, wrong, 1, 2, 10, -1)
-        run_block.assert_not_called()
+        _, [row] = gamma_sweep(tmp_path, [0], "--layer", "1", "--trials", "500",
+                               "--seed", "0")
+        assert float(row["estimate"]) == 0.0
 
 
 class TestMonteCarloMachinery:
@@ -438,6 +421,8 @@ class TestMonteCarloMachinery:
                 simulate.monte_carlo_batch([fine, (cfg_exp(1, answer=answer), spec, 1, 0)])
             with pytest.raises(RangeError):
                 simulate.monte_carlo_batch([fine, (*fine[:2], 0, 0)])
+            with pytest.raises(ValidationError, match="^seed must be >= 0, got -1"):
+                simulate.monte_carlo_batch([fine, (*fine[:2], 10, -1)])
         run_block.assert_not_called()
 
 
