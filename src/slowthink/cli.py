@@ -573,6 +573,8 @@ def _preset_gamma_sweep(resolved: dict) -> _RunOutput:
     wrong = WrongModel(_number(resolved, "lambda_delta", math.e**3 / 2, float))
     layer = _number(resolved, "layer", 1)
     gammas = _int_list(resolved, "gammas", list(range(7)))
+    if min(gammas) < 0:
+        raise ValidationError(f"gammas must be >= 0, got {min(gammas)}")
     trials = _number(resolved, "trials", 100_000)
     seed = _number(resolved, "seed", 0)
     gamma_star = bounds.optimal_rollout(wrong, layer)

@@ -544,6 +544,7 @@ class TestMalformedInput:
             "L_frac": {"L": 2.7},
             "L_bool": {"L": True},
             "gammas_frac": {"gammas": [1.5], "trials": 10},
+            "gammas_negative": {"gammas": [-1, 0, 1]},
             "plot_bool": {"strategy": {"kind": "single_path"}, "trials": 10, "plot": True},
             "traces_bool": {"traces": True},
             "x_num": {"x": 1, "y": "y.csv"},
@@ -758,6 +759,9 @@ class TestMalformedInput:
             # gamma-sweep checks its trials and lambda_tau before any probe draws
             (["reproduce", "gamma-sweep", "--trials", "0"], "error: trials must be >= 1, got 0"),
             (["reproduce", "gamma-sweep", "--lambda", "-1"], "error: lambda_tau must be > 0, got -1"),
+            # a rollout depth is a count, as for simulate --gamma
+            (["reproduce", "gamma-sweep", "--lambda", "0.5", "--config", "gammas_negative.json"],
+             "error: gammas must be >= 0, got -1"),
         ],
     )
     def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):
