@@ -137,247 +137,247 @@ GOLDEN = {
     "bounds-all": (
         0,
         "7ebe74ef150c3b2c15e3d675cb5ba882bf3fea3239d6a984be2e133bf80f0a44",
-        "2cef37c93a6a61b44db677d49e8ba32cd61be1161b817390d0ec55c58db770a2",
+        "83a00868534c3ab06765d038bfe03b563d3a2f6728b3bac76012de0c53581918",
         None,
     ),
     "bounds-lookahead": (
         0,
         "e2ea9883cf4f08875deb14a07aa9fd59c8e63122a6f9b7bda4c5664962b87670",
-        "90f37d1f4863a2ccc83cda66c0447cdb0ce1c743f89d9842e8b041291a3f286f",
+        "a42d685be56db610551c4d943c6b99b01939f65d78e1e01b511f89a0eff708a6",
         None,
     ),
     "bounds-noisy-worst": (
         0,
         "d6ab33dc177fd1f75e3810b290d53fe7a80bdd3535b98932380294f4426d0d96",
-        "da4a905b0175112eee8b07597f2fae9bcff28d7e5019d15d818907bb4f30c3cb",
+        "46b175d70060a01555ab33dade031634a5d4b66aa490e489668f7f0561f9d33d",
         None,
     ),
     "bounds-single": (
         0,
         "554719dbbf03a5a63532a7eccb391ca08e590f29d6157a0860fa038b476c23fa",
-        "e3f4d52c43df1f3ca8d2907d6c1c9441c1b0fc031e77bd50b480b49f600c671c",
+        "d18b810b1a408963518a3d38a3a2803081824eb249daf7a1a21d6da42c3d05eb",
         None,
     ),
     "bounds-table-constant": (
         0,
         "d17e5671d7880fd4bf938dd0161c92be79299d8c14a6ef19a37bfed3fa1d50c5",
-        "abc690b9df29adec730a82eccb19ffa03de9bbc875f190408d6e257597a50896",
+        "5a5a0b0272ae805e803e4d5455a02188f97dea348ffcf06f192f1bad30b5f945",
         None,
     ),
     "calibrate-stats": (
         0,
         "924f32a02a5a9875245bee1cb91ddcebf1ebf9227b24bdcd153ca60724009586",
-        "5032a34927209b9e14ea514e534207b8547525cda8647fd1b9e51bac9c2030e4",
+        "395c3b29bb25098bf6a4a339511f0e1838f03b3ee362280f4d9de726609dec6d",
         None,
     ),
     "calibrate-traces": (
         0,
         "064511cf8e49e678da73dc2a1f4c34e6686a1991300fa1870b3d43ee3e8ebccf",
-        "1ac84978138e3739f2b8eb92001ee84571bf88d23ab4e360e5b0ed88227ad8d4",
+        "afa11026a696a4dcba89ab0c45d4549139a6c552831f3fecc6ce9b1487033538",
         None,
     ),
     "fano-suite": (
         0,
         "1a88b56ffa576d1215724ec10a72350b2e65b13738906355218a7709527fc3bd",
-        "9d9d354aff1af36b332f50aa0462b96557e0d1f8c6684915c8baec151d59aa0d",
+        "68633946e2b9910ba14a0f73bbc68a6d39bbe9791a746e48bcaf98d8feedcaed",
         None,
     ),
     "fano-suite-long": (
         0,
         "a8f38aa442f009f088b1bcce88a7515d5486e3f7925f2c5424ef6b9583ba2cb1",
-        "732f4ef5fdf691c49d44237fd3b0c42b345406083fbc68eb44d80e0eeedb44e6",
+        "e673bb7cf64a2ee972ca5971d514be71b84ce8b3ff60ad41687b9bd3a797f098",
         None,
     ),
     "fano-suite-long-mi-only": (
         1,
         "4427d6c0c2cb57ca6debd0b475d4ecb0a3b901b06e655b812bebd946a940edd7",
-        "e1ac4f96debf43aa0c70542b97b64abfb6b142678949ec91727e565f0cf72ed7",
+        "55f42b6685fca69bdc4fa73072fddc6551ec94ac6a19bc7be48f60ac3e906cba",
         None,
     ),
     "fano-suite-mi-only": (
         1,
         "422815ddd3ab32d794dea335024c261b6c27f93d7878aaf5010fa23f985fd4b0",
-        "f2dbc4becd2c7905b73b994fb6df9a2fe1887192262de25a6906ca8056781b26",
+        "4a4474e4c2ef6b995cac0beda091ec7037b3cb4f90e09bd85bd419b45f62a326",
         None,
     ),
     "reproduce-bon-vs-mcts": (
         1,
         "4f8454e68fe3834ab3a17b68280cc8fffdb8ff835e46806cdf2e45513f77a23e",
-        "d42eca15753d90ad8fc5c482d52fa26d35aec408d0da06d9c6465bbd6b8ce0fc",
+        "59db715e6cf13837b41bcbea5213d78df2b6cd93c29a2aed7eafe37d9f42dea4",
         "3154a4cee94af00290699d7e5beb597cdd5bea202b8e2d893588153063b41942",
     ),
     "reproduce-bon-vs-mcts-fail": (
         1,
         "a71d634b586a4a5250cc2dbe7a9ffea5ab8c10aa82273cdfb612203448eebf64",
-        "9699e6e2271898b41410e966f9134487dce5ef2d9c6dcf89ee572966151dd4c3",
+        "28cd5c04f366be97c265874917a4a60c90294f28bfe84e0339663894c922a70a",
         None,
     ),
     "reproduce-calibration": (
         0,
         "d4c7e539d779152b49b13e6c02cba494213782bc80cf093540513a1747df85d3",
-        "8e520cd7fbd0a216f7d41a3205754efb0d3e29309f718827d32d5883604c0b3a",
+        "ca7a4e7d74bd1d96a4c9cd08f7041502d63ed2beebaa4de54142e88fb7e80f6e",
         None,
     ),
     "reproduce-config": (
         0,
         "3e16f7aad4878261a8ce90e78e9818b18cf3f5f9f89aef98514e379f0f321418",
-        "d5fec6a0ed544ab570a05a355a5d8f2b68c2a8861046915e50b39f3cb07aabd7",
+        "d73eb3b2b24ed2823fc09f80582386203a8451552b997b80b871fff49f91e25e",
         None,
     ),
     "reproduce-dominance": (
         0,
         "d8104c66493b6c9e08d229f7544da8cf1eb35a27d42b520c632599183aac1e85",
-        "886b57d175cbe709799375cf5d79bb5eefb825ce116f0f3e93613c5f86b1ac64",
+        "4e169e02534dfc7e915d6f20d296b8b0863a6b641012e84829fd7d989bf5437e",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
         "2fb6852f6e84c2a8e2a588642481bbb315ab970f3838337c309cdd0cd78679de",
-        "c19fddebc5aff83c20282feaa9e319c11fd88e5c5d1ea95f3c5bf8df2b9bec9d",
+        "a414cbc0914d3d865e043a5ec269a36b4a8dbfa1baf3d6d79948a8b40606ed9c",
         None,
     ),
     "reproduce-fano": (
         0,
         "8551efffe435a0197bbe7c5cfa19d7c32bff69e21073bf2d48b997b24057160c",
-        "72a94cf492a35a97564e407aec0b7a5c6b7724741fa6c82c780cf26eb4d8690a",
+        "68e19f8cc7314ed47fd008b388378dad696c08e9bb5bdedd8a3ccc942c2a658c",
         None,
     ),
     "reproduce-gamma-sweep": (
         0,
         "0a1b245307faa5a03ef5154b350269c8f478252c00de092eddb35709dff53639",
-        "857ecc0b959c778c9323c695c7b4c3c970154a718331ca8aad783bc1ec5ce27f",
+        "276f6db40a6dd5bb8376f2c6d48fc49167d1c7ed65fe4b26523f538778254e51",
         None,
     ),
     "reproduce-nmin": (
         0,
         "1a86bb5981c5314536aac5103077398aff1d025d5f437977f3a81b0cf492e9a0",
-        "e5e3be9f3edcd4c4c2c9d93df4efd96424b83a0685a96535e2befc3d82fbc45c",
+        "685d9cabafff4b60369aad8dc268204c94410e4ef5eaf9e89f750b2d79095927",
         None,
     ),
     "reproduce-table1": (
         0,
         "a402bf8fb13c88a86ff5ea10b7568df33174703c888519d1065a70a735e494a0",
-        "71f0f53c6f784a1679a77a5c1545ea73cdc994593ebeb0ae1221a3e94c03fc59",
+        "243f51488d8cf9b8fafff1c474b3b88b7307737f4d71d14d6fbc667665b2b3a8",
         None,
     ),
     "sim-beam-constant": (
         0,
         "ae6a1a682336494ade00dc82e8eec2a4774909dffaf5d779d74e33a7c684e550",
-        "e67be7dcef0b9faba805883fb32126b54074cf1a14f80cdc26c474bc3f2fe3b9",
+        "d3bc0b6034b1638a9062559dc712b59ff9aac94d52ad1f8297717bf55aefe32d",
         None,
     ),
     "sim-beam-noisy": (
         0,
         "7e25bd1dee021ba7f87761c8e7bf46b882ee872aa8d24c770081ea31e89c5471",
-        "a0635179ca241b458b37e53924e20a5c575ab24723027ed910c7c8a99fff480e",
+        "c623a27e3a2934d8d1a639bd73f3577d938cc525b86d27b613caf5bab2b4afa7",
         None,
     ),
     "sim-beam-table-sweep": (
         0,
         "5354b7d204043c670d75272e0908f1095397d41b26d40945e61cc43ac8d7be0a",
-        "579e2acf1a49b70892f837be41daaa072f4362df8dd18053cd91f6ae8eae4d4f",
+        "f654237a698bab58eff3ff0ab9d2dca99b7830ae010777d95ce3fbb10009e263",
         "9285099c268c3d4c5f0369ecad120fe2f799e00d669c4b7f0ac456a324cb2b74",
     ),
     "sim-bon-max-sweep": (
         0,
         "6dc3be0ca432e72958bde56c5691505d7d3f863c4ccb4d1f90ebbc3441ab7bd9",
-        "39e87a232ca4ed2a1c8505411004cb86a9d3973cd57c9e18623d700d89440ff3",
+        "77385de1961df32d12ed9271ccfb349b1d3a463002116db4a2c874052fc1873e",
         "dd698133650c6f5e996e228cc35240606a3241715c6def6029ac980993599833",
     ),
     "sim-bon-max-sweep-fail": (
         1,
         "2ebe892f4a122da0978d653fa4424bb6dc1caa345ec78b432e82a77349c2f432",
-        "ccc8b20a08cae6dcb1117cfe4404180696e98df5b1955f90d2da85fd91c94429",
+        "28c0c727d361a69b879f1654cfa406f9900f31581ff4a4c4c82819262ad2f24a",
         None,
     ),
     "sim-bon-sc-sweep": (
         0,
         "e7e18214140a939dbab1addaf2a480dfead1f431626b56a6018a0dddc541304d",
-        "2bdc02b7f107c937de61c7ec7741c4f3aaad0c450fa5ef118b628c6f7ea2a76b",
+        "49aa2ccb4518a519ec7938cf29cf5ca4bd750588c249f84309fcbca78ddfb22f",
         None,
     ),
     "sim-bon-vote": (
         0,
         "bd9f7f6a5fe1e91bc6fe75bd132d0ff3abfc7b2ff311aa47125ee480711a769a",
-        "14d9edaccd27753c1b6e66fc0aab280b5c4cbc84aa722191280df3a119c9a9e3",
+        "8db495857b136ad0fff636d78883722737970ec0c1646a56d302fe1620a5fceb",
         None,
     ),
     "sim-config": (
         0,
         "639920043cc32b460f3f54cc83352726ffe463cb935bc8ecc27bc99eb83c1920",
-        "c80a2db5738a623fe1685bee75dc69e926ee5fe68f3fcf83a66aa41223d6ecbc",
+        "ee6c4eee039c0defafb1708bd7334c24a1e46163937abf9c75b123163237d17a",
         None,
     ),
     "sim-config-override": (
         0,
         "5cf5c2143b260f6691b5bbc1ea96fc008b50df8f8c856047a21c0308d0ddfd33",
-        "4dc75691ae891b8fb0e3c54049108ce3f1c1928621467d1ceec4a734839d0aff",
+        "93b4fa027f830e9e824429ac17e07748a98144784fd2d22216a50e66c1b47946",
         None,
     ),
     "sim-config-strategy-flag": (
         0,
         "c440cfe242d55c47e9c73b2cd0849bb988a002708c5bf3e4bb7dc644b84500dd",
-        "ab04f761a3ad14f3a1d16c0b61e316b85f1c12de2732ed783ac09c4bb336841b",
+        "fc5d02f78b051e503ed5eed5ec20b67c669937a6b0b974bcd97f1eb6c1ac9357",
         None,
     ),
     "sim-lookahead-noisy": (
         0,
         "6ce51393aebef3787957bb16bcf6576f0285c9d91e1fe1f79f5d6c444d0388b1",
-        "2ad8e4457a6c0802e6f28662f634f8379f1d5403ce8315b1fbb6d520cbede33c",
+        "778f2f4b0ab2d87df216ac312f7e2efac5417eb1e4f2dc9d3b7553fbc712001e",
         None,
     ),
     "sim-lookahead-sweep": (
         0,
         "bd1bd762bd3eb189ba9163481975860de397a90a2dc64e2d8ff5f961ad351c2f",
-        "776bccf0d570c4d574633834152a17afc84f4cd88d7ec47a5bfde77d431d7e47",
+        "01485b39e78c868a8516bb4a7b2bca7c1b7de6d8cb22a0ce17b73dea0384198e",
         None,
     ),
     "sim-lookahead-sweep-plot": (
         0,
         "9ddbce4be20b80e3b6874bcb4a5686e9c3e93e09ecae3607f39fa4641c976ec1",
-        "d39f1f55fb00391bbdfa908a8335a3d59daafb9a04d430c8a8d0960072e2df83",
+        "bcf660df93d6b48c1a27f364664c11d2804a5f7a9502f9d0b62ba24006e2cbc5",
         "79a2ba29e0d8c1d109a1653dd9bf03ad687222ef2a12b27a3dd7dace912bf4c2",
     ),
     "sim-mcts-best": (
         0,
         "5be13523fb629fc2fb4175cec3e5cbe575972564cce41ed0fe96ee64c40c10da",
-        "18d7743a7bf389f7d64ccbcfa8c7032986fef0e67ec2da667d9fce70b12faf28",
+        "6355d8755e2798b9d5640793f9787c31d171ac21578a22b2b9e8adc0ca53de4c",
         None,
     ),
     "sim-mcts-best-constant": (
         0,
         "a4987de9007fabe1c2aa96e8a223d651bd143393cc30b15c23a68e9301d909b4",
-        "9f13fb5bb8bab541e17e44fa33ae2eff120cbe1b3fb21897a4b349f5496ed60f",
+        "6f555f56f3e21bac71fcc8ec6959446975fe199d98db01ddb4ebc1ec9479446e",
         None,
     ),
     "sim-mcts-best-noisy": (
         0,
         "a4c8cf3bdbbc4dbf524eb7d84f1013998e5a082b4e92b328db8c21299a6af487",
-        "8e62cf4b96fa8fcf0c8886b1518ebdf753bbbf687797096a5b34cb212763a0a0",
+        "5b83f74b2584ee91f5cf84fd20a90d1e1d5655d397329a81d40b9abb575264df",
         None,
     ),
     "sim-mcts-worst-constant": (
         0,
         "cd61b7ed744645b06135b8454120790eb51696f40f1c5a3af2cb3822b7df044e",
-        "3edf3fe157134030b45dd2945a2226efd13bce1987b2513a5b4fabb246aad70e",
+        "d02560bfbad02467abd3da0996ce8a7641e8654e904d053b7ee7e3d74f874551",
         None,
     ),
     "sim-mcts-worst-noisy": (
         0,
         "25c5e5a4d6fe8374dec99c165955911de650f99423733142716d76babb514cfb",
-        "62992ccd37fabed9147a851a989e8504770b69e4aa942b4d396335b44ac4acd2",
+        "5a38bb5a8dd4e9937bfe93e8af53278a76f57032046853fb6cddb98aed94dc30",
         None,
     ),
     "sim-single": (
         0,
         "f70e9bec899f548cc5df712e2a7c6a1de396cc2c1ef8ecbe8ddc8d7d76ffc7aa",
-        "308276a48e8b790eae5937749824b75725ee2088a22654f3c8d66b21bf94855a",
+        "39cf3b463a890cfaa713dcd09c3f5fbc7313e4ffbf643db63fe244610edf6830",
         None,
     ),
     "sim-single-table": (
         0,
         "514672f2fb05b19f4818d5be29fab17f6e0faa1aec3e17aa27032e3e88fc9e68",
-        "c9cc109928ec69c7ddb9ba36dc81fd76da88fe0925694c9908ece9bf5bfe2a78",
+        "5680525c60f464205a022dd819218b9bfbb873af720751328e926c92c02426f4",
         None,
     ),
 }
