@@ -39,6 +39,7 @@ Everything that varies by strategy kind is one row of ``_REGISTRY``.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -374,7 +375,15 @@ def _sim_beam(cfg, k, b, probs, n, rng) -> int:
     # open trials per alive-beam count; the root feeds all k candidates, as b do
     alive = np.bincount([b], minlength=b + 1) * n
     for p in probs:
-        correct = tally(alive, lambda a, m: rng.binomial(_fed_candidates(k, b, a), p, m), k + 1)
+        occupied = np.flatnonzero(alive[1:]) + 1
+        fed = _fed_candidates(k, b, occupied)
+        if alive[occupied].sum() > fed.sum() + fed.size:
+            # m Bin(f, p) draws tally to Multinomial(m, Bin(f, p) pmf), f + 1 cells
+            correct = np.zeros(k + 1, dtype=np.int64)
+            for a, f in zip(occupied, fed):
+                correct[: f + 1] += rng.multinomial(alive[a], _pmf_row(int(f), p))
+        else:
+            correct = tally(alive, lambda a, m: rng.binomial(_fed_candidates(k, b, a), p, m), k + 1)
         alive = keep(correct, k, b)
     return int(keep(alive, b, 1)[1])
 
@@ -437,6 +446,12 @@ def _binom_pmf(n, p: float, support: int) -> np.ndarray:
             + np.where(j > 0, j * log_p, 0.0) + np.where(rest > 0, rest * log_q, 0.0)
         )
     return np.where(j <= n, np.exp(log_pmf), 0.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _pmf_row(f: int, p: float) -> np.ndarray:
+    row = _binom_pmf([f], p, f)[0]
+    return row / row.sum()  # numpy's multinomial refuses a sum past 1 + 1e-12
 
 
 def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:

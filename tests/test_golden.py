@@ -226,13 +226,13 @@ GOLDEN = {
     ),
     "reproduce-dominance": (
         0,
-        "d8104c66493b6c9e08d229f7544da8cf1eb35a27d42b520c632599183aac1e85",
+        "3a3ed56b269373b14f11eaa1bbef73f08cb8edd971ec109f46c9cd5f85cacf39",
         "4e169e02534dfc7e915d6f20d296b8b0863a6b641012e84829fd7d989bf5437e",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
-        "2fb6852f6e84c2a8e2a588642481bbb315ab970f3838337c309cdd0cd78679de",
+        "7fe0aaf4344bf377a3694b4b4a1f55e350266ab2b9b701207bea5f12f29d8432",
         "a414cbc0914d3d865e043a5ec269a36b4a8dbfa1baf3d6d79948a8b40606ed9c",
         None,
     ),
@@ -262,21 +262,21 @@ GOLDEN = {
     ),
     "sim-beam-constant": (
         0,
-        "ae6a1a682336494ade00dc82e8eec2a4774909dffaf5d779d74e33a7c684e550",
+        "0fd32331ed4d9d3f57302055bba89e18c02fd820426959ae400ed26654761d3d",
         "d3bc0b6034b1638a9062559dc712b59ff9aac94d52ad1f8297717bf55aefe32d",
         None,
     ),
     "sim-beam-noisy": (
         0,
-        "7e25bd1dee021ba7f87761c8e7bf46b882ee872aa8d24c770081ea31e89c5471",
+        "784b7465014b6b579134b5eb206b24fa489fe58874760218f301c51a6039f349",
         "c623a27e3a2934d8d1a639bd73f3577d938cc525b86d27b613caf5bab2b4afa7",
         None,
     ),
     "sim-beam-table-sweep": (
         0,
-        "5354b7d204043c670d75272e0908f1095397d41b26d40945e61cc43ac8d7be0a",
+        "0b029b2e960953dd04c1f7bbf5fcece0c456075abc973b3eb1f87dd16c2f06c4",
         "f654237a698bab58eff3ff0ab9d2dca99b7830ae010777d95ce3fbb10009e263",
-        "9285099c268c3d4c5f0369ecad120fe2f799e00d669c4b7f0ac456a324cb2b74",
+        "bb1d4a2079fa69fd4e809d86811f41707debb50797694dd3ffeeeffb7f36523a",
     ),
     "sim-bon-max-sweep": (
         0,
@@ -304,19 +304,19 @@ GOLDEN = {
     ),
     "sim-config": (
         0,
-        "639920043cc32b460f3f54cc83352726ffe463cb935bc8ecc27bc99eb83c1920",
+        "6a299657894cdeb69d9f0e274978d8243b8c6a8aa7f3655da4345d7273781ae9",
         "ee6c4eee039c0defafb1708bd7334c24a1e46163937abf9c75b123163237d17a",
         None,
     ),
     "sim-config-override": (
         0,
-        "5cf5c2143b260f6691b5bbc1ea96fc008b50df8f8c856047a21c0308d0ddfd33",
+        "836249c156594c7d939ebd3961dbd8ccfeb59d714d5848a305a230971f0d8877",
         "93b4fa027f830e9e824429ac17e07748a98144784fd2d22216a50e66c1b47946",
         None,
     ),
     "sim-config-strategy-flag": (
         0,
-        "c440cfe242d55c47e9c73b2cd0849bb988a002708c5bf3e4bb7dc644b84500dd",
+        "c493eb7ce8255a0a11483715524bac20cc2b5392b3018908d9e3af2af97a14db",
         "fc5d02f78b051e503ed5eed5ec20b67c669937a6b0b974bcd97f1eb6c1ac9357",
         None,
     ),
@@ -346,13 +346,13 @@ GOLDEN = {
     ),
     "sim-mcts-best-constant": (
         0,
-        "a4987de9007fabe1c2aa96e8a223d651bd143393cc30b15c23a68e9301d909b4",
+        "173c42ad24f38931aa6ab9fb1064e342a6754cc2e84b6ee3cafe0415c80b4fe9",
         "6f555f56f3e21bac71fcc8ec6959446975fe199d98db01ddb4ebc1ec9479446e",
         None,
     ),
     "sim-mcts-best-noisy": (
         0,
-        "a4c8cf3bdbbc4dbf524eb7d84f1013998e5a082b4e92b328db8c21299a6af487",
+        "abfc7a21fdd91a118ee77e33d9b711ea3cd46dc3c59a1007b5447154cda162f7",
         "5b83f74b2584ee91f5cf84fd20a90d1e1d5655d397329a81d40b9abb575264df",
         None,
     ),

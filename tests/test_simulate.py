@@ -362,7 +362,7 @@ class TestMonteCarloMachinery:
         assert monte_carlo(cfg, spec, trials, seed).successes == total
 
     def test_reports_do_not_depend_on_the_worker_count(self):
-        # every kind in one batch, each run three blocks long
+        # every kind in one batch, each run three blocks long or more
         runs = [(cfg, spec, 2 * BLOCK_TRIALS + 1000, seed)
                 for seed, (cfg, spec) in enumerate(EXACT_CASES.values())]
         batches = []
@@ -447,6 +447,9 @@ EXACT_CASES = {
     "mcts-best-ideal": (cfg_exp(3, lam=2.0), StrategySpec.mcts_best(3)),
     "mcts-best-constant": (cfg_exp(3, CONST, lam=2.0), StrategySpec.mcts_best(3)),
     "mcts-best-noisy": (cfg_exp(3, NOISY, lam=2.0), StrategySpec.mcts_best(3)),
+    # layer 2 has more cells than trials in a block, so every block draws
+    # both per-trial binomials and multinomial count histograms
+    "mcts-best-wide": (cfg_exp(4, lam=2.0), StrategySpec.mcts_best(512)),
     "mcts-worst-ideal": (cfg_exp(3, lam=2.0), StrategySpec.mcts_worst(2)),
     "mcts-worst-constant": (cfg_exp(3, CONST, lam=2.0), StrategySpec.mcts_worst(2)),
     "mcts-worst-noisy": (cfg_exp(3, NOISY, lam=2.0), StrategySpec.mcts_worst(2)),
@@ -690,26 +693,37 @@ class TestStreamIdentity:
 
     @pytest.mark.parametrize("selector", [IDEAL, CONST], ids=["ideal", "constant"])
     def test_beam_draws_only_candidate_counts(self, selector):
-        # open trials are grouped by alive-beam count, so a layer draws one
-        # binomial with a scalar n per occupied count; a constant pick draws
-        # one binomial over the kept counts per layer and at the end
+        # open trials are grouped by alive-beam count. While they outnumber
+        # the cells of the count histograms, a layer draws one multinomial
+        # per occupied count and no per-trial binomial; below that, one
+        # binomial with a scalar n and m trials per occupied count. A
+        # constant pick draws one binomial over the kept counts per layer and
+        # at the end.
         L, b = 5, 4
         cfg, spec = cfg_exp(L, selector, lam=2.0), StrategySpec.beam(8, b)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, 0))))
-        calls = []
-
-        class Logged:
-            def __getattr__(self, name):
-                def draw(*args, **kwargs):
-                    calls.append((name, np.ndim(args[0])))
-                    return getattr(rng, name)(*args, **kwargs)
-                return draw
-
         engine = simulate._REGISTRY[spec.kind].engine
-        assert engine(cfg, spec, simulate._step_probs(cfg, L), BLOCK_TRIALS, Logged()) > 0
-        assert {name for name, _ in calls} == {"binomial"}
-        assert calls.count(("binomial", 0)) <= L * b
-        assert calls.count(("binomial", 1)) == (L + 1 if selector is CONST else 0)
+        # 3 trials never outnumber the 2a + 1 >= 3 cells of a count a > 0
+        for n, per_count in ((BLOCK_TRIALS, ("multinomial", 0, 2)), (3, ("binomial", 0, 3))):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, 0))))
+            calls = []
+
+            class Logged:
+                def __getattr__(self, name):
+                    def draw(*args, **kwargs):
+                        calls.append((name, np.ndim(args[0]), len(args)))
+                        return getattr(rng, name)(*args, **kwargs)
+                    return draw
+
+            won = engine(cfg, spec, simulate._step_probs(cfg, L), n, Logged())
+            assert won > 0 or n == 3
+            picks = ("binomial", 1, 2)
+            assert calls.count(picks) == (L + 1 if selector is CONST else 0)
+            assert {call for call in calls if call != picks} == {per_count}
+            assert len(calls) - calls.count(picks) <= L * b
+            if selector is CONST and n == BLOCK_TRIALS:
+                # the picks end the layers: at most b histogram draws in each
+                layers = "".join("|" if call == picks else "m" for call in calls).split("|")
+                assert all(1 <= len(layer) <= b for layer in layers[:L])
 
 
 def _cell_probs(cfg):
