@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ValidationError
+from .errors import FitError, ResourceLimitError, ValidationError
 
 DEFAULT_SIGMA = 50.0
+# Each n x n float64 kernel matrix takes 8 n^2 bytes, 128 MiB at the limit,
+# and a permutation test holds four; its null holds one float per permutation.
+MAX_SAMPLES = 4096
+MAX_PERMUTATIONS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -82,11 +86,11 @@ class FitResult:
 
 
 def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, SampleSet):
-        return x.vectors
-    m = np.asarray(x, dtype=np.float64)
+    m = x.vectors if isinstance(x, SampleSet) else np.asarray(x, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] < 2:
         raise ValidationError("expected an n x d matrix with n >= 2")
+    if m.shape[0] > MAX_SAMPLES:
+        raise ResourceLimitError(f"{m.shape[0]} samples are over the {MAX_SAMPLES} limit")
     return m
 
 
@@ -148,6 +152,8 @@ def permutation_null(
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if count > MAX_PERMUTATIONS:
+        raise ResourceLimitError(f"{count} permutations are over the {MAX_PERMUTATIONS} limit")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     kc, lc = _centered_grams(x, y, cfg)

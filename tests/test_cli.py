@@ -285,6 +285,20 @@ class TestHsicAndFitCommands:
         assert float(exp_row["param_2"]) == pytest.approx(0.5, abs=1e-9)
         assert svg.exists()
 
+    def test_hsic_limits_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the limits shrunk so that a 6-row file and 11 permutations cross them
+        x = tmp_path / "x.csv"
+        self._write_features(x, np.arange(12.0).reshape(6, 2).tolist())
+        argv = ["hsic", "--x", str(x), "--y", str(x), "--out", str(tmp_path / "o.csv")]
+        monkeypatch.setattr(slowthink.hsic, "MAX_PERMUTATIONS", 10)
+        assert dispatch(argv + ["--permutation-test", "10"]) == 0
+        capsys.readouterr()
+        assert dispatch(argv + ["--permutation-test", "11"]) == 2
+        assert capsys.readouterr().err == "error: 11 permutations are over the 10 limit\n"
+        monkeypatch.setattr(slowthink.hsic, "MAX_SAMPLES", 5)
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == "error: 6 samples are over the 5 limit\n"
+
     def test_missing_inputs_rejected(self):
         assert dispatch(["hsic", "--x", "nope.csv"]) == 2
         assert dispatch(["fit"]) == 2

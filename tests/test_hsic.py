@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from slowthink.errors import FitError, ValidationError
+from slowthink import hsic as hsic_module
+from slowthink.errors import FitError, ResourceLimitError, ValidationError
 from slowthink.hsic import (
     HsicConfig,
     _center,
@@ -142,6 +143,38 @@ class TestPermutationNull:
         a = permutation_null(x, y, count=30, seed=7)
         assert np.array_equal(a, permutation_null(x, y, count=30, seed=7))
         assert a.shape == (30,) and np.all(a >= 0.0)
+
+
+class TestResourceLimits:
+    """Sample and permutation counts past their limits are refused before
+    any kernel matrix or null is allocated."""
+
+    def test_samples_over_the_limit_are_refused(self, monkeypatch):
+        monkeypatch.setattr(hsic_module, "MAX_SAMPLES", 4)
+        monkeypatch.setattr(hsic_module, "gaussian_gram", None)  # never reached
+        x = np.arange(10.0).reshape(5, 2)
+        for call in (lambda: hsic(x, x), lambda: permutation_null(x, x, count=3),
+                     lambda: hsic(SampleSet(x), SampleSet(x))):
+            with pytest.raises(ResourceLimitError, match="^5 samples are over the 4 limit$"):
+                call()
+
+    def test_samples_at_the_limit_are_accepted(self, monkeypatch):
+        monkeypatch.setattr(hsic_module, "MAX_SAMPLES", 5)
+        x = np.arange(10.0).reshape(5, 2)
+        assert hsic(x, x) > 0.0
+        assert gaussian_gram(x).shape == (5, 5)
+
+    def test_permutations_over_the_limit_are_refused(self, monkeypatch):
+        monkeypatch.setattr(hsic_module, "MAX_PERMUTATIONS", 3)
+        monkeypatch.setattr(hsic_module, "_centered_grams", None)  # never reached
+        x = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(ResourceLimitError, match="^4 permutations are over the 3 limit$"):
+            permutation_null(x, x, count=4)
+
+    def test_permutations_at_the_limit_are_accepted(self, monkeypatch):
+        monkeypatch.setattr(hsic_module, "MAX_PERMUTATIONS", 3)
+        x = np.arange(10.0).reshape(5, 2)
+        assert permutation_null(x, x, count=3).shape == (3,)
 
 
 class TestSampleSet:
