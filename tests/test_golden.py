@@ -137,247 +137,247 @@ GOLDEN = {
     "bounds-all": (
         0,
         "7ebe74ef150c3b2c15e3d675cb5ba882bf3fea3239d6a984be2e133bf80f0a44",
-        "83a00868534c3ab06765d038bfe03b563d3a2f6728b3bac76012de0c53581918",
+        "1dfdfff9979242ab95e8f41ec6aacdb27812e2964db599acced7d41a32994e6e",
         None,
     ),
     "bounds-lookahead": (
         0,
         "e2ea9883cf4f08875deb14a07aa9fd59c8e63122a6f9b7bda4c5664962b87670",
-        "a42d685be56db610551c4d943c6b99b01939f65d78e1e01b511f89a0eff708a6",
+        "5dce37c1ab76fc6c12a7ff5fc21f2ae7622af118c88493046378dea1164a9ab6",
         None,
     ),
     "bounds-noisy-worst": (
         0,
         "d6ab33dc177fd1f75e3810b290d53fe7a80bdd3535b98932380294f4426d0d96",
-        "46b175d70060a01555ab33dade031634a5d4b66aa490e489668f7f0561f9d33d",
+        "3b9ea93234c3a78b1760e64c72e8199001de19885f3830630b306cf43781467e",
         None,
     ),
     "bounds-single": (
         0,
         "554719dbbf03a5a63532a7eccb391ca08e590f29d6157a0860fa038b476c23fa",
-        "d18b810b1a408963518a3d38a3a2803081824eb249daf7a1a21d6da42c3d05eb",
+        "006e63bbf22600486350d83f7869c758c67add4dfd47f2087793f91943be35b1",
         None,
     ),
     "bounds-table-constant": (
         0,
         "d17e5671d7880fd4bf938dd0161c92be79299d8c14a6ef19a37bfed3fa1d50c5",
-        "5a5a0b0272ae805e803e4d5455a02188f97dea348ffcf06f192f1bad30b5f945",
+        "abe67573741ce81abf06b3212639b8f9e84589cd8d15fc533d81c0994670e2f5",
         None,
     ),
     "calibrate-stats": (
         0,
         "924f32a02a5a9875245bee1cb91ddcebf1ebf9227b24bdcd153ca60724009586",
-        "395c3b29bb25098bf6a4a339511f0e1838f03b3ee362280f4d9de726609dec6d",
+        "e598b53853c6607cc70ef269178149604e1c7f73733737ec87222940c55be305",
         None,
     ),
     "calibrate-traces": (
         0,
         "064511cf8e49e678da73dc2a1f4c34e6686a1991300fa1870b3d43ee3e8ebccf",
-        "afa11026a696a4dcba89ab0c45d4549139a6c552831f3fecc6ce9b1487033538",
+        "01024034ffb946d1d9534ef3cb257fe27f9adaa0b28251a93361c8696e4b4206",
         None,
     ),
     "fano-suite": (
         0,
         "1a88b56ffa576d1215724ec10a72350b2e65b13738906355218a7709527fc3bd",
-        "68633946e2b9910ba14a0f73bbc68a6d39bbe9791a746e48bcaf98d8feedcaed",
+        "f7979bc549a84e239acf831213c879f4a52650fc78154d538069523b29030b8d",
         None,
     ),
     "fano-suite-long": (
         0,
         "a8f38aa442f009f088b1bcce88a7515d5486e3f7925f2c5424ef6b9583ba2cb1",
-        "e673bb7cf64a2ee972ca5971d514be71b84ce8b3ff60ad41687b9bd3a797f098",
+        "6babfac4953942890ba7b518f204238af629ec7f29288ff0b850c46010120f0d",
         None,
     ),
     "fano-suite-long-mi-only": (
         1,
         "4427d6c0c2cb57ca6debd0b475d4ecb0a3b901b06e655b812bebd946a940edd7",
-        "55f42b6685fca69bdc4fa73072fddc6551ec94ac6a19bc7be48f60ac3e906cba",
+        "4a263e624c64195d6cc9c726dc9b937fe20ac857c498a173fd93909963e9429f",
         None,
     ),
     "fano-suite-mi-only": (
         1,
         "422815ddd3ab32d794dea335024c261b6c27f93d7878aaf5010fa23f985fd4b0",
-        "4a4474e4c2ef6b995cac0beda091ec7037b3cb4f90e09bd85bd419b45f62a326",
+        "dd0b5326835c4ae3670ad333a4e95fb5be21d7b7854f42ded5a03091c3384e4c",
         None,
     ),
     "reproduce-bon-vs-mcts": (
         1,
         "4f8454e68fe3834ab3a17b68280cc8fffdb8ff835e46806cdf2e45513f77a23e",
-        "59db715e6cf13837b41bcbea5213d78df2b6cd93c29a2aed7eafe37d9f42dea4",
+        "fe2fd213856f4c898da1ada7d3cf66da6ce1c9314e6dc8e8340bccbf04a45a75",
         "3154a4cee94af00290699d7e5beb597cdd5bea202b8e2d893588153063b41942",
     ),
     "reproduce-bon-vs-mcts-fail": (
         1,
         "a71d634b586a4a5250cc2dbe7a9ffea5ab8c10aa82273cdfb612203448eebf64",
-        "28cd5c04f366be97c265874917a4a60c90294f28bfe84e0339663894c922a70a",
+        "bb04e34c684f0910a88473adaf97a8594dc3fa56e717a0145bcefef8c12c5004",
         None,
     ),
     "reproduce-calibration": (
         0,
         "d4c7e539d779152b49b13e6c02cba494213782bc80cf093540513a1747df85d3",
-        "ca7a4e7d74bd1d96a4c9cd08f7041502d63ed2beebaa4de54142e88fb7e80f6e",
+        "3e70612dcec3ef0e55a2252d09df15c17e92c851daf261e7b88db05de21469a3",
         None,
     ),
     "reproduce-config": (
         0,
         "3e16f7aad4878261a8ce90e78e9818b18cf3f5f9f89aef98514e379f0f321418",
-        "d73eb3b2b24ed2823fc09f80582386203a8451552b997b80b871fff49f91e25e",
+        "ba86ac966368ce59f962909e2f07d57307662b3d8f2a38ba7fe680b5cfe4553e",
         None,
     ),
     "reproduce-dominance": (
         0,
         "3a3ed56b269373b14f11eaa1bbef73f08cb8edd971ec109f46c9cd5f85cacf39",
-        "4e169e02534dfc7e915d6f20d296b8b0863a6b641012e84829fd7d989bf5437e",
+        "efbd7fc98fa681778cb67641f3783de30423048ce85d972640e424fe70419892",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
         "7fe0aaf4344bf377a3694b4b4a1f55e350266ab2b9b701207bea5f12f29d8432",
-        "a414cbc0914d3d865e043a5ec269a36b4a8dbfa1baf3d6d79948a8b40606ed9c",
+        "d0f8f8acdbd9ccb7a8a3af6a8b265f60d81840e58e57297b554f9ea139692958",
         None,
     ),
     "reproduce-fano": (
         0,
         "8551efffe435a0197bbe7c5cfa19d7c32bff69e21073bf2d48b997b24057160c",
-        "68e19f8cc7314ed47fd008b388378dad696c08e9bb5bdedd8a3ccc942c2a658c",
+        "a1cbb4634c3ff0fb350ed6f87fea3323de8199c156c5de0e810c9d115cbda1f0",
         None,
     ),
     "reproduce-gamma-sweep": (
         0,
         "0a1b245307faa5a03ef5154b350269c8f478252c00de092eddb35709dff53639",
-        "276f6db40a6dd5bb8376f2c6d48fc49167d1c7ed65fe4b26523f538778254e51",
+        "a1397a5da0161294a7f17ef9dafdb0635098ce61378c36d9e1e4ffb7b5d71e04",
         None,
     ),
     "reproduce-nmin": (
         0,
         "1a86bb5981c5314536aac5103077398aff1d025d5f437977f3a81b0cf492e9a0",
-        "685d9cabafff4b60369aad8dc268204c94410e4ef5eaf9e89f750b2d79095927",
+        "3f13f73f32f10bd036b11ba21f11a737d5177bc1fa04aa26f6a33fc583ff5c6a",
         None,
     ),
     "reproduce-table1": (
         0,
         "a402bf8fb13c88a86ff5ea10b7568df33174703c888519d1065a70a735e494a0",
-        "243f51488d8cf9b8fafff1c474b3b88b7307737f4d71d14d6fbc667665b2b3a8",
+        "90099cb7950f4d7b6126090d60361575c57caa963241ed1ee70270aa772158f3",
         None,
     ),
     "sim-beam-constant": (
         0,
         "0fd32331ed4d9d3f57302055bba89e18c02fd820426959ae400ed26654761d3d",
-        "d3bc0b6034b1638a9062559dc712b59ff9aac94d52ad1f8297717bf55aefe32d",
+        "9bae02055bda22e9d7f75a73cd0535091342156d1ac3dcab0825f441a5989f4c",
         None,
     ),
     "sim-beam-noisy": (
         0,
         "784b7465014b6b579134b5eb206b24fa489fe58874760218f301c51a6039f349",
-        "c623a27e3a2934d8d1a639bd73f3577d938cc525b86d27b613caf5bab2b4afa7",
+        "ffb3d56293d55f21ee71b4ab7e2cb293c189d8c75c47ba752b2530362b46e954",
         None,
     ),
     "sim-beam-table-sweep": (
         0,
         "0b029b2e960953dd04c1f7bbf5fcece0c456075abc973b3eb1f87dd16c2f06c4",
-        "f654237a698bab58eff3ff0ab9d2dca99b7830ae010777d95ce3fbb10009e263",
+        "7e727b9e742e5c8a161ba94e74753c90b0181999655d1bff570fd507819f352e",
         "bb1d4a2079fa69fd4e809d86811f41707debb50797694dd3ffeeeffb7f36523a",
     ),
     "sim-bon-max-sweep": (
         0,
         "6dc3be0ca432e72958bde56c5691505d7d3f863c4ccb4d1f90ebbc3441ab7bd9",
-        "77385de1961df32d12ed9271ccfb349b1d3a463002116db4a2c874052fc1873e",
+        "0deee411bd8e35c980853debf749445c6dc2664c5fd15dd8a320d31ddb73f68d",
         "dd698133650c6f5e996e228cc35240606a3241715c6def6029ac980993599833",
     ),
     "sim-bon-max-sweep-fail": (
         1,
         "2ebe892f4a122da0978d653fa4424bb6dc1caa345ec78b432e82a77349c2f432",
-        "28c0c727d361a69b879f1654cfa406f9900f31581ff4a4c4c82819262ad2f24a",
+        "13d4c0ed9fa820dc8c2f83cb4e61a8a85fad58fdfcc3adce41dd12f678781b98",
         None,
     ),
     "sim-bon-sc-sweep": (
         0,
         "e7e18214140a939dbab1addaf2a480dfead1f431626b56a6018a0dddc541304d",
-        "49aa2ccb4518a519ec7938cf29cf5ca4bd750588c249f84309fcbca78ddfb22f",
+        "1b3e591d4425fab728e096b90b01559132ddd54e9fe5b46d4b1b305bc19e15dc",
         None,
     ),
     "sim-bon-vote": (
         0,
         "bd9f7f6a5fe1e91bc6fe75bd132d0ff3abfc7b2ff311aa47125ee480711a769a",
-        "8db495857b136ad0fff636d78883722737970ec0c1646a56d302fe1620a5fceb",
+        "844cbfbb2754ec5cd6e0742b73153baf460ce5040121f19bde566ff26db88c49",
         None,
     ),
     "sim-config": (
         0,
         "6a299657894cdeb69d9f0e274978d8243b8c6a8aa7f3655da4345d7273781ae9",
-        "ee6c4eee039c0defafb1708bd7334c24a1e46163937abf9c75b123163237d17a",
+        "21c66b7da94d1fcbe0f3dc7a2cba6be1136bcde0160a6e87e02fcb853eb6e718",
         None,
     ),
     "sim-config-override": (
         0,
         "836249c156594c7d939ebd3961dbd8ccfeb59d714d5848a305a230971f0d8877",
-        "93b4fa027f830e9e824429ac17e07748a98144784fd2d22216a50e66c1b47946",
+        "a039a65d1984a4e35f94ebcb9b21d08e838a63d57b40b9046bbf3a58b67282b1",
         None,
     ),
     "sim-config-strategy-flag": (
         0,
         "c493eb7ce8255a0a11483715524bac20cc2b5392b3018908d9e3af2af97a14db",
-        "fc5d02f78b051e503ed5eed5ec20b67c669937a6b0b974bcd97f1eb6c1ac9357",
+        "212aa43afa97f4c66e371a49479f2fd49fd7d597d5027066e11b75995614bbcc",
         None,
     ),
     "sim-lookahead-noisy": (
         0,
         "6ce51393aebef3787957bb16bcf6576f0285c9d91e1fe1f79f5d6c444d0388b1",
-        "778f2f4b0ab2d87df216ac312f7e2efac5417eb1e4f2dc9d3b7553fbc712001e",
+        "d084fa4b3d4570bb4a4cb8433e7306fde30e154a1bacfbf812f21e5308ae4306",
         None,
     ),
     "sim-lookahead-sweep": (
         0,
         "bd1bd762bd3eb189ba9163481975860de397a90a2dc64e2d8ff5f961ad351c2f",
-        "01485b39e78c868a8516bb4a7b2bca7c1b7de6d8cb22a0ce17b73dea0384198e",
+        "135119c26eea5c9638d24a9d005653816e7e76f72543e7803414dada606d3877",
         None,
     ),
     "sim-lookahead-sweep-plot": (
         0,
         "9ddbce4be20b80e3b6874bcb4a5686e9c3e93e09ecae3607f39fa4641c976ec1",
-        "bcf660df93d6b48c1a27f364664c11d2804a5f7a9502f9d0b62ba24006e2cbc5",
+        "3c90dafb4e0f395b5c05ecc250f7c0a1a20810825bf7a5999157bcf7bb5f6471",
         "79a2ba29e0d8c1d109a1653dd9bf03ad687222ef2a12b27a3dd7dace912bf4c2",
     ),
     "sim-mcts-best": (
         0,
         "5be13523fb629fc2fb4175cec3e5cbe575972564cce41ed0fe96ee64c40c10da",
-        "6355d8755e2798b9d5640793f9787c31d171ac21578a22b2b9e8adc0ca53de4c",
+        "9f764256c110e8844788fcfe3fab9e11ab88b64ef5a6f8b5b3a0509d1145bced",
         None,
     ),
     "sim-mcts-best-constant": (
         0,
         "173c42ad24f38931aa6ab9fb1064e342a6754cc2e84b6ee3cafe0415c80b4fe9",
-        "6f555f56f3e21bac71fcc8ec6959446975fe199d98db01ddb4ebc1ec9479446e",
+        "eba96601f7295350d7d66e5bceecd3eec40549cbbf4cd5e4d39dfb9a776c1ea4",
         None,
     ),
     "sim-mcts-best-noisy": (
         0,
         "abfc7a21fdd91a118ee77e33d9b711ea3cd46dc3c59a1007b5447154cda162f7",
-        "5b83f74b2584ee91f5cf84fd20a90d1e1d5655d397329a81d40b9abb575264df",
+        "0ac64ce447228abcba2187b845a3be8dff5769191f1bfc78526e0f7fc1f716d0",
         None,
     ),
     "sim-mcts-worst-constant": (
         0,
         "cd61b7ed744645b06135b8454120790eb51696f40f1c5a3af2cb3822b7df044e",
-        "d02560bfbad02467abd3da0996ce8a7641e8654e904d053b7ee7e3d74f874551",
+        "dd72dc8346ba1c1543e0afee24e34121673acb23c8da6fa17e7f8fcd9334284d",
         None,
     ),
     "sim-mcts-worst-noisy": (
         0,
         "25c5e5a4d6fe8374dec99c165955911de650f99423733142716d76babb514cfb",
-        "5a38bb5a8dd4e9937bfe93e8af53278a76f57032046853fb6cddb98aed94dc30",
+        "69dba0aaa2f4ac4d6fcd8cfb3593477feb5fb8253370b0bf818212f675cfb752",
         None,
     ),
     "sim-single": (
         0,
         "f70e9bec899f548cc5df712e2a7c6a1de396cc2c1ef8ecbe8ddc8d7d76ffc7aa",
-        "39cf3b463a890cfaa713dcd09c3f5fbc7313e4ffbf643db63fe244610edf6830",
+        "dc6df4f91b7e93d774cce1c8c610fc52605a631d5eff0cc9f84c486a08fdf1ed",
         None,
     ),
     "sim-single-table": (
         0,
         "514672f2fb05b19f4818d5be29fab17f6e0faa1aec3e17aa27032e3e88fc9e68",
-        "5680525c60f464205a022dd819218b9bfbb873af720751328e926c92c02426f4",
+        "c5347cfc89d45f2dc86788ed275a8aac4b05546b9052b53f2ee68f98c692d40e",
         None,
     ),
 }
