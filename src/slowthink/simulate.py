@@ -27,9 +27,11 @@ layer (one in all for Best-of-N's independent paths), and where a pick or a
 vote reads cells they put the correct ones first, as every such reader
 treats columns alike; a pick without score noise draws nothing.
 Beam search and mcts_best keep a histogram of open trials by alive-beam
-count and draw one binomial per occupied count; a constant pick draws
-Bin(h, eps) for the h trials at each kept count, and a noisy pick still
-draws per-trial scores.
+count. A layer whose open trials outnumber the f + 1 cells summed over its
+occupied counts draws, per count, the histogram of its m trials' Bin(f, p)
+correct candidates as one Multinomial(m, pmf) draw; any other layer draws
+the m binomials. A constant pick draws Bin(h, eps) for the h trials at each
+kept count, and a noisy pick still draws per-trial scores.
 ``exact_success`` computes the same success probabilities exactly, as small
 Markov chains over correct-candidate counts, and is the independent
 reference the engines are tested against.
@@ -450,8 +452,12 @@ def _binom_pmf(n, p: float, support: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _pmf_row(f: int, p: float) -> np.ndarray:
+    # normalised, as numpy's multinomial refuses a sum past 1 + 1e-12, and
+    # read-only, as every block of a run shares it
     row = _binom_pmf([f], p, f)[0]
-    return row / row.sum()  # numpy's multinomial refuses a sum past 1 + 1e-12
+    row /= row.sum()
+    row.flags.writeable = False
+    return row
 
 
 def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
