@@ -356,19 +356,18 @@ def _fed_candidates(k: int, b: int, alive):
 def _sim_beam(cfg, k, b, probs, n, rng) -> int:
     sel = cfg.selector
 
-    def tally(hist, draw, size):
-        # histogram over 0..size-1 of draw(c, m) over the m = hist[c] open
-        # trials at each count c > 0; trials at count 0 have failed
-        drawn = [draw(c, hist[c]) for c in np.flatnonzero(hist[1:]) + 1]
+    def tally(drawn, size):
+        # histogram over 0..size-1 of the values drawn
         return np.bincount(np.concatenate([np.empty(0, np.intp), *drawn]), minlength=size)
 
     def keep(hist, width, top):
         # hist[c] open trials have c correct candidates, the first c of
         # width: how many trials keep each count 0..top of correct ones
         if sel.kind == NOISY_SCORE:
-            return tally(hist, lambda c, m: _noisy_hits(
-                rng, np.broadcast_to(np.arange(width) < c, (m, width)),
-                sel.margin, sel.noise_std, top), top + 1)
+            # one level per count c > 0; trials at count 0 have failed
+            return tally([_noisy_hits(rng, np.broadcast_to(np.arange(width) < c, (hist[c], width)),
+                                      sel.margin, sel.noise_std, top)
+                          for c in np.flatnonzero(hist[1:]) + 1], top + 1)
         kept = np.append(hist[:top], hist[top:].sum())
         if sel.kind != IDEAL:
             kept[1:] = rng.binomial(kept[1:], sel.epsilon)  # kept[0] is never read
@@ -380,12 +379,13 @@ def _sim_beam(cfg, k, b, probs, n, rng) -> int:
         occupied = np.flatnonzero(alive[1:]) + 1
         fed = _fed_candidates(k, b, occupied)
         if alive[occupied].sum() > fed.sum() + fed.size:
-            # m Bin(f, p) draws tally to Multinomial(m, Bin(f, p) pmf), f + 1 cells
+            # the m Bin(f, p) draws at a count tally to Multinomial(m, Bin(f, p)
+            # pmf): one draw of f + 1 cells, cheaper while trials outnumber cells
             correct = np.zeros(k + 1, dtype=np.int64)
             for a, f in zip(occupied, fed):
                 correct[: f + 1] += rng.multinomial(alive[a], _pmf_row(int(f), p))
         else:
-            correct = tally(alive, lambda a, m: rng.binomial(_fed_candidates(k, b, a), p, m), k + 1)
+            correct = tally([rng.binomial(f, p, alive[a]) for a, f in zip(occupied, fed)], k + 1)
         alive = keep(correct, k, b)
     return int(keep(alive, b, 1)[1])
 
