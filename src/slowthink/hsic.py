@@ -16,8 +16,7 @@ import numpy as np
 from .errors import FitError, ResourceLimitError, ValidationError
 
 DEFAULT_SIGMA = 50.0
-# Each n x n float64 kernel matrix takes 8 n^2 bytes, 128 MiB at the limit,
-# and a permutation test holds four; its null holds one float per permutation.
+# n x n float64 kernel matrices, 128 MiB each at the limit; a permutation test holds four
 MAX_SAMPLES = 4096
 MAX_PERMUTATIONS = 1_000_000
 

@@ -27,11 +27,10 @@ layer (one in all for Best-of-N's independent paths), and where a pick or a
 vote reads cells they put the correct ones first, as every such reader
 treats columns alike; a pick without score noise draws nothing.
 Beam search and mcts_best keep a histogram of open trials by alive-beam
-count. A layer whose open trials outnumber the f + 1 cells summed over its
-occupied counts draws, per count, the histogram of its m trials' Bin(f, p)
-correct candidates as one Multinomial(m, pmf) draw; any other layer draws
-the m binomials. A constant pick draws Bin(h, eps) for the h trials at each
-kept count, and a noisy pick still draws per-trial scores.
+count, and per occupied count draw the m trials' Bin(f, p) correct counts
+as one Multinomial(m, pmf) histogram while the layer's trials outnumber its
+f + 1 cells summed, else as m binomials; a constant pick draws Bin(h, eps)
+for the h trials at each kept count, and a noisy pick per-trial scores.
 ``exact_success`` computes the same success probabilities exactly, as small
 Markov chains over correct-candidate counts, and is the independent
 reference the engines are tested against.
@@ -379,8 +378,7 @@ def _sim_beam(cfg, k, b, probs, n, rng) -> int:
         occupied = np.flatnonzero(alive[1:]) + 1
         fed = _fed_candidates(k, b, occupied)
         if alive[occupied].sum() > fed.sum() + fed.size:
-            # the m Bin(f, p) draws at a count tally to Multinomial(m, Bin(f, p)
-            # pmf): one draw of f + 1 cells, cheaper while trials outnumber cells
+            # the m Bin(f, p) draws at a count tally to Multinomial(m, Bin(f, p) pmf)
             correct = np.zeros(k + 1, dtype=np.int64)
             for a, f in zip(occupied, fed):
                 correct[: f + 1] += rng.multinomial(alive[a], _pmf_row(int(f), p))
@@ -452,8 +450,7 @@ def _binom_pmf(n, p: float, support: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _pmf_row(f: int, p: float) -> np.ndarray:
-    # normalised, as numpy's multinomial refuses a sum past 1 + 1e-12, and
-    # read-only, as every block of a run shares it
+    # numpy's multinomial refuses a sum past 1 + 1e-12; every block shares it
     row = _binom_pmf([f], p, f)[0]
     row /= row.sum()
     row.flags.writeable = False
