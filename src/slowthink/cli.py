@@ -254,6 +254,8 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
     seed = _number(resolved, "seed", 0)
     plot_path = _path(resolved, "plot")
     sweep = resolved.get("sweep")
+    if plot_path and sweep is None:
+        raise ValidationError("--plot draws a sweep; give --sweep PARAM=VALUES too")
     if sweep is not None:
         reject_stray_keys(checked_section(sweep, "sweep"), "sweep", ("param", "values"))
         param, values = sweep.get("param"), sweep.get("values")
@@ -268,13 +270,9 @@ def _cmd_simulate(resolved: dict) -> _RunOutput:
         ]
     else:
         specs = [simulate.StrategySpec.from_config(strategy_cfg)]
-    header = (
-        "strategy", "rule", "N", "k", "b", "gamma", "trials", "seed",
-        "estimate", "ci_low", "ci_high", "mean_steps", "mean_calls",
-        "bound", "vacuous", "verify",
-    )
     rows = _strategy_rows([(cfg, spec, trials, seed) for spec in specs])
-    if plot_path and sweep:
+    header = tuple(rows[0])
+    if plot_path:
         series = [(xs, [r["estimate"] for r in rows])]
         labels = ["estimate"]
         if all(r["bound"] != "" for r in rows):
@@ -390,6 +388,13 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
     for key in ("x", "y"):
         if not _path(resolved, key):
             raise ValidationError(f"hsic requires --{key} FILE")
+    perm_count = checked_number(
+        resolved.get("permutation_test") or 0, "permutation_test", int
+    )
+    seed = _number(resolved, "seed", 0)
+    svg_path = _path(resolved, "svg")
+    if svg_path and not perm_count:
+        raise ValidationError("--svg draws the permutation null; give --permutation-test N too")
     x = _read_feature_csv(resolved["x"])
     y = _read_feature_csv(resolved["y"])
     cfg = hsic.HsicConfig(sigma=_number(resolved, "sigma", hsic.DEFAULT_SIGMA, float))
@@ -409,11 +414,6 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
         if mean_length is not None
         else ""
     )
-    perm_count = checked_number(
-        resolved.get("permutation_test") or 0, "permutation_test", int
-    )
-    seed = _number(resolved, "seed", 0)
-    svg_path = _path(resolved, "svg")
     p95 = pvalue = ""
     if perm_count:
         null = hsic.permutation_null(x, y, cfg, count=perm_count, seed=seed)

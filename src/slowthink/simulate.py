@@ -23,14 +23,14 @@ block, ``orm_vote`` at N = 2^16, takes 124 MiB. A trial whose candidates are
 all wrong has failed, so after each layer an engine keeps only the trials
 still open.
 Engines draw each open trial's count of correct candidates, one binomial per
-layer (one in all for Best-of-N's independent paths), and where a pick or a
-vote reads cells they put the correct ones first, as every such reader
-treats columns alike; a pick without score noise draws nothing.
-Beam search and mcts_best keep a histogram of open trials by alive-beam
-count, and per occupied count draw the m trials' Bin(f, p) correct counts
-as one Multinomial(m, pmf) histogram while the layer's trials outnumber its
-f + 1 cells summed, else as m binomials; a constant pick draws Bin(h, eps)
-for the h trials at each kept count, and a noisy pick per-trial scores.
+layer (one in all for Best-of-N's independent paths). ``_noisy_hits`` lays
+out a noisy pick's rows from those counts, correct cells first, as a pick
+treats columns alike, and draws one pick per layer over all open trials; a
+pick without score noise draws nothing. Beam search and mcts_best keep a
+histogram of open trials by alive-beam count, and per occupied count draw
+the m trials' Bin(f, p) correct counts as one Multinomial(m, pmf) histogram
+while the layer's trials outnumber its f + 1 cells summed, else as m
+binomials; a constant pick keeps Bin(h, eps) of the h trials at a kept count.
 ``exact_success`` computes the same success probabilities exactly, as small
 Markov chains over correct-candidate counts, and is the independent
 reference the engines are tested against.
@@ -272,30 +272,30 @@ def _score_params(cfg: ProcessConfig) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _noisy_hits(rng, ok, margin: float, std: float, b: int = 1) -> np.ndarray:
-    """Per row, how many of the b top scores of ``margin * ok + std * Z``, Z
-    standard normal, fall on True cells; at std = 0 (margin > 0) that is
-    min(b, True cells), and nothing is drawn. Z is drawn a row chunk of about
-    _CHUNK_CELLS cells at a time into one reused buffer, in the order one
-    dense draw would read the stream."""
+def _noisy_hits(rng, c, width: int, margin: float, std: float, b: int = 1) -> np.ndarray:
+    """Per row of ``width`` cells, the first ``c`` correct, how many of the b
+    top scores of ``margin * correct + std * Z``, Z standard normal, fall on
+    correct cells; at std = 0 (margin > 0) that is min(b, c), drawn from
+    nothing. Mask and Z are built a row chunk of about _CHUNK_CELLS cells at
+    a time, Z into one reused buffer in the order one dense draw reads it."""
     if std == 0:
-        return np.minimum(b, ok.sum(axis=1))
-    n, width = ok.shape
+        return np.minimum(b, c)
+    n = len(c)
     step = max(1, _CHUNK_CELLS // width)
     buf = np.empty(min(n, step) * width)
     hits = np.empty(n, dtype=np.intp)
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        chunk = ok[rows]
-        z = rng.standard_normal(out=buf[: chunk.size].reshape(chunk.shape))
+        ok = np.arange(width) < c[rows, None]
+        z = rng.standard_normal(out=buf[: ok.size].reshape(ok.shape))
         z *= std
-        z += margin * chunk
+        z += margin * ok
         if b == 1:
-            hits[rows] = np.take_along_axis(chunk, z.argmax(axis=1)[:, None], axis=1)[:, 0]
+            hits[rows] = z.argmax(axis=1) < c[rows]
         else:
             # at or above the row's b-th highest score; a tie has probability 0
             t = np.partition(z, width - b, axis=1)[:, width - b, None]
-            hits[rows] = (chunk & (z >= t)).sum(axis=1)
+            hits[rows] = (ok & (z >= t)).sum(axis=1)
     return hits
 
 
@@ -315,9 +315,9 @@ def _sim_bon(cfg, strategy, probs, n, rng) -> int:
         # without score noise orm_max picks a correct path, and orm_vote
         # label 0, whenever one exists
         return len(c)
-    path_ok = np.arange(N) < c[:, None]
     if rule == ORM_MAX:
-        return int(_noisy_hits(rng, path_ok, 1.0, std).sum())
+        return int(_noisy_hits(rng, c, N, 1.0, std).sum())
+    path_ok = np.arange(N) < c[:, None]
     width = cfg.answer.answer_space_size + 1
     # correct paths answer label 0; only wrong ones draw a label
     labels = np.zeros(path_ok.shape, dtype=np.int64)
@@ -355,18 +355,14 @@ def _fed_candidates(k: int, b: int, alive):
 def _sim_beam(cfg, k, b, probs, n, rng) -> int:
     sel = cfg.selector
 
-    def tally(drawn, size):
-        # histogram over 0..size-1 of the values drawn
-        return np.bincount(np.concatenate([np.empty(0, np.intp), *drawn]), minlength=size)
-
     def keep(hist, width, top):
-        # hist[c] open trials have c correct candidates, the first c of
-        # width: how many trials keep each count 0..top of correct ones
+        # hist[c] open trials have c of width candidates correct: how many
+        # trials keep each count 0..top of correct ones
         if sel.kind == NOISY_SCORE:
-            # one level per count c > 0; trials at count 0 have failed
-            return tally([_noisy_hits(rng, np.broadcast_to(np.arange(width) < c, (hist[c], width)),
-                                      sel.margin, sel.noise_std, top)
-                          for c in np.flatnonzero(hist[1:]) + 1], top + 1)
+            # one pick over the trials at each count c > 0, in order of c
+            c = np.repeat(np.arange(1, width + 1), hist[1:])
+            hits = _noisy_hits(rng, c, width, sel.margin, sel.noise_std, top)
+            return np.bincount(hits, minlength=top + 1)
         kept = np.append(hist[:top], hist[top:].sum())
         if sel.kind != IDEAL:
             kept[1:] = rng.binomial(kept[1:], sel.epsilon)  # kept[0] is never read
@@ -383,7 +379,8 @@ def _sim_beam(cfg, k, b, probs, n, rng) -> int:
             for a, f in zip(occupied, fed):
                 correct[: f + 1] += rng.multinomial(alive[a], _pmf_row(int(f), p))
         else:
-            correct = tally([rng.binomial(f, p, alive[a]) for a, f in zip(occupied, fed)], k + 1)
+            drawn = [rng.binomial(f, p, alive[a]) for a, f in zip(occupied, fed)]
+            correct = np.bincount(np.concatenate([np.empty(0, np.intp), *drawn]), minlength=k + 1)
         alive = keep(correct, k, b)
     return int(keep(alive, b, 1)[1])
 
@@ -395,7 +392,7 @@ def _sim_mcts_worst(cfg, strategy, probs, n, rng) -> int:
         c = rng.binomial(b * c, p)
         c = c[c > 0]
         if sel.kind == NOISY_SCORE:
-            c = c[_noisy_hits(rng, np.arange(b**depth) < c[:, None], sel.margin, sel.noise_std) > 0]
+            c = c[_noisy_hits(rng, c, b**depth, sel.margin, sel.noise_std) > 0]
         elif sel.kind != IDEAL:
             c = c[rng.random(len(c)) < sel.epsilon]
     return len(c)
@@ -410,7 +407,7 @@ def _sim_lookahead(cfg, strategy, probs, n, rng) -> int:
         c = c[c > 0]
         r = math.prod(probs[l : l + gamma])
         a = rng.binomial(c, r)
-        miss = _noisy_hits(rng, np.arange(b) < a[:, None], margin, std) == 0
+        miss = _noisy_hits(rng, a, b, margin, std) == 0
         # a pick off the A cells falls uniformly on one of the other b - a
         c, a = c[miss], a[miss]
         n = len(miss) - len(c) + int((rng.random(len(c)) * (b - a) < c - a).sum())

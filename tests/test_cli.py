@@ -776,6 +776,13 @@ class TestMalformedInput:
             # a rollout depth is a count, as for simulate --gamma
             (["reproduce", "gamma-sweep", "--lambda", "0.5", "--config", "gammas_negative.json"],
              "error: gammas must be >= 0, got -1"),
+            # a plot with nothing to draw is refused, not silently skipped
+            (["simulate", "--strategy", "single_path", "--trials", "10", "--plot", "a.svg"],
+             "error: --plot draws a sweep; give --sweep PARAM=VALUES too"),
+            (["hsic", "--x", "y.csv", "--y", "y.csv", "--svg", "n.svg"],
+             "error: --svg draws the permutation null; give --permutation-test N too"),
+            (["hsic", "--x", "y.csv", "--y", "y.csv", "--permutation-test", "0",
+              "--svg", "n.svg"], "give --permutation-test N too"),
         ],
     )
     def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):

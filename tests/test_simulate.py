@@ -691,17 +691,20 @@ class TestStreamIdentity:
                   for selector in (IDEAL, SelectorModel.noisy_score(1.0, 0.0))}
         assert len(counts) == 1, counts
 
-    @pytest.mark.parametrize("selector", [IDEAL, CONST], ids=["ideal", "constant"])
+    @pytest.mark.parametrize("selector", [IDEAL, CONST, NOISY_M15],
+                             ids=["ideal", "constant", "noisy"])
     def test_beam_draws_only_candidate_counts(self, selector):
         # open trials are grouped by alive-beam count. While they outnumber
         # the cells of the count histograms, a layer draws one multinomial
         # per occupied count and no per-trial binomial; below that, one
         # binomial with a scalar n and m trials per occupied count. A
         # constant pick draws one binomial over the kept counts per layer and
-        # at the end.
+        # at the end; a noisy pick draws one chunk of normals over every open
+        # trial per layer and at the end, here one block fitting in a chunk.
         L, b = 5, 4
         cfg, spec = cfg_exp(L, selector, lam=2.0), StrategySpec.beam(8, b)
         engine = simulate._REGISTRY[spec.kind].engine
+        picks = {CONST: ("binomial", 1, 2), NOISY_M15: ("standard_normal", None, 0)}.get(selector)
         # 3 trials never outnumber the 2a + 1 >= 3 cells of a count a > 0
         for n, per_count in ((BLOCK_TRIALS, ("multinomial", 0, 2)), (3, ("binomial", 0, 3))):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, 0))))
@@ -710,17 +713,18 @@ class TestStreamIdentity:
             class Logged:
                 def __getattr__(self, name):
                     def draw(*args, **kwargs):
-                        calls.append((name, np.ndim(args[0]), len(args)))
+                        calls.append((name, np.ndim(args[0]) if args else None, len(args)))
                         return getattr(rng, name)(*args, **kwargs)
                     return draw
 
-            won = engine(cfg, spec, simulate._step_probs(cfg, L), n, Logged())
+            with mock.patch.object(simulate, "_CHUNK_CELLS", simulate._BLOCK_CELLS):
+                won = engine(cfg, spec, simulate._step_probs(cfg, L), n, Logged())
             assert won > 0 or n == 3
-            picks = ("binomial", 1, 2)
-            assert calls.count(picks) == (L + 1 if selector is CONST else 0)
+            # a noisy pick draws nothing once every trial has failed
+            assert calls.count(picks) == (0 if picks is None else L + 1) or not won
             assert {call for call in calls if call != picks} == {per_count}
             assert len(calls) - calls.count(picks) <= L * b
-            if selector is CONST and n == BLOCK_TRIALS:
+            if picks and n == BLOCK_TRIALS:
                 # the picks end the layers: at most b histogram draws in each
                 layers = "".join("|" if call == picks else "m" for call in calls).split("|")
                 assert all(1 <= len(layer) <= b for layer in layers[:L])
@@ -854,16 +858,28 @@ class TestBlockMemory:
     ])
     def test_one_block_peak_stays_small(self, cfg, spec):
         # one dense float array per draw peaked at about 62, 59, 43 and 265 MiB
+        assert self.block_peak(cfg, spec) < 24 * 2**20
+
+    @pytest.mark.parametrize("cfg, spec", [
+        (cfg_exp(2, noise=0.5, lam=2.5), StrategySpec.bon(2**16, ORM_MAX)),
+        (cfg_exp(2, NOISY_Q, lam=2.5), StrategySpec.lookahead(2**16, 1)),
+    ], ids=["orm_max", "lookahead"])
+    def test_wide_pick_peak_stays_small(self, cfg, spec):
+        # a pick builds its correct-cell mask one chunk at a time; a mask
+        # over the whole block peaked at about 10 MiB
+        assert self.block_peak(cfg, spec) < 4 * 2**20
+
+    @staticmethod
+    def block_peak(cfg, spec):
         # one block, which holds fewer than BLOCK_TRIALS trials when they are wide
         width = simulate._REGISTRY[spec.kind].width(cfg, spec)
         trials = min(BLOCK_TRIALS, simulate._BLOCK_CELLS // width)
         tracemalloc.start()
         try:
             monte_carlo(cfg, spec, trials, 0)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
 
     def test_pooled_blocks_peak_stays_small(self):
         # at most MAX_WORKERS blocks hold arrays at once; queued blocks hold none
