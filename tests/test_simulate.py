@@ -720,8 +720,12 @@ class TestStreamIdentity:
             with mock.patch.object(simulate, "_CHUNK_CELLS", simulate._BLOCK_CELLS):
                 won = engine(cfg, spec, simulate._step_probs(cfg, L), n, Logged())
             assert won > 0 or n == 3
-            # a noisy pick draws nothing once every trial has failed
-            assert calls.count(picks) == (0 if picks is None else L + 1) or not won
+            expected = 0 if picks is None else L + 1
+            if selector is NOISY_M15 and not won:
+                # a noisy pick draws nothing once every trial has failed
+                assert calls.count(picks) <= expected
+            else:
+                assert calls.count(picks) == expected
             assert {call for call in calls if call != picks} == {per_count}
             assert len(calls) - calls.count(picks) <= L * b
             if picks and n == BLOCK_TRIALS:
