@@ -317,31 +317,30 @@ def _sim_bon(cfg, strategy, probs, n, rng) -> int:
         return len(c)
     if rule == ORM_MAX:
         return int(_noisy_hits(rng, c, N, 1.0, std).sum())
-    path_ok = np.arange(N) < c[:, None]
     width = cfg.answer.answer_space_size + 1
-    # correct paths answer label 0; only wrong ones draw a label
-    labels = np.zeros(path_ok.shape, dtype=np.int64)
-    labels[~path_ok] = rng.integers(1, width, path_ok.size - int(path_ok.sum()))
-    # one chunk of rows holds both its N scores and its a + 1 tallies
+    # correct paths answer label 0; only the wrong ones draw a label, row by row
+    wrong = N - c
+    labels = rng.integers(1, width, int(wrong.sum()), dtype=np.int32)
+    # one chunk of rows holds at most N labels and a + 1 tallies per row
     step = max(1, _CHUNK_CELLS // max(N, width))
     wins = 0
-    for start in range(0, len(c), step):
-        rows = slice(start, start + step)
-        m = len(labels[rows])
-        # per-(trial, label) tallies: bincount over the flattened cell index
-        cells = (labels[rows] + width * np.arange(m)[:, None]).ravel()
-        counts = np.bincount(cells, minlength=m * width)
+    for start, chunk in zip(range(0, len(c), step),
+                            np.split(labels, np.cumsum(wrong)[step - 1 :: step])):
+        held = c[start : start + step]
+        # per-(trial, label) counts: bincount over the flattened cell index
+        owner = np.repeat(width * np.arange(len(held)), wrong[start : start + step])
+        counts = np.bincount(chunk + owner, minlength=len(held) * width)
+        counts[::width] = held
+        live = np.flatnonzero(counts)  # only a label holding a vote can win, and draws
+        tally = np.full(counts.size, -np.inf)
         if rule == ORM_VOTE:
-            z = std * rng.standard_normal((m, N)) + path_ok[rows]
-            tally = np.bincount(cells, z.ravel(), m * width)
-            tally[counts == 0] = -np.inf
+            # v path scores std * Z, plus 1 each at label 0, sum to N(v [label 0], v std^2)
+            tally[live] = std * np.sqrt(counts[live]) * rng.standard_normal(live.size)
+            tally[::width] += held
         else:
-            # sub-unit jitter breaks count ties uniformly at random; label 0
-            # holds a vote, so a label with none cannot win and draws none
-            tally = counts.astype(float)
-            live = np.flatnonzero(counts)
-            tally[live] += 0.5 * rng.random(live.size)
-        wins += int((tally.reshape(m, width).argmax(axis=1) == 0).sum())
+            # sub-unit jitter breaks count ties uniformly at random
+            tally[live] = counts[live] + 0.5 * rng.random(live.size)
+        wins += int((tally.reshape(-1, width).argmax(axis=1) == 0).sum())
     return wins
 
 

@@ -823,6 +823,9 @@ CELL_CASES = {
     "mcts-best-constant": (cfg_flat(4, 0.6, CONST), StrategySpec.mcts_best(3), _cell_beam),
     "orm-vote": (cfg_exp(2, answer=100, noise=0.5, lam=2.5), StrategySpec.bon(6, ORM_VOTE),
                  _cell_vote),
+    # many votes per label: a label's score sum has spread std * sqrt(votes)
+    "orm-vote-wide": (cfg_exp(2, answer=3, noise=2.0, lam=1.5), StrategySpec.bon(48, ORM_VOTE),
+                      _cell_vote),
     "mcts-worst": (cfg_flat(6, 0.6, NOISY_Q), StrategySpec.mcts_worst(2), _cell_worst),
     "lookahead-noisy": (cfg_flat(3, 0.6, NOISY_Q, 2), StrategySpec.lookahead(4, 2),
                         _cell_lookahead),
@@ -872,6 +875,13 @@ class TestBlockMemory:
         # a pick builds its correct-cell mask one chunk at a time; a mask
         # over the whole block peaked at about 10 MiB
         assert self.block_peak(cfg, spec) < 4 * 2**20
+
+    @pytest.mark.parametrize("rule", [ORM_VOTE, SELF_CONSISTENCY])
+    def test_wide_vote_peak_stays_small(self, rule):
+        # a block holds its wrong paths' int32 labels and one chunk's label
+        # counts; an (n, N) path mask and int64 labels peaked at about 125 MiB
+        cfg = cfg_exp(2, answer=10, noise=0.5, lam=2.5)
+        assert self.block_peak(cfg, StrategySpec.bon(2**16, rule)) < 32 * 2**20
 
     @staticmethod
     def block_peak(cfg, spec):
