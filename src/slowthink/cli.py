@@ -398,7 +398,8 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
     x = _read_feature_csv(resolved["x"])
     y = _read_feature_csv(resolved["y"])
     cfg = hsic.HsicConfig(sigma=_number(resolved, "sigma", hsic.DEFAULT_SIGMA, float))
-    value = hsic.hsic(x, y, cfg)
+    value, null = (hsic.permutation_null(x, y, cfg, count=perm_count, seed=seed)
+                   if perm_count else (hsic.hsic(x, y, cfg), None))
     mean_length = resolved.get("mean_length")
     if mean_length is not None:
         mean_length = checked_number(mean_length, "mean_length")
@@ -416,7 +417,6 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
     )
     p95 = pvalue = ""
     if perm_count:
-        null = hsic.permutation_null(x, y, cfg, count=perm_count, seed=seed)
         p95 = float(np.quantile(null, 0.95))
         pvalue = float((null >= value).mean())
         if svg_path:

@@ -33,19 +33,24 @@ class FitError(SlowthinkError, RuntimeError):
 
 def checked_number(value, name: str, kind=float):
     """``kind(value)``, or a ValidationError naming ``name`` when the value
-    (say, from a JSON config) is not a number; for ``kind=int`` also when it
-    is a bool or a float with a fractional part, which ``int`` would cut."""
-    if kind is int and (
-        isinstance(value, bool)
-        or isinstance(value, float) and math.isfinite(value) and not value.is_integer()
+    (say, from a JSON config) is not a number or is a bool; for ``kind=int``
+    also when it is a float with a fractional part, which ``int`` would cut,
+    and for ``kind=float`` when it is not finite."""
+    if isinstance(value, bool) or kind is int and (
+        isinstance(value, float) and math.isfinite(value) and not value.is_integer()
     ):
-        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+        whole = "whole " if kind is int else ""
+        raise ValidationError(f"{name} must be a {whole}number, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{name} must be a number, got {value!r}") from None
     except OverflowError:
         raise ValidationError(f"{name} is out of range, got {value!r}") from None
+    # an int is never checked: math.isfinite raises OverflowError past the float range
+    if kind is float and not math.isfinite(number):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def text_lines(path):

@@ -143,11 +143,11 @@ def per_token_hsic(value: float, mean_length: float) -> float:
 
 def permutation_null(
     x, y, cfg: HsicConfig = HsicConfig(), count: int = 1000, seed: int = 0
-) -> np.ndarray:
-    """Null distribution of the statistic under row shuffles of y.
-
-    Each value is the statistic of ``hsic`` on Kc and Lc[perm][:, perm], so
-    the identity permutation gives the observed value bit for bit.
+) -> tuple[float, np.ndarray]:
+    """The observed ``hsic`` statistic and its null distribution under row
+    shuffles of y, from one build of the centered kernels. Each null value is
+    the statistic on Kc and Lc[perm][:, perm], so the identity permutation
+    gives the observed value bit for bit.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
@@ -167,7 +167,7 @@ def permutation_null(
         lc.take(perm, axis=0, out=rows, mode="clip")
         rows.take(perm, axis=1, out=shuffled, mode="clip")
         out[i] = _statistic(kc, shuffled)
-    return out
+    return _statistic(kc, lc), out
 
 
 def _r2(y: np.ndarray, pred: np.ndarray) -> float:
@@ -185,6 +185,8 @@ def fit_decay(points) -> tuple[FitResult, FitResult]:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise FitError("points must be an m x 2 array of (x, y)")
+    if not np.all(np.isfinite(pts)):
+        raise FitError("points must be finite")
     x, y = pts[:, 0], pts[:, 1]
     if len(np.unique(x)) < 3:
         raise FitError(f"need >= 3 distinct x values, got {len(np.unique(x))}")

@@ -267,7 +267,7 @@ def test_criterion_8_hsic_pipeline():
         x = rng.normal(size=(200, 3))
         y = rng.normal(size=(200, 3))
         stat = hsic(x, y)
-        null = permutation_null(x, y, count=1000, seed=2000 + rep)
+        _, null = permutation_null(x, y, count=1000, seed=2000 + rep)
         wins += stat < np.quantile(null, 0.95)
     if wins < 45:
         problems.append(f"independent pairs beat the null only {wins}/50 times")

@@ -584,6 +584,8 @@ class TestMalformedInput:
                            "sweep": {"param": "rule", "values": ["orm_max", "orm_vote"]}},
             "tau_label_manifest": {"command": "simulate", "config": {
                 "strategy": {"kind": "single_path"}, "trials": 10, "tau_label": "x"}},
+            "lambda_bool": {"strategy": {"kind": "single_path"}, "trials": 10,
+                            "decay": {"kind": "exponential", "lambda_tau": True}},
         }
         for name, cfg in configs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -601,6 +603,8 @@ class TestMalformedInput:
         )
         (tmp_path / "latin1.bin").write_bytes(b"\xff\xfe caf\xe9\n")
         (tmp_path / "good_pts.csv").write_text("x,y\n1,2\n2,1\n3,0.5\n")
+        (tmp_path / "nan_pts.csv").write_text("x,y\n1,2\n2,nan\n3,0.5\n4,0.2\n")
+        (tmp_path / "inf_pts.csv").write_text("x,y\n1,2\ninf,1\n3,0.5\n4,0.2\n")
         record = {"question_id": "q", "events": [[0, 2.5]], "ideal_path_length": 2}
         (tmp_path / "frac.jsonl").write_text(json.dumps(record) + "\n")
         (tmp_path / "bad.jsonl").write_text(
@@ -783,6 +787,25 @@ class TestMalformedInput:
              "error: --svg draws the permutation null; give --permutation-test N too"),
             (["hsic", "--x", "y.csv", "--y", "y.csv", "--permutation-test", "0",
               "--svg", "n.svg"], "give --permutation-test N too"),
+            # a real-valued input must be a finite number, and a bool is no number
+            (["simulate", "--strategy", "bon", "--N", "2", "--score-noise", "nan",
+              "--trials", "10"], "error: score_noise_std must be finite, got nan"),
+            (["simulate", "--strategy", "single_path", "--selector", "noisy:1,nan",
+              "--trials", "10"], "error: noise_std must be finite, got nan"),
+            (["simulate", "--strategy", "beam", "--k", "4", "--b", "2", "--selector",
+              "noisy:inf,1", "--trials", "10"], "error: margin must be finite, got inf"),
+            (["simulate", "--strategy", "single_path", "--lambda", "inf", "--trials", "10"],
+             "error: lambda_tau must be finite, got inf"),
+            (["bounds", "--strategy", "lookahead", "--lambda", "1", "--lambda-delta", "2",
+              "--depth", "nan"], "error: depth must be finite, got nan"),
+            (["reproduce", "gamma-sweep", "--lambda-delta", "inf"],
+             "error: lambda_delta must be finite, got inf"),
+            (["hsic", "--x", "y.csv", "--y", "y.csv", "--sigma", "inf"],
+             "error: sigma must be finite, got inf"),
+            (["fit", "--points", "nan_pts.csv"], "error: points must be finite"),
+            (["fit", "--points", "inf_pts.csv"], "error: points must be finite"),
+            (["simulate", "--config", "lambda_bool.json"],
+             "error: lambda_tau must be a number, got True"),
         ],
     )
     def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):

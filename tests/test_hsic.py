@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slowthink import hsic as hsic_module
+from slowthink.cli import dispatch
 from slowthink.errors import FitError, ResourceLimitError, ValidationError
 from slowthink.hsic import (
     HsicConfig,
@@ -93,16 +94,16 @@ class TestHsic:
         x = rng.normal(size=(200, 2))
         y = x + 0.1 * rng.normal(size=(200, 2))
         cfg = HsicConfig(sigma=5.0)
-        stat = hsic(x, y, cfg)
-        null = permutation_null(x, y, cfg, count=200, seed=1)
+        stat, null = permutation_null(x, y, cfg, count=200, seed=1)
+        assert stat == hsic(x, y, cfg)
         assert stat > np.quantile(null, 0.95)
 
     def test_independent_stays_inside_null(self):
         rng = np.random.default_rng(19)
         x = rng.normal(size=(200, 3))
         y = rng.normal(size=(200, 3))
-        stat = hsic(x, y)
-        null = permutation_null(x, y, count=1000, seed=2)
+        stat, null = permutation_null(x, y, count=1000, seed=2)
+        assert stat == hsic(x, y)
         assert stat < np.quantile(null, 0.95)
 
 
@@ -112,7 +113,7 @@ class TestPermutationNull:
         x = rng.normal(size=(80, 3))
         y = x[:, :2] + rng.normal(size=(80, 2))
         cfg = HsicConfig(sigma=2.0)
-        null = permutation_null(x, y, cfg, count=50, seed=4)
+        _, null = permutation_null(x, y, cfg, count=50, seed=4)
         kc = _center(gaussian_gram(x, cfg))
         lc = _center(gaussian_gram(y, cfg))
         perms = np.random.default_rng(4)
@@ -134,14 +135,34 @@ class TestPermutationNull:
             data = np.random.Generator(np.random.PCG64(seed))
             x = data.normal(size=(200, 3))
             y = x[:, :2] + data.normal(size=(200, 2))
-            assert permutation_null(x, y, count=1)[0] == hsic(x, y)
+            observed, null = permutation_null(x, y, count=1)
+            assert null[0] == observed == hsic(x, y)
+
+    def test_a_permutation_test_builds_each_kernel_once(self, tmp_path, monkeypatch):
+        # the observed statistic comes from the kernels the null permutes;
+        # computing it apart built both kernels twice, 4 gaussian_gram calls
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gaussian_gram(*args)
+
+        monkeypatch.setattr(hsic_module, "gaussian_gram", counted)
+        rng = np.random.default_rng(31)
+        for name in ("x", "y"):
+            rows = "\n".join(f"{a},{b}" for a, b in rng.normal(size=(20, 2)))
+            (tmp_path / f"{name}.csv").write_text(f"f0,f1\n{rows}\n")
+        argv = ["hsic", "--x", str(tmp_path / "x.csv"), "--y", str(tmp_path / "y.csv"),
+                "--permutation-test", "10", "--out", str(tmp_path / "out.csv")]
+        assert dispatch(argv) == 0
+        assert len(calls) == 2
 
     def test_seeded_and_nonnegative(self):
         rng = np.random.default_rng(29)
         x = rng.normal(size=(40, 2))
         y = rng.normal(size=(40, 2))
-        a = permutation_null(x, y, count=30, seed=7)
-        assert np.array_equal(a, permutation_null(x, y, count=30, seed=7))
+        _, a = permutation_null(x, y, count=30, seed=7)
+        assert np.array_equal(a, permutation_null(x, y, count=30, seed=7)[1])
         assert a.shape == (30,) and np.all(a >= 0.0)
 
 
@@ -174,7 +195,7 @@ class TestResourceLimits:
     def test_permutations_at_the_limit_are_accepted(self, monkeypatch):
         monkeypatch.setattr(hsic_module, "MAX_PERMUTATIONS", 3)
         x = np.arange(10.0).reshape(5, 2)
-        assert permutation_null(x, x, count=3).shape == (3,)
+        assert permutation_null(x, x, count=3)[1].shape == (3,)
 
 
 class TestSampleSet:
