@@ -18,9 +18,9 @@ blocks, each drawing from its own counter-based stream keyed by (master_seed,
 block index), runs the blocks of many runs on one thread pool, a worker per
 usable CPU up to MAX_WORKERS, and sums integer successes, so results are
 bit-identical for fixed inputs whatever the worker count or the order blocks
-finish in. Peak memory is up to one block per worker; the widest known
-block, ``orm_vote`` at N = 2^16, takes 124 MiB. A trial whose candidates are
-all wrong has failed, so after each layer an engine keeps only the trials
+finish in. Peak memory is up to one block per worker; the widest measured
+blocks, at the 10^6 width limit, take about 32 MiB. A trial whose candidates
+are all wrong has failed, so after each layer an engine keeps only the trials
 still open.
 Engines draw each open trial's count of correct candidates, one binomial per
 layer (one in all for Best-of-N's independent paths). ``_noisy_hits`` lays
