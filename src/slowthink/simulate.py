@@ -116,10 +116,10 @@ class ProcessConfig:
         if L < 1:
             raise ValidationError(f"L must be >= 1, got {L!r}")
         object.__setattr__(self, "L", L)
-        if self.score_noise_std < 0:
-            raise ValidationError(
-                f"score_noise_std must be >= 0, got {self.score_noise_std!r}"
-            )
+        std = checked_number(self.score_noise_std, "score_noise_std")
+        if std < 0:
+            raise ValidationError(f"score_noise_std must be >= 0, got {std!r}")
+        object.__setattr__(self, "score_noise_std", std)
         limit = self.decay.depth_limit
         if limit is not None and limit < self.L:
             raise ValidationError(
@@ -133,9 +133,7 @@ class ProcessConfig:
             selector=SelectorModel.from_config(cfg.get("selector", {})),
             answer=AnswerModel.from_config(cfg.get("answer", {})),
             L=cfg.get("L", 1),
-            score_noise_std=checked_number(
-                cfg.get("score_noise_std", 0.0), "score_noise_std"
-            ),
+            score_noise_std=cfg.get("score_noise_std", 0.0),
         )
 
 

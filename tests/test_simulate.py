@@ -980,6 +980,9 @@ class TestSpecsAndConfigs:
             ProcessConfig(decay=DecayModel.tabulated([0.5, 0.7]), L=2)
         with pytest.raises(ValidationError):
             ProcessConfig(decay=DecayModel.tabulated([0.5]), L=2)
+        for std in (-1.0, math.nan, math.inf, True):
+            with pytest.raises(ValidationError, match="^score_noise_std must be"):
+                ProcessConfig(decay=EXP1, score_noise_std=std)
 
     def test_round_trip_from_config(self):
         cfg = ProcessConfig.from_config(
