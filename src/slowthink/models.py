@@ -8,6 +8,7 @@ function of its inputs, so they are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -256,7 +257,14 @@ def log_ndtr(x) -> np.ndarray:
 _STEP = 0.005
 _GRID = _STEP * np.arange(-2400, 2401)
 _LOG_PHI = -0.5 * _GRID**2 - _HALF_LOG_2PI
-_LOG_NDTR_GRID = log_ndtr(_GRID)
+
+
+@functools.lru_cache(maxsize=32)
+def _log_ndtr_grid(shift: float) -> np.ndarray:
+    """log_ndtr(_GRID + shift), read-only, built once per shift."""
+    grid = log_ndtr(_GRID + shift)
+    grid.flags.writeable = False
+    return grid
 
 
 def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
@@ -270,7 +278,7 @@ def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
     c = c[:, None]
     with np.errstate(divide="ignore"):
         log_f = (
-            np.log(c) + _LOG_PHI + (c - 1) * _LOG_NDTR_GRID
-            + (n - c) * log_ndtr(_GRID + margin / std)
+            np.log(c) + _LOG_PHI + (c - 1) * _log_ndtr_grid(0.0)
+            + (n - c) * _log_ndtr_grid(margin / std)
         )
     return np.exp(log_f).sum(axis=1) * _STEP

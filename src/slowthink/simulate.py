@@ -21,16 +21,12 @@ bit-identical for fixed inputs whatever the worker count or the order blocks
 finish in. Peak memory is up to one block per worker; the widest measured
 blocks, at the 10^6 width limit, take about 32 MiB. A trial whose candidates
 are all wrong has failed, so after each layer an engine keeps only the trials
-still open.
-Engines draw each open trial's count of correct candidates, one binomial per
-layer (one in all for Best-of-N's independent paths). ``_noisy_hits`` lays
-out a noisy pick's rows from those counts, correct cells first, as a pick
-treats columns alike, and draws one pick per layer over all open trials; a
-pick without score noise draws nothing. Beam search and mcts_best keep a
-histogram of open trials by alive-beam count, and per occupied count draw
-the m trials' Bin(f, p) correct counts as one Multinomial(m, pmf) histogram
-while the layer's trials outnumber its f + 1 cells summed, else as m
-binomials; a constant pick keeps Bin(h, eps) of the h trials at a kept count.
+still open. Every engine keeps them as a sparse histogram by correct count
+and draws each layer's counts through ``_draw_counts``; a constant pick keeps
+Bin(h, eps) of the h trials at a count. Only noisy picks and vote tallies
+expand the histogram into trials, in ascending count order: ``_noisy_hits``
+lays out a pick's rows from the counts, correct cells first, as a pick treats
+columns alike, and a pick without score noise draws nothing.
 ``exact_success`` computes the same success probabilities exactly, as small
 Markov chains over correct-candidate counts, and is the independent
 reference the engines are tested against.
@@ -297,9 +293,33 @@ def _noisy_hits(rng, c, width: int, margin: float, std: float, b: int = 1) -> np
     return hits
 
 
+def _draw_counts(rng, mult, fed, p: float):
+    """Occupied correct counts c > 0 and the trials at each, when mult[i] open
+    trials each draw Bin(fed[i], p). While the trials outnumber the sum(fed +
+    1) cells, a group's m draws are one Multinomial(m, Bin(f, p) pmf), as m
+    draws tallied would be distributed, else m binomials with one scalar n;
+    so no array is sized by fed unless the trials outnumber its cells."""
+    pairs = zip(mult.tolist(), fed.tolist())
+    if mult.sum() <= fed.sum() + fed.size:
+        return _tally(np.concatenate([fed[:0], *(rng.binomial(f, p, m) for m, f in pairs)]))
+    hist = np.zeros(fed.max() + 1, dtype=np.int64)
+    for m, f in pairs:
+        hist[: f + 1] += rng.multinomial(m, _pmf_row(f, p))
+    c = np.flatnonzero(hist[1:]) + 1
+    return c, hist[c]
+
+
+def _tally(c, m=None):
+    """Occupied counts c > 0, ascending, and the trials at each: m[i] at c[i], or 1."""
+    c, inv = np.unique(c, return_inverse=True)
+    m = np.bincount(inv, m).astype(np.int64)
+    on = (c > 0) & (m > 0)
+    return c[on], m[on]
+
+
 def _sim_single(cfg, strategy, probs, n, rng) -> int:
     for p in probs:
-        n = int((rng.random(n) < p).sum())
+        n = int(_draw_counts(rng, np.array([n]), np.ones(1, np.int64), p)[1].sum())
     return n
 
 
@@ -307,12 +327,12 @@ def _sim_bon(cfg, strategy, probs, n, rng) -> int:
     N, rule, std = strategy.N, strategy.rule, cfg.score_noise_std
     # correct paths per open trial: paths are independent, each correct with
     # the product of its step probabilities
-    c = rng.binomial(N, math.prod(probs), n)
-    c = c[c > 0]
+    c, m = _draw_counts(rng, np.array([n]), np.array([N]), math.prod(probs))
     if rule != SELF_CONSISTENCY and std == 0:
         # without score noise orm_max picks a correct path, and orm_vote
         # label 0, whenever one exists
-        return len(c)
+        return int(m.sum())
+    c = np.repeat(c, m)  # per trial, in ascending order of c
     if rule == ORM_MAX:
         return int(_noisy_hits(rng, c, N, 1.0, std).sum())
     width = cfg.answer.answer_space_size + 1
@@ -352,62 +372,47 @@ def _fed_candidates(k: int, b: int, alive):
 def _sim_beam(cfg, k, b, probs, n, rng) -> int:
     sel = cfg.selector
 
-    def keep(hist, width, top):
-        # hist[c] open trials have c of width candidates correct: how many
-        # trials keep each count 0..top of correct ones
+    def keep(c, m, width, top):
+        # m[i] open trials have c[i] > 0 of width candidates correct: the
+        # occupied counts of correct ones kept, at most top, and the trials at each
         if sel.kind == NOISY_SCORE:
-            # one pick over the trials at each count c > 0, in order of c
-            c = np.repeat(np.arange(1, width + 1), hist[1:])
-            hits = _noisy_hits(rng, c, width, sel.margin, sel.noise_std, top)
-            return np.bincount(hits, minlength=top + 1)
-        kept = np.append(hist[:top], hist[top:].sum())
-        if sel.kind != IDEAL:
-            kept[1:] = rng.binomial(kept[1:], sel.epsilon)  # kept[0] is never read
-        return kept
+            # one pick over the trials, in ascending order of c
+            return _tally(_noisy_hits(rng, np.repeat(c, m), width, sel.margin, sel.noise_std, top))
+        c, m = _tally(np.minimum(c, top), m)
+        return (c, m) if sel.kind == IDEAL else _tally(c, rng.binomial(m, sel.epsilon))
 
     # open trials per alive-beam count; the root feeds all k candidates, as b do
-    alive = np.bincount([b], minlength=b + 1) * n
+    alive, m = np.array([b]), np.array([n])
     for p in probs:
-        occupied = np.flatnonzero(alive[1:]) + 1
-        fed = _fed_candidates(k, b, occupied)
-        if alive[occupied].sum() > fed.sum() + fed.size:
-            # the m Bin(f, p) draws at a count tally to Multinomial(m, Bin(f, p) pmf)
-            correct = np.zeros(k + 1, dtype=np.int64)
-            for a, f in zip(occupied, fed):
-                correct[: f + 1] += rng.multinomial(alive[a], _pmf_row(int(f), p))
-        else:
-            drawn = [rng.binomial(f, p, alive[a]) for a, f in zip(occupied, fed)]
-            correct = np.bincount(np.concatenate([np.empty(0, np.intp), *drawn]), minlength=k + 1)
-        alive = keep(correct, k, b)
-    return int(keep(alive, b, 1)[1])
+        alive, m = keep(*_draw_counts(rng, m, _fed_candidates(k, b, alive), p), k, b)
+    return int(keep(alive, m, b, 1)[1].sum())
 
 
 def _sim_mcts_worst(cfg, strategy, probs, n, rng) -> int:
     b, sel = strategy.b, cfg.selector
-    c = np.ones(n, dtype=np.int64)  # correct nodes of the deepest layer, per open trial
+    c, m = np.array([1]), np.array([n])  # open trials per correct-node count of the deepest layer
     for depth, p in enumerate(probs, start=1):
-        c = rng.binomial(b * c, p)
-        c = c[c > 0]
+        c, m = _draw_counts(rng, m, b * c, p)
         if sel.kind == NOISY_SCORE:
-            c = c[_noisy_hits(rng, c, b**depth, sel.margin, sel.noise_std) > 0]
+            c = np.repeat(c, m)
+            c, m = _tally(c * (_noisy_hits(rng, c, b**depth, sel.margin, sel.noise_std) > 0))
         elif sel.kind != IDEAL:
-            c = c[rng.random(len(c)) < sel.epsilon]
-    return len(c)
+            c, m = _tally(c, rng.binomial(m, sel.epsilon))
+    return int(m.sum())
 
 
 def _sim_lookahead(cfg, strategy, probs, n, rng) -> int:
     b, gamma = strategy.b, strategy.gamma
     margin, std = _score_params(cfg)
     for l in range(1, cfg.L + 1):
-        # c correct candidates per open trial, a of them A: rollout correct too
-        c = rng.binomial(b, probs[l - 1], n)
-        c = c[c > 0]
-        r = math.prod(probs[l : l + gamma])
-        a = rng.binomial(c, r)
-        miss = _noisy_hits(rng, a, b, margin, std) == 0
-        # a pick off the A cells falls uniformly on one of the other b - a
-        c, a = c[miss], a[miss]
-        n = len(miss) - len(c) + int((rng.random(len(c)) * (b - a) < c - a).sum())
+        # m[i] open trials have a[i] > 0 A candidates: correct, with a correct
+        # rollout. A pick off them (every pick at a = 0) falls uniformly on one
+        # of the b - a others, each correct with chance q given it is not A
+        p, r = probs[l - 1], math.prod(probs[l : l + gamma])
+        a, m = _draw_counts(rng, np.array([n]), np.array([b]), p * r)
+        hits = int(_noisy_hits(rng, np.repeat(a, m), b, margin, std).sum() if std else m.sum())
+        q = p * (1 - r) / (1 - p * r) if p * r < 1 else 0.0
+        n = hits + int(rng.binomial(n - hits, q))
     return n
 
 
@@ -422,15 +427,27 @@ def _check_cells(cells: int) -> None:
         )
 
 
+_LOG_FACT = np.zeros(1)  # lgamma(i + 1) for i = 0.., never written in place
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log(i!) for i = 0..n at least. Pool threads read the table, so it
+    grows by binding a longer copy."""
+    global _LOG_FACT
+    table = _LOG_FACT
+    if table.size <= n:
+        grown = [math.lgamma(i + 1.0) for i in range(table.size, n + 1)]
+        table = _LOG_FACT = np.append(table, grown)
+    return table
+
+
 def _binom_pmf(n, p: float, support: int) -> np.ndarray:
     """P(Bin(n, p) = j) for j = 0..support, one row per entry of ``n``."""
     n = np.asarray(n, dtype=np.int64)[:, None]
     _check_cells(n.size * (support + 1))
     j = np.arange(support + 1)
     rest = np.maximum(n - j, 0)
-    log_fact = np.array(
-        [math.lgamma(i + 1.0) for i in range(max(int(n.max()), support) + 1)]
-    )
+    log_fact = _log_factorials(max(int(n.max()), support))
     # 0 * log 0 = 0: a count of zero contributes nothing even at p in {0, 1}
     log_p = math.log(p) if p > 0.0 else -math.inf
     log_q = math.log1p(-p) if p < 1.0 else -math.inf

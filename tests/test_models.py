@@ -17,6 +17,7 @@ from slowthink.models import (
     SelectorModel,
     WrongModel,
     _GRID,
+    _log_ndtr_grid,
     log_ndtr,
     selector_success_prob,
     step_correct_prob,
@@ -207,6 +208,12 @@ class TestLogNdtr:
     def test_limits(self):
         assert log_ndtr(np.inf) == 0.0
         assert np.isnan(log_ndtr(np.nan))
+
+    def test_grid_is_cached_read_only_per_shift(self):
+        grid = _log_ndtr_grid(4.0)
+        assert _log_ndtr_grid(4.0) is grid and not grid.flags.writeable
+        assert grid.tolist() == log_ndtr(_GRID + 4.0).tolist()
+        assert _log_ndtr_grid(0.0).tolist() == log_ndtr(_GRID).tolist()
 
 
 class TestWrongAndAnswerModels:
