@@ -3,7 +3,7 @@ simulation for test-time search strategies (Best-of-N, beam search, tree
 search envelopes, lookahead), plus budget calibration and kernel dependence
 analysis."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .models import (  # noqa: F401
     AnswerModel,
