@@ -97,7 +97,7 @@ CASES = {
                                        "--sweep", "gamma=0:2", "--plot", "la.svg"],
     # strategy tables whose verdict fails and exits 1
     "sim-bon-max-sweep-fail": ["simulate", "--strategy", "bon", "--rule", "orm_max",
-                               "--lambda", "1", "--trials", "10", "--seed", "11",
+                               "--lambda", "1", "--trials", "10", "--seed", "37",
                                "--sweep", "N=1,2"],
     "sim-config": ["simulate", "--config", "cfg.json"],
     "sim-config-override": ["simulate", "--config", "cfg.json", "--trials", "700",
@@ -121,8 +121,8 @@ CASES = {
     "reproduce-nmin": ["reproduce", "nmin"],
     "reproduce-gamma-sweep": ["reproduce", "gamma-sweep", "--trials", "2000", "--seed", "3",
                               "--lambda", "1.5", "--lambda-delta", "12", "--layer", "2"],
-    "reproduce-dominance": ["reproduce", "dominance", "--trials", "200", "--seed", "5"],
-    "reproduce-dominance-fail": ["reproduce", "dominance", "--trials", "200", "--seed", "2"],
+    "reproduce-dominance": ["reproduce", "dominance", "--trials", "200", "--seed", "1"],
+    "reproduce-dominance-fail": ["reproduce", "dominance", "--trials", "200", "--seed", "0"],
     "reproduce-bon-vs-mcts-fail": ["reproduce", "bon-vs-mcts", "--trials", "100",
                                    "--lambda", "3"],
     "reproduce-bon-vs-mcts": ["reproduce", "bon-vs-mcts", "--trials", "1000", "--seed", "4",
@@ -137,247 +137,247 @@ GOLDEN = {
     "bounds-all": (
         0,
         "7ebe74ef150c3b2c15e3d675cb5ba882bf3fea3239d6a984be2e133bf80f0a44",
-        "fd6f884e8b2da8ae7f63d0416b2f20ed72f6e5f742e87b0560a274da9205d248",
+        "149a644287867bcda1b92bef9557dd3c42c68c1e11e66a850216385e0c9bdf83",
         None,
     ),
     "bounds-lookahead": (
         0,
         "e2ea9883cf4f08875deb14a07aa9fd59c8e63122a6f9b7bda4c5664962b87670",
-        "9f171b13cd13e805f15eaf29331349418427d062525277cde15b15897489544c",
+        "a708959bf7ff36fe0f5b018cff34e594416f4a0b286debe7a589da1b0b1d55a4",
         None,
     ),
     "bounds-noisy-worst": (
         0,
         "d6ab33dc177fd1f75e3810b290d53fe7a80bdd3535b98932380294f4426d0d96",
-        "0b8bd294c686bceb979194db28652ebbc951229b720bc110dffb38343c271f6e",
+        "1eed212ed5add64fa5895340bc2a2862ab121611b1de352abe903a845f9a9b82",
         None,
     ),
     "bounds-single": (
         0,
         "554719dbbf03a5a63532a7eccb391ca08e590f29d6157a0860fa038b476c23fa",
-        "2b96e7e20f30477faf8cf63649e8586af572a9660569266630262229c5a73a1f",
+        "c60be051e93b59b5f5ac2bf71dd36d1dc0e4e51eac2e32d8fdee2abb5bc29be1",
         None,
     ),
     "bounds-table-constant": (
         0,
         "d17e5671d7880fd4bf938dd0161c92be79299d8c14a6ef19a37bfed3fa1d50c5",
-        "b5d5795743002e71339f71904c280f6c96ecd42cf20e7fbcb6ce4819e5b38b70",
+        "f29065bf31997edb2c79e5bcad8c70d01e133c8a603e6d611c2e04002bdc594e",
         None,
     ),
     "calibrate-stats": (
         0,
         "924f32a02a5a9875245bee1cb91ddcebf1ebf9227b24bdcd153ca60724009586",
-        "b07b304d43d9cf3e2ef9ce6452f763c89ca60353f9312350d001c9ff363d7fe3",
+        "9ee7da259ae6d3a8430197cea0c8c186a169b312aa67839c5937fc6f83c84ab5",
         None,
     ),
     "calibrate-traces": (
         0,
         "064511cf8e49e678da73dc2a1f4c34e6686a1991300fa1870b3d43ee3e8ebccf",
-        "52fce3099e6a4690438472bba9a0e888effc3fbe5130345ecbd9d2fba4c506f5",
+        "7d84941326094a92db02a3b07987e8bf34dbce8514efa7e4fffb462b5ed86ad6",
         None,
     ),
     "fano-suite": (
         0,
         "1a88b56ffa576d1215724ec10a72350b2e65b13738906355218a7709527fc3bd",
-        "760962c32a6bb60e0406b3a1ba9b1d5e97167da2075b284862e64caa81f2342b",
+        "1dd1a9f1010525634debd2e5af9aa5eef1ec740b3a1ebf3eea62bc5d95496401",
         None,
     ),
     "fano-suite-long": (
         0,
         "a8f38aa442f009f088b1bcce88a7515d5486e3f7925f2c5424ef6b9583ba2cb1",
-        "1e39e7e815f020393efd266a11d1d3abf2f830ed5553f1150806ea506ccfc983",
+        "8d9e73aa2128d5c923a094900080c18a7297c8c67ac98f54bc60b73aab91788c",
         None,
     ),
     "fano-suite-long-mi-only": (
         1,
         "4427d6c0c2cb57ca6debd0b475d4ecb0a3b901b06e655b812bebd946a940edd7",
-        "ce0aa651408eec25f51e3e9704df73871986ed357390deea07f4c14e8582bc7f",
+        "d4f6063d9006687a24b9e4bbfc9b77439f80210f31dd37d527385870d0ee8ead",
         None,
     ),
     "fano-suite-mi-only": (
         1,
         "422815ddd3ab32d794dea335024c261b6c27f93d7878aaf5010fa23f985fd4b0",
-        "7ac5c650717950f4b6697099614b535b3b46b886179b6cc7662ff935c999c128",
+        "70a4fb635d53dbfc761c02dec4969829fe3a8f4c9c667f7d530922b7d35ae7b6",
         None,
     ),
     "reproduce-bon-vs-mcts": (
-        1,
-        "4f8454e68fe3834ab3a17b68280cc8fffdb8ff835e46806cdf2e45513f77a23e",
-        "8ef94e5e02bfd59efbf8eb1a94ae358edce104d2a9ef403020040748111aea95",
-        "3154a4cee94af00290699d7e5beb597cdd5bea202b8e2d893588153063b41942",
+        0,
+        "8dc4b37db0054bcd0d059586fc2e937fe6863343dd67d1b60c19bf407889485f",
+        "51e19a51cce2ac8ee841e3eb16935bc1a48916fec1d1f52974f5da7524ff58e9",
+        "926a043fee264025b6b71a278eff70e2b1dffa318572e8ee5a9b0b3aac798bd3",
     ),
     "reproduce-bon-vs-mcts-fail": (
         1,
-        "a71d634b586a4a5250cc2dbe7a9ffea5ab8c10aa82273cdfb612203448eebf64",
-        "17218e8ae814aa5a28d01d945863540e56ecebb11a729a9dd4bae832b0bdceef",
+        "1dd218949991be5b8d8c7779aedfaab6d629e960e66b2c73642a463bb4b5f234",
+        "0eb2c7dafe5a013d64f7585bf311b28f3ff9c4c54d09d42a58ff982e00cc8320",
         None,
     ),
     "reproduce-calibration": (
         0,
         "d4c7e539d779152b49b13e6c02cba494213782bc80cf093540513a1747df85d3",
-        "b53a9bce95d49c4b62aac9ec944afa4827067763c7329518d6c732fd034d5471",
+        "a08a7732b080917c4ec4d29c059f90c1f7962c0860c4ee3044462e8d2f944699",
         None,
     ),
     "reproduce-config": (
         0,
         "3e16f7aad4878261a8ce90e78e9818b18cf3f5f9f89aef98514e379f0f321418",
-        "00a08c701aaefcde0b033a6ad35ba986e6ac066a5cb19e79bbc93c9a6dca95a4",
+        "60886f8a16211260cf93d72e4236456c8ec6a0a7d6f2ddd5de24825ec098c118",
         None,
     ),
     "reproduce-dominance": (
         0,
-        "3a3ed56b269373b14f11eaa1bbef73f08cb8edd971ec109f46c9cd5f85cacf39",
-        "029c21c6ee1fc6c26d44dcbaad13ff4c3f7eb477a9a8717a65e10a33b9a672dc",
+        "8aa51702d3a7eb09008ad4758226d28c11038e952a3237b33d98b0152ec3a34a",
+        "9ffd2f8b712e063c61d6cfd873c6b513e794836e41fc39b5a0501f3f6303a0a0",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
-        "7fe0aaf4344bf377a3694b4b4a1f55e350266ab2b9b701207bea5f12f29d8432",
-        "295c8d5885cffd3b568aa7f434afbe6a617c1c832834f91ff7676c92b179bbbd",
+        "6acf8febff1bd8fe368d49404084cd0f00bd091edc10ca513ecd7390017f307d",
+        "7bbdac185af30449fda99b74374f7e48bf3e390bb6c1bffc6be78487b910d28d",
         None,
     ),
     "reproduce-fano": (
         0,
         "8551efffe435a0197bbe7c5cfa19d7c32bff69e21073bf2d48b997b24057160c",
-        "821617ddf82016b47abf367b221c62642de410e05f1f75095993d589c1460524",
+        "b345824bf5a88a3b8a08f6b8bd346c51216f447d063c646c5985575c033cf141",
         None,
     ),
     "reproduce-gamma-sweep": (
         0,
-        "0a1b245307faa5a03ef5154b350269c8f478252c00de092eddb35709dff53639",
-        "91a15f9942387054fc91c99d482280781bb01273ddddacf9b563c84a22f391b7",
+        "20dcaddb3a011b02dc20610c1503facdc68fe02aef0e1aea751838e8053fa0f4",
+        "c678ff2e35e32d5e0fbea3b60dbb959eb16059a5fe3cef795d28d615e48473db",
         None,
     ),
     "reproduce-nmin": (
         0,
         "1a86bb5981c5314536aac5103077398aff1d025d5f437977f3a81b0cf492e9a0",
-        "cd369ae2f95bdc10d3e5042d062e49709bf8f54b181fa35f2d2a6b2029d45adb",
+        "a520894aba5da0bf616fd943be0d57428848a49048dadf403b5aed01cb3cb2a7",
         None,
     ),
     "reproduce-table1": (
         0,
         "a402bf8fb13c88a86ff5ea10b7568df33174703c888519d1065a70a735e494a0",
-        "819dcfe190c1487b00f8ca1870fa45b59abe0462662d64d0aa01f162bf15a44a",
+        "99fa2b93dfbcb0d5bee96ad29c041e18f3530ca11c5868bf01ca5dac3103538a",
         None,
     ),
     "sim-beam-constant": (
         0,
         "0fd32331ed4d9d3f57302055bba89e18c02fd820426959ae400ed26654761d3d",
-        "e7e8985f01268170c7d607e2fb92280cfe1141bb41c911d0520c943a2a4c4781",
+        "9fc4bb4348f08db7ebd324ef02b5581905664ebbf84ba72f8d210942d480a079",
         None,
     ),
     "sim-beam-noisy": (
         0,
         "784b7465014b6b579134b5eb206b24fa489fe58874760218f301c51a6039f349",
-        "a53c7bf8dbe7df205eb396bca5f44694d30d7d7eb0eb36f09d9950ceb4672232",
+        "70997c1d3bd2ccaa137eca792a6f3205151381a7cb83ef2dd592c5e299201bbe",
         None,
     ),
     "sim-beam-table-sweep": (
         0,
         "0b029b2e960953dd04c1f7bbf5fcece0c456075abc973b3eb1f87dd16c2f06c4",
-        "5d0ac3496f2f2d3cf2438ce3d13e859a971fd5d89e0fc152f7774a9d82bfb2fd",
+        "5ef67d90f89a7b8c7598501e63db60dccfff8289b02e74496f86a6d6dd3d8df3",
         "bb1d4a2079fa69fd4e809d86811f41707debb50797694dd3ffeeeffb7f36523a",
     ),
     "sim-bon-max-sweep": (
         0,
-        "6dc3be0ca432e72958bde56c5691505d7d3f863c4ccb4d1f90ebbc3441ab7bd9",
-        "f01ee48e839b3085ceb1f0e49f19d28b98071581c3b6e38292943c0e09c8a4e4",
-        "dd698133650c6f5e996e228cc35240606a3241715c6def6029ac980993599833",
+        "86d73ae8f37febd848e16a4348474fd1806141d199f502c39c80b904a7b75084",
+        "86db3f30e3b2ad53fa9018308c423f64fabec000362d3390f1eca7aa88f4c862",
+        "130c5968cb5002af514496acfead5f90d819acfa38e401ef30fe95f5e2586bd2",
     ),
     "sim-bon-max-sweep-fail": (
         1,
-        "2ebe892f4a122da0978d653fa4424bb6dc1caa345ec78b432e82a77349c2f432",
-        "2338d2a1f6d69f7b845d2f74a716db1cc4ce8e54bcc1c2563c163dfbb580085b",
+        "5a8d1ac2932558e4a09739d9fe664ee9815cb1defde4f3d52a9eecdd2d25867c",
+        "62ec0e739ca91077796ded79cbebe6269ef7aa57801b193bbb22f508742162fd",
         None,
     ),
     "sim-bon-sc-sweep": (
         0,
-        "e7e18214140a939dbab1addaf2a480dfead1f431626b56a6018a0dddc541304d",
-        "43ba34a144bc5685bf8e4131b3b54a8df54dcfac905c555c42b5b26516ef5a01",
+        "7fe6c11a415c7975eee7e337f243ad472e2fa1d54541f7726f6ec9ba2cc71644",
+        "6e83425880d2504c50fbf3ad3790137207adc1e05959a9edc5a1979a8732f00f",
         None,
     ),
     "sim-bon-vote": (
         0,
-        "be2d9618f50708208759bdab8de3ced5db828dca233ab28150ac04258c9670db",
-        "bfd90cc3690886d7515f50c130bafd894e96611d22596209045b2c9f6b29ef7f",
+        "563c13d9d49967ad9003ce73bc64f77302b73c577424d1abd0d1cc7f96c53764",
+        "f47d8db6021c1e4f192491d0dc70829027877880f990914df15327562e986363",
         None,
     ),
     "sim-config": (
         0,
         "6a299657894cdeb69d9f0e274978d8243b8c6a8aa7f3655da4345d7273781ae9",
-        "6e7b5bd939497ed14127fa15a7d1a77bc9f290c2213ac7dd1673745844557cc8",
+        "9878e1601ee3a3944674a270d4ffbfaf388e2cbdadcb0512288690b9e10f2c7e",
         None,
     ),
     "sim-config-override": (
         0,
         "836249c156594c7d939ebd3961dbd8ccfeb59d714d5848a305a230971f0d8877",
-        "4aa774f69f8639c5353b839a645a1bb479d62904e2429d3c8d0ddfa0622bbcaf",
+        "55c15d225e31d56cc35438a5ebbeee6b189bc89c62aa18e93c0b141032aeefbf",
         None,
     ),
     "sim-config-strategy-flag": (
         0,
         "c493eb7ce8255a0a11483715524bac20cc2b5392b3018908d9e3af2af97a14db",
-        "1dc43f7dc6251f8506c3f4f6bc4557c9114bde3f33f5bdaf741cfce7d86b0ecd",
+        "5c16c09bf2d4a86f7ceaf608a326526c60eda6fa70f41ebfd2f40a74b9d329e4",
         None,
     ),
     "sim-lookahead-noisy": (
         0,
-        "6ce51393aebef3787957bb16bcf6576f0285c9d91e1fe1f79f5d6c444d0388b1",
-        "72e58cfbdb2a7cda5b90752d5333edefcbaf1b2d21507e3385bac6ca00d0d5a5",
+        "d21b1cfe5b0cb4c2d5c981a35534351fd806a3c56ceee650b505bd95879aa9ee",
+        "462bd1c8d9f22bbed94aed8ff50efac613cb6462975636cd781c52ff0ffd6fc3",
         None,
     ),
     "sim-lookahead-sweep": (
         0,
-        "bd1bd762bd3eb189ba9163481975860de397a90a2dc64e2d8ff5f961ad351c2f",
-        "47d8f2b34f7a835328abceace89101859b550a2102bd5835b486ee9c2c1e7620",
+        "de869be76596ffa62b91898b8dd815aa1f5154ab2b14550e64f70773ac40c094",
+        "b3fc534c3cdebfa6ee1a3ace1242f0e9e4b0b87e0641e24ea44e278de1189e89",
         None,
     ),
     "sim-lookahead-sweep-plot": (
         0,
-        "9ddbce4be20b80e3b6874bcb4a5686e9c3e93e09ecae3607f39fa4641c976ec1",
-        "89bb0238307d0ffc1874a9caf2195c87e06aff2eb89a00483c2ec157d4406f4a",
-        "79a2ba29e0d8c1d109a1653dd9bf03ad687222ef2a12b27a3dd7dace912bf4c2",
+        "d4f30d397c6adde9746a54e546469a845f6c6c30113da885ca21cce042a0a289",
+        "4aca92555fa109b1076604d28899c66e160f06120a664749c76dc69ca5371bed",
+        "cb3d56e61f216816283dbc68353ee7f225a553d85015e8900da471ecc812f235",
     ),
     "sim-mcts-best": (
         0,
         "5be13523fb629fc2fb4175cec3e5cbe575972564cce41ed0fe96ee64c40c10da",
-        "a06e25f3dec957bc13e14548d3902d9202309e6e2a8b957d668d4b53adcc5823",
+        "a207400c953196c2017d6972a042c77b84b5555e0a1933ae0c8d33df22b80b6e",
         None,
     ),
     "sim-mcts-best-constant": (
         0,
         "173c42ad24f38931aa6ab9fb1064e342a6754cc2e84b6ee3cafe0415c80b4fe9",
-        "41169cd1d7d53cade99c3b18bad63ac0fdeb46e7f7bbe152d7c5c511915e9661",
+        "86f0dc07540f03de2ba9586102dc8cea7357811ad1fddec4713c5d774f9f06af",
         None,
     ),
     "sim-mcts-best-noisy": (
         0,
         "abfc7a21fdd91a118ee77e33d9b711ea3cd46dc3c59a1007b5447154cda162f7",
-        "acd351a271d6b30c17e62d253551ab9656fad826e0bb8952ade46a003d4f89dd",
+        "18fe387fdb9cd455e568c576735441c5abddbea6019a84b74d15f3a45284d7e7",
         None,
     ),
     "sim-mcts-worst-constant": (
         0,
-        "cd61b7ed744645b06135b8454120790eb51696f40f1c5a3af2cb3822b7df044e",
-        "ebebc74c6757de0b4a93f613c109162607626de06bcf919267e56c14611f7ad0",
+        "016cc9c64921f9d1755abb1b6e16349fb8d825c6692e7d839b13b6d21010150d",
+        "5c288a4d42ed51ee908b6a512986a46c6b434eafe66b168809a543fcf69c0ca7",
         None,
     ),
     "sim-mcts-worst-noisy": (
         0,
-        "25c5e5a4d6fe8374dec99c165955911de650f99423733142716d76babb514cfb",
-        "35e614796b11c6cd1c5f9d69633860bfb2ca605bb0789c682e70cf00b86c85e9",
+        "b996b89b69686d5d102acc9c996f7d978e1c82dcb1f02f82da9717d029db6897",
+        "767829c334985a73f3b5fb573a68a0682c2a477e2c43dfb16605eddb4f1d2a4b",
         None,
     ),
     "sim-single": (
         0,
-        "f70e9bec899f548cc5df712e2a7c6a1de396cc2c1ef8ecbe8ddc8d7d76ffc7aa",
-        "4562afd67a6ce05a891ce1c90c159d58d51617d715e90d998553d2aec7d06fc0",
+        "3d8005e947151be74496c5e7b94b0da13bdee621decacf824c9f10f2a6acf711",
+        "ae5a96e21a5401f5b45c38a1909eb1f3eb28fd06d7b19c48f25a64ebdd98ca02",
         None,
     ),
     "sim-single-table": (
         0,
-        "514672f2fb05b19f4818d5be29fab17f6e0faa1aec3e17aa27032e3e88fc9e68",
-        "e6ae653930ad9a099a605102a26bcd668185768a3db048b11c014e0d11251761",
+        "3b6ea89101c6b3d844db7e1cf1841e34e74351dee6f52e1dd610ef1e20a33005",
+        "9650d50308dd3eb68513edb183809ec8d44fa4994ce15e0bb8bee6334bb4db46",
         None,
     ),
 }
