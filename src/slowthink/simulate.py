@@ -294,16 +294,15 @@ def _noisy_hits(rng, c, width: int, margin: float, std: float, b: int = 1) -> np
 
 
 def _draw_counts(rng, mult, fed, p: float):
-    """Occupied correct counts c > 0 and the trials at each, when mult[i] open
-    trials each draw Bin(fed[i], p). While the trials outnumber the sum(fed +
-    1) cells, a group's m draws are one Multinomial(m, Bin(f, p) pmf), as m
-    draws tallied would be distributed, else m binomials with one scalar n;
-    so no array is sized by fed unless the trials outnumber its cells."""
-    pairs = zip(mult.tolist(), fed.tolist())
-    if mult.sum() <= fed.sum() + fed.size:
-        return _tally(np.concatenate([fed[:0], *(rng.binomial(f, p, m) for m, f in pairs)]))
-    hist = np.zeros(fed.max() + 1, dtype=np.int64)
-    for m, f in pairs:
+    """Occupied correct counts c > 0, ascending, and the trials at each, when
+    mult[i] open trials each draw Bin(fed[i], p). While the trials outnumber
+    the sum(fed + 1) cells, a group's m draws tally to one Multinomial(m, Bin(f,
+    p) pmf), else they are m binomials, so no array is sized by fed before."""
+    ms, fs = mult.tolist(), fed.tolist()
+    if sum(ms) <= sum(fs) + len(fs):
+        return _tally(np.concatenate([fed[:0], *(rng.binomial(f, p, m) for m, f in zip(ms, fs))]))
+    hist = np.zeros(max(fs) + 1, dtype=np.int64)
+    for m, f in zip(ms, fs):
         hist[: f + 1] += rng.multinomial(m, _pmf_row(f, p))
     c = np.flatnonzero(hist[1:]) + 1
     return c, hist[c]
@@ -313,8 +312,7 @@ def _tally(c, m=None):
     """Occupied counts c > 0, ascending, and the trials at each: m[i] at c[i], or 1."""
     c, inv = np.unique(c, return_inverse=True)
     m = np.bincount(inv, m).astype(np.int64)
-    on = (c > 0) & (m > 0)
-    return c[on], m[on]
+    return c[(c > 0) & (m > 0)], m[(c > 0) & (m > 0)]
 
 
 def _sim_single(cfg, strategy, probs, n, rng) -> int:
@@ -373,12 +371,13 @@ def _sim_beam(cfg, k, b, probs, n, rng) -> int:
     sel = cfg.selector
 
     def keep(c, m, width, top):
-        # m[i] open trials have c[i] > 0 of width candidates correct: the
-        # occupied counts of correct ones kept, at most top, and the trials at each
+        # m[i] open trials have c[i] > 0 of width candidates correct, c ascending:
+        # the occupied counts of correct ones kept, at most top, and the trials at each
         if sel.kind == NOISY_SCORE:
             # one pick over the trials, in ascending order of c
             return _tally(_noisy_hits(rng, np.repeat(c, m), width, sel.margin, sel.noise_std, top))
-        c, m = _tally(np.minimum(c, top), m)
+        at = np.arange(min(np.searchsorted(c, top) + 1, c.size))  # counts from top on merge
+        c, m = np.minimum(c[: at.size], top), np.add.reduceat(m, at)
         return (c, m) if sel.kind == IDEAL else _tally(c, rng.binomial(m, sel.epsilon))
 
     # open trials per alive-beam count; the root feeds all k candidates, as b do
