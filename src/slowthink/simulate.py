@@ -296,8 +296,8 @@ def _noisy_hits(rng, c, width: int, margin: float, std: float, b: int = 1) -> np
 def _draw_counts(rng, mult, fed, p: float):
     """Occupied correct counts c > 0, ascending, and the trials at each, when
     mult[i] open trials each draw Bin(fed[i], p). While the trials outnumber
-    the sum(fed + 1) cells, a group's m draws tally to one Multinomial(m, Bin(f,
-    p) pmf), else they are m binomials, so no array is sized by fed before."""
+    the sum(fed + 1) cells, a group's m draws tally to one Multinomial(m,
+    Bin(f, p) pmf); otherwise they are m binomials, sized by the trials."""
     ms, fs = mult.tolist(), fed.tolist()
     if sum(ms) <= sum(fs) + len(fs):
         return _tally(np.concatenate([fed[:0], *(rng.binomial(f, p, m) for m, f in zip(ms, fs))]))
@@ -317,7 +317,7 @@ def _tally(c, m=None):
 
 def _sim_single(cfg, strategy, probs, n, rng) -> int:
     for p in probs:
-        n = int(_draw_counts(rng, np.array([n]), np.ones(1, np.int64), p)[1].sum())
+        n = int(_draw_counts(rng, np.array([n]), np.array([1]), p)[1].sum())
     return n
 
 

@@ -623,6 +623,21 @@ def stream_position(rng):
     return state["state"]["counter"].tolist(), state["buffer_pos"]
 
 
+class Logged:
+    """Stands in for ``rng``: makes each draw and appends ``entry(name,
+    args, drawn)`` to ``calls``."""
+
+    def __init__(self, rng, calls, entry):
+        self.rng, self.calls, self.entry = rng, calls, entry
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            out = getattr(self.rng, name)(*args, **kwargs)
+            self.calls.append(self.entry(name, args, out))
+            return out
+        return draw
+
+
 class TestStreamIdentity:
     """Wide draws are made in row chunks, and each engine draws only for the
     trials and cells still open. No success count may depend on the chunk
@@ -722,16 +737,10 @@ class TestStreamIdentity:
         for n, per_count in ((BLOCK_TRIALS, ("multinomial", 0, 2)), (3, ("binomial", 0, 3))):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, 0))))
             calls = []
-
-            class Logged:
-                def __getattr__(self, name):
-                    def draw(*args, **kwargs):
-                        calls.append((name, np.ndim(args[0]) if args else None, len(args)))
-                        return getattr(rng, name)(*args, **kwargs)
-                    return draw
-
+            logged = Logged(rng, calls, lambda name, args, out: (
+                name, np.ndim(args[0]) if args else None, len(args)))
             with mock.patch.object(simulate, "_CHUNK_CELLS", simulate._BLOCK_CELLS):
-                won = engine(cfg, spec, simulate._step_probs(cfg, L), n, Logged())
+                won = engine(cfg, spec, simulate._step_probs(cfg, L), n, logged)
             assert won > 0 or n == 3
             expected = 0 if picks is None else L + 1
             if selector is NOISY_M15 and not won:
@@ -745,7 +754,6 @@ class TestStreamIdentity:
                 # the picks end the layers: at most b histogram draws in each
                 layers = "".join("|" if call == picks else "m" for call in calls).split("|")
                 assert all(1 <= len(layer) <= b for layer in layers[:L])
-
 
     @pytest.mark.parametrize("selector", [IDEAL, CONST, NOISY_M15],
                              ids=["ideal", "constant", "noisy"])
@@ -768,17 +776,9 @@ class TestStreamIdentity:
         engine = simulate._REGISTRY[spec.kind].engine
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((5, 0))))
         calls = []
-
-        class Logged:
-            def __getattr__(self, name):
-                def draw(*args, **kwargs):
-                    out = getattr(rng, name)(*args, **kwargs)
-                    calls.append((name, np.size(out)))
-                    return out
-                return draw
-
+        logged = Logged(rng, calls, lambda name, args, out: (name, np.size(out)))
         probs = simulate._step_probs(cfg, L + (spec.gamma or 0))
-        assert engine(cfg, spec, probs, BLOCK_TRIALS, Logged()) > 0
+        assert engine(cfg, spec, probs, BLOCK_TRIALS, logged) > 0
         per_trial = {"standard_normal"} if selector is NOISY_M15 else set()
         if spec.rule == SELF_CONSISTENCY:
             per_trial |= {"integers", "random"}
