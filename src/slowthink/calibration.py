@@ -28,9 +28,10 @@ class TraceStats:
 
     def __post_init__(self) -> None:
         for name in ("avg_b", "avg_p", "avg_L"):
-            v = getattr(self, name)
+            v = checked_number(getattr(self, name), name)
             if not v > 0:
                 raise ValidationError(f"{name} must be strictly positive, got {v!r}")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
-"""Semantic exception hierarchy shared by all modules."""
+"""Semantic exception hierarchy shared by all modules, and the input checks that raise it."""
 
 import math
+from typing import NamedTuple
 
 
 class SlowthinkError(Exception):
@@ -80,3 +81,35 @@ def reject_stray_keys(section: dict, owner: str, keys) -> None:
             f"{owner} takes no parameter {', '.join(stray)}; "
             f"its parameters are {', '.join(keys)}"
         )
+
+
+class Kinds(NamedTuple):
+    """The kinds of one config section: ``params`` maps each kind to the
+    fields it takes, and ``owner`` words a kind in errors."""
+
+    section: str
+    params: dict
+    owner: str  # formatted with the kind
+
+    def taken(self, obj) -> tuple[str, ...]:
+        """The fields ``obj.kind`` takes; a ValidationError for another kind or
+        for a set field (one not None) that the kind does not take."""
+        names = self.params.get(obj.kind) if isinstance(obj.kind, str) else None
+        if names is None:
+            raise ValidationError(
+                f"{self.section} kind must be one of {tuple(self.params)}, got {obj.kind!r}"
+            )
+        fields = {name: v for name, v in vars(obj).items() if v is not None}
+        reject_stray_keys(fields, self.owner.format(obj.kind), ("kind", *names))
+        return names
+
+    def build(self, cls, cfg, defaults):
+        """``cls`` from a config section: its kind and the fields that kind
+        takes, each read from the section or else from ``defaults``; a key the
+        kind does not take is rejected."""
+        given = {**defaults, **checked_section(cfg, self.section)}
+        kind = given.get("kind")
+        names = self.params.get(kind) if isinstance(kind, str) else None
+        if names is not None:
+            reject_stray_keys(cfg, self.owner.format(kind), ("kind", *names))
+        return cls(kind, **{name: given.get(name) for name in names or ()})

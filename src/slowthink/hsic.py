@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ResourceLimitError, ValidationError
+from .errors import FitError, ResourceLimitError, ValidationError, checked_number
 
 DEFAULT_SIGMA = 50.0
 # n x n float64 kernel matrices, 128 MiB each at the limit; a permutation test holds four
@@ -63,8 +63,10 @@ class HsicConfig:
     sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValidationError(f"sigma must be > 0, got {self.sigma!r}")
+        sigma = checked_number(self.sigma, "sigma")
+        if not sigma > 0:
+            raise ValidationError(f"sigma must be > 0, got {sigma!r}")
+        object.__setattr__(self, "sigma", sigma)
 
 
 @dataclass(frozen=True)

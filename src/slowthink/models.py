@@ -15,15 +15,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    RangeError, ValidationError, checked_number, checked_section, reject_stray_keys,
+    Kinds, RangeError, ValidationError, checked_number, checked_section, reject_stray_keys,
 )
 
+# Each kind's fields, in the order errors list them; its other fields stay None.
 EXPONENTIAL = "exponential"
 TABULATED = "tabulated"
+_DECAYS = Kinds("decay", {EXPONENTIAL: ("lambda_tau",), TABULATED: ("table",)}, "{} decay")
 
 IDEAL = "ideal"
 CONSTANT = "constant"
 NOISY_SCORE = "noisy_score"
+_SELECTORS = Kinds(
+    "selector",
+    {IDEAL: (), CONSTANT: ("epsilon",), NOISY_SCORE: ("margin", "noise_std")},
+    "{} selector",
+)
 
 
 @dataclass(frozen=True)
@@ -42,16 +49,15 @@ class DecayModel:
     table: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == EXPONENTIAL:
-            if self.lambda_tau is None or not self.lambda_tau > 0:
-                raise ValidationError(
-                    f"exponential decay requires lambda_tau > 0, got {self.lambda_tau!r}"
-                )
-            if self.table is not None:
-                raise ValidationError("exponential decay does not take a table")
-        elif self.kind == TABULATED:
-            if self.lambda_tau is not None:
-                raise ValidationError("tabulated decay does not take lambda_tau")
+        params = _DECAYS.taken(self)
+        if "lambda_tau" in params:
+            lam = checked_number(self.lambda_tau, "lambda_tau")
+            if not lam > 0:
+                raise ValidationError(f"exponential decay requires lambda_tau > 0, got {lam!r}")
+            object.__setattr__(self, "lambda_tau", lam)
+        if "table" in params:
+            if not isinstance(self.table, (list, tuple)):
+                raise ValidationError(f"tabulated decay table must be a list, got {self.table!r}")
             if not self.table:
                 raise ValidationError("tabulated decay requires a nonempty table")
             table = tuple(
@@ -59,21 +65,17 @@ class DecayModel:
             )
             for i, v in enumerate(table):
                 if not 0.0 <= v <= 1.0:
-                    raise ValidationError(
-                        f"table entry {i + 1} is {v}, outside [0, 1]"
-                    )
+                    raise ValidationError(f"table entry {i + 1} is {v}, outside [0, 1]")
                 if i and v > table[i - 1]:
                     raise ValidationError(
                         f"table entry {i + 1} is {v}, above entry {i}'s "
                         f"{table[i - 1]}; a decay may not increase"
                     )
             object.__setattr__(self, "table", table)
-        else:
-            raise ValidationError(f"unknown decay kind {self.kind!r}")
 
     @classmethod
     def exponential(cls, lambda_tau: float) -> "DecayModel":
-        return cls(kind=EXPONENTIAL, lambda_tau=checked_number(lambda_tau, "lambda_tau"))
+        return cls(kind=EXPONENTIAL, lambda_tau=lambda_tau)
 
     @classmethod
     def tabulated(cls, values) -> "DecayModel":
@@ -81,17 +83,7 @@ class DecayModel:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DecayModel":
-        kind = checked_section(cfg, "decay").get("kind", EXPONENTIAL)
-        if kind == EXPONENTIAL:
-            reject_stray_keys(cfg, "exponential decay", ("kind", "lambda_tau"))
-            return cls.exponential(cfg.get("lambda_tau"))
-        if kind == TABULATED:
-            reject_stray_keys(cfg, "tabulated decay", ("kind", "table"))
-            table = cfg.get("table")
-            if not isinstance(table, list):
-                raise ValidationError(f"tabulated decay table must be a list, got {table!r}")
-            return cls.tabulated(table)
-        raise ValidationError(f"unknown decay kind {kind!r}")
+        return _DECAYS.build(cls, cfg, {"kind": EXPONENTIAL})
 
     @property
     def depth_limit(self) -> int | None:
@@ -109,10 +101,10 @@ class WrongModel:
     lambda_delta: float
 
     def __post_init__(self) -> None:
-        if not self.lambda_delta > 0:
-            raise ValidationError(
-                f"lambda_delta must be > 0, got {self.lambda_delta!r}"
-            )
+        lam = checked_number(self.lambda_delta, "lambda_delta")
+        if not lam > 0:
+            raise ValidationError(f"lambda_delta must be > 0, got {lam!r}")
+        object.__setattr__(self, "lambda_delta", lam)
 
 
 @dataclass(frozen=True)
@@ -133,25 +125,16 @@ class SelectorModel:
     margin: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == IDEAL:
-            if (self.epsilon, self.noise_std, self.margin) != (None, None, None):
-                raise ValidationError("ideal selector takes no parameters")
-        elif self.kind == CONSTANT:
-            if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
-                raise ValidationError(
-                    f"constant selector requires epsilon in [0, 1], got {self.epsilon!r}"
-                )
-        elif self.kind == NOISY_SCORE:
-            if self.noise_std is None or self.noise_std < 0:
-                raise ValidationError(
-                    f"noisy-score selector requires noise_std >= 0, got {self.noise_std!r}"
-                )
-            if self.margin is None or not self.margin > 0:
-                raise ValidationError(
-                    f"noisy-score selector requires margin > 0, got {self.margin!r}"
-                )
-        else:
-            raise ValidationError(f"unknown selector kind {self.kind!r}")
+        # a field is set exactly when the kind takes it
+        for name in _SELECTORS.taken(self):
+            object.__setattr__(self, name, checked_number(getattr(self, name), name))
+        eps, std, margin = self.epsilon, self.noise_std, self.margin
+        if eps is not None and not 0.0 <= eps <= 1.0:
+            raise ValidationError(f"constant selector requires epsilon in [0, 1], got {eps!r}")
+        if std is not None and std < 0:
+            raise ValidationError(f"noisy-score selector requires noise_std >= 0, got {std!r}")
+        if margin is not None and not margin > 0:
+            raise ValidationError(f"noisy-score selector requires margin > 0, got {margin!r}")
 
     @classmethod
     def ideal(cls) -> "SelectorModel":
@@ -159,29 +142,15 @@ class SelectorModel:
 
     @classmethod
     def constant(cls, epsilon: float) -> "SelectorModel":
-        return cls(kind=CONSTANT, epsilon=checked_number(epsilon, "epsilon"))
+        return cls(kind=CONSTANT, epsilon=epsilon)
 
     @classmethod
     def noisy_score(cls, margin: float, noise_std: float) -> "SelectorModel":
-        return cls(
-            kind=NOISY_SCORE,
-            margin=checked_number(margin, "margin"),
-            noise_std=checked_number(noise_std, "noise_std"),
-        )
+        return cls(kind=NOISY_SCORE, margin=margin, noise_std=noise_std)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "SelectorModel":
-        kind = checked_section(cfg, "selector").get("kind", IDEAL)
-        if kind == IDEAL:
-            reject_stray_keys(cfg, "ideal selector", ("kind",))
-            return cls.ideal()
-        if kind == CONSTANT:
-            reject_stray_keys(cfg, "constant selector", ("kind", "epsilon"))
-            return cls.constant(cfg.get("epsilon"))
-        if kind == NOISY_SCORE:
-            reject_stray_keys(cfg, "noisy_score selector", ("kind", "margin", "noise_std"))
-            return cls.noisy_score(cfg.get("margin"), cfg.get("noise_std"))
-        raise ValidationError(f"unknown selector kind {kind!r}")
+        return _SELECTORS.build(cls, cfg, {"kind": IDEAL})
 
 
 @dataclass(frozen=True)

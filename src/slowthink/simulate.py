@@ -46,13 +46,12 @@ import numpy as np
 
 from . import bounds as _bounds
 from .errors import (
+    Kinds,
     PreconditionError,
     RangeError,
     ResourceLimitError,
     ValidationError,
     checked_number,
-    checked_section,
-    reject_stray_keys,
 )
 from .models import (
     IDEAL,
@@ -145,12 +144,7 @@ class StrategySpec:
     gamma: int | None = None
 
     def __post_init__(self) -> None:
-        row = _REGISTRY.get(self.kind)
-        if row is None:
-            raise ValidationError(
-                f"strategy kind must be one of {tuple(_REGISTRY)}, got {self.kind!r}"
-            )
-        params = row.params
+        params = _STRATEGIES.taken(self)
         for name, least in (("N", 1), ("k", 1), ("b", 1), ("gamma", 0)):
             if name in params:
                 v = getattr(self, name)
@@ -193,19 +187,11 @@ class StrategySpec:
     def from_config(cls, cfg: dict) -> "StrategySpec":
         """Spec from a config section: ``kind`` plus the parameters that kind
         takes; a parameter the kind does not take is rejected."""
-        kind = checked_section(cfg, "strategy").get("kind")
-        params = _REGISTRY[kind].params if kind in _REGISTRY else ()
-        if kind in _REGISTRY:
-            reject_stray_keys(cfg, kind, ("kind", *params))
-        return cls(kind, **{name: cfg.get(name, _DEFAULTS.get(name)) for name in params})
+        return _STRATEGIES.build(cls, cfg, _DEFAULTS)
 
     def describe(self) -> str:
-        parts = [self.kind]
-        for name in ("N", "rule", "k", "b", "gamma"):
-            v = getattr(self, name)
-            if v is not None:
-                parts.append(f"{name}={v}")
-        return " ".join(parts)
+        params = _STRATEGIES.params[self.kind]
+        return " ".join([self.kind, *(f"{name}={getattr(self, name)}" for name in params)])
 
 
 @dataclass(frozen=True)
@@ -640,6 +626,7 @@ _REGISTRY = {
         lambda c, s: s.b, _sim_lookahead, _exact_lookahead, None,
     ),
 }
+_STRATEGIES = Kinds("strategy", {kind: row.params for kind, row in _REGISTRY.items()}, "{}")
 
 
 def monte_carlo(

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr as scipy_log_ndtr
 from scipy.special import ndtr
 
+from slowthink.calibration import TraceStats
 from slowthink.errors import RangeError, ValidationError
+from slowthink.hsic import HsicConfig
 from slowthink.models import (
     AnswerModel,
     DecayModel,
@@ -22,6 +24,7 @@ from slowthink.models import (
     selector_success_prob,
     step_correct_prob,
 )
+from slowthink.simulate import StrategySpec
 
 # Selection success for one margin-lifted candidate against a single noisy
 # competitor has the closed form Phi(margin / (std * sqrt(2))); frozen from a
@@ -235,3 +238,48 @@ def test_models_are_immutable():
     s = SelectorModel.constant(0.5)
     with pytest.raises(Exception):
         s.epsilon = 0.9
+
+
+def _stray(owner, name):
+    return f"^{owner} takes no parameter {name}; its parameters are kind"
+
+
+# Objects built in code take the checks that config sections take.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: SelectorModel("noisy_score", margin=1, noise_std=math.nan),
+                     "^noise_std must be finite", id="noisy-nan-std"),
+        pytest.param(lambda: DecayModel("exponential", lambda_tau=math.inf),
+                     "^lambda_tau must be finite", id="exponential-inf"),
+        pytest.param(lambda: DecayModel("exponential", lambda_tau=True),
+                     "^lambda_tau must be a number", id="exponential-bool"),
+        pytest.param(lambda: SelectorModel("constant", epsilon=True),
+                     "^epsilon must be a number", id="constant-bool"),
+        pytest.param(lambda: DecayModel("tabulated", table=5),
+                     "^tabulated decay table must be a list, got 5$", id="table-not-a-list"),
+        pytest.param(lambda: StrategySpec("beam", k=4, b=2, N=5),
+                     _stray("beam", "N"), id="beam-stray-N"),
+        pytest.param(lambda: WrongModel(math.inf), "^lambda_delta must be finite", id="wrong-inf"),
+        pytest.param(lambda: WrongModel(True), "^lambda_delta must be a number", id="wrong-bool"),
+        pytest.param(lambda: HsicConfig(math.inf), "^sigma must be finite", id="hsic-inf"),
+        pytest.param(lambda: HsicConfig(True), "^sigma must be a number", id="hsic-bool"),
+        pytest.param(lambda: TraceStats(2.0, math.inf, 3.0), "^avg_p must be finite",
+                     id="trace-stats-inf"),
+        pytest.param(lambda: TraceStats(True, 2.0, 3.0), "^avg_b must be a number",
+                     id="trace-stats-bool"),
+        pytest.param(lambda: DecayModel("exponential", lambda_tau=1.0, table=(0.5,)),
+                     _stray("exponential decay", "table"), id="exponential-stray-table"),
+        pytest.param(lambda: DecayModel("tabulated", lambda_tau=1.0, table=(0.5,)),
+                     _stray("tabulated decay", "lambda_tau"), id="tabulated-stray-lambda"),
+        pytest.param(lambda: SelectorModel("ideal", epsilon=0.5),
+                     _stray("ideal selector", "epsilon"), id="ideal-stray-epsilon"),
+        pytest.param(lambda: SelectorModel("constant", epsilon=0.5, margin=1.0),
+                     _stray("constant selector", "margin"), id="constant-stray-margin"),
+        pytest.param(lambda: SelectorModel("noisy_score", margin=1.0, noise_std=0.5, epsilon=0.9),
+                     _stray("noisy_score selector", "epsilon"), id="noisy-stray-epsilon"),
+    ],
+)
+def test_direct_construction_is_checked(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
