@@ -352,32 +352,45 @@ def _cmd_calibrate(resolved: dict) -> _RunOutput:
     return _RunOutput(header, rows, summary=summary)
 
 
-def _read_feature_csv(path) -> hsic.SampleSet:
+def _csv_rows(path, what: str):
+    """The header of CSV file ``path`` and its nonempty rows after it, each
+    with its line number; a ValidationError when the file has no header."""
     reader = _csv.reader(text_lines(path))
     try:
         header = next(reader)
     except StopIteration:
-        raise ValidationError(f"{path}: empty feature file (header row required)")
+        raise ValidationError(f"{path}: empty {what} file (header row required)")
+    return header, ((lineno, row) for lineno, row in enumerate(reader, start=2) if row)
+
+
+def _row_numbers(path, lineno: int, row: list, columns) -> list[float]:
+    """The cells of ``row`` at ``columns`` as numbers; a ValidationError naming
+    the line when one is not a number."""
+    try:
+        return [float(row[i]) for i in columns]
+    except ValueError as exc:
+        raise ValidationError(f"{path}:{lineno}: {exc}")
+
+
+def _read_feature_csv(path) -> hsic.SampleSet:
+    header, rows = _csv_rows(path, "feature")
     cols = [c.strip().lower() for c in header]
     # a group column is read past: it is neither a feature nor stored
     group_idx = cols.index("group") if "group" in cols else None
     length_idx = cols.index("length") if "length" in cols else None
     special = {group_idx, length_idx} - {None}
     feature_idx = [i for i in range(len(cols)) if i not in special]
+    numbers = feature_idx if length_idx is None else [length_idx, *feature_idx]
     lengths, vectors = [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, row in rows:
         if len(row) != len(cols):
             raise ValidationError(
                 f"{path}:{lineno}: expected {len(cols)} columns, got {len(row)}"
             )
-        try:
-            if length_idx is not None:
-                lengths.append(float(row[length_idx]))
-            vectors.append([float(row[i]) for i in feature_idx])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}")
+        values = _row_numbers(path, lineno, row, numbers)
+        if length_idx is not None:
+            lengths.append(values.pop(0))
+        vectors.append(values)
     return hsic.SampleSet(
         vectors=np.asarray(vectors, dtype=np.float64),
         lengths=tuple(lengths) if length_idx is not None else None,
@@ -449,11 +462,7 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
 def _read_points_csv(
     path, x_col: str | None = None, y_col: str | None = None
 ) -> list[tuple[float, float]]:
-    reader = _csv.reader(text_lines(path))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty points file (header row required)")
+    header, rows = _csv_rows(path, "points")
     # default: first two columns; named columns let any emitted CSV be
     # re-ingested as (x, y) points
     xi, yi = 0, 1
@@ -464,15 +473,10 @@ def _read_points_csv(
         except ValueError as exc:
             raise ValidationError(f"{path}: {exc}; header is {header}")
     pts = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, row in rows:
         if len(row) <= max(xi, yi):
             raise ValidationError(f"{path}:{lineno}: missing x/y columns")
-        try:
-            pts.append((float(row[xi]), float(row[yi])))
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}")
+        pts.append(tuple(_row_numbers(path, lineno, row, (xi, yi))))
     return pts
 
 
