@@ -2,10 +2,11 @@
 
 Each case runs one command in a scratch directory with relative file names
 and pins the exit code plus the SHA-256 of its CSV, of its manifest without
-``wall_clock_s`` and ``environment``, and of its SVG when it draws one. A
-refactor that keeps these digests keeps the bytes users see. Every case is
-also replayed through ``reproduce from-manifest``, which must reproduce the
-CSV byte for byte.
+``version``, ``wall_clock_s`` and ``environment``, and of its SVG when it
+draws one. The manifest's ``version`` must equal ``slowthink.__version__``
+instead, so a version bump alone moves no digest. A refactor that keeps these
+digests keeps the bytes users see. Every case is also replayed through
+``reproduce from-manifest``, which must reproduce the CSV byte for byte.
 
 ``hsic`` and ``fit`` are left out: their BLAS and least-squares output is
 not promised to be bit-identical across machines.
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import slowthink
 from slowthink.cli import dispatch
 
 CONFIG = {
@@ -131,253 +133,253 @@ CASES = {
     "reproduce-config": ["reproduce", "table1", "--config", "cfg.json", "--b", "3"],
 }
 
-# name -> (exit code, csv sha256, manifest sha256 without wall_clock_s and
-# environment, svg sha256)
+# name -> (exit code, csv sha256, manifest sha256 without version, wall_clock_s
+# and environment, svg sha256)
 GOLDEN = {
     "bounds-all": (
         0,
         "7ebe74ef150c3b2c15e3d675cb5ba882bf3fea3239d6a984be2e133bf80f0a44",
-        "149a644287867bcda1b92bef9557dd3c42c68c1e11e66a850216385e0c9bdf83",
+        "db7095992adbe68a7c1bc693d105267357fd95f07c6d998541eba7e753c7030b",
         None,
     ),
     "bounds-lookahead": (
         0,
         "e2ea9883cf4f08875deb14a07aa9fd59c8e63122a6f9b7bda4c5664962b87670",
-        "a708959bf7ff36fe0f5b018cff34e594416f4a0b286debe7a589da1b0b1d55a4",
+        "4d1c38cae04b7e459ff1bfe0dc1ecd605d896aaac0ac2b1403fa50d41fdf67c0",
         None,
     ),
     "bounds-noisy-worst": (
         0,
         "d6ab33dc177fd1f75e3810b290d53fe7a80bdd3535b98932380294f4426d0d96",
-        "1eed212ed5add64fa5895340bc2a2862ab121611b1de352abe903a845f9a9b82",
+        "bc79483585d00ce0800cd030c5feeef66f0491a596d37591cc6a09c9a26a3814",
         None,
     ),
     "bounds-single": (
         0,
         "554719dbbf03a5a63532a7eccb391ca08e590f29d6157a0860fa038b476c23fa",
-        "c60be051e93b59b5f5ac2bf71dd36d1dc0e4e51eac2e32d8fdee2abb5bc29be1",
+        "e2a6cf6a61db088c6fdcd4f479722c28df836d51b89966d356e679d751a337d4",
         None,
     ),
     "bounds-table-constant": (
         0,
         "d17e5671d7880fd4bf938dd0161c92be79299d8c14a6ef19a37bfed3fa1d50c5",
-        "f29065bf31997edb2c79e5bcad8c70d01e133c8a603e6d611c2e04002bdc594e",
+        "e60dbb3484e4efa8d91649e58b5ad20ceba02b833842cfa9740d7004546021a4",
         None,
     ),
     "calibrate-stats": (
         0,
         "924f32a02a5a9875245bee1cb91ddcebf1ebf9227b24bdcd153ca60724009586",
-        "9ee7da259ae6d3a8430197cea0c8c186a169b312aa67839c5937fc6f83c84ab5",
+        "2ce6db7244a54cddb44dcc48a1dd0fe063d23b2cc362b4fea3e33e961fae77b2",
         None,
     ),
     "calibrate-traces": (
         0,
         "064511cf8e49e678da73dc2a1f4c34e6686a1991300fa1870b3d43ee3e8ebccf",
-        "7d84941326094a92db02a3b07987e8bf34dbce8514efa7e4fffb462b5ed86ad6",
+        "cefc5f90632f286dbe46b642af99621d919ca2fcfb7ea1d935db460d6131cd94",
         None,
     ),
     "fano-suite": (
         0,
         "1a88b56ffa576d1215724ec10a72350b2e65b13738906355218a7709527fc3bd",
-        "1dd1a9f1010525634debd2e5af9aa5eef1ec740b3a1ebf3eea62bc5d95496401",
+        "428c1a449e1b1b633a0f30ab371cc7c267a96c235168935451923852e4083303",
         None,
     ),
     "fano-suite-long": (
         0,
         "a8f38aa442f009f088b1bcce88a7515d5486e3f7925f2c5424ef6b9583ba2cb1",
-        "8d9e73aa2128d5c923a094900080c18a7297c8c67ac98f54bc60b73aab91788c",
+        "53874fd9f459f2e68caab39c63ec84edf7315c7259b51caed551dee9f528b236",
         None,
     ),
     "fano-suite-long-mi-only": (
         1,
         "4427d6c0c2cb57ca6debd0b475d4ecb0a3b901b06e655b812bebd946a940edd7",
-        "d4f6063d9006687a24b9e4bbfc9b77439f80210f31dd37d527385870d0ee8ead",
+        "cfa965a4aa062ee5efe19b8e911273c3a3200388bb3e2f8728f812d4d05020a5",
         None,
     ),
     "fano-suite-mi-only": (
         1,
         "422815ddd3ab32d794dea335024c261b6c27f93d7878aaf5010fa23f985fd4b0",
-        "70a4fb635d53dbfc761c02dec4969829fe3a8f4c9c667f7d530922b7d35ae7b6",
+        "1f6ee20e70160565a0df6910a28a4efcdefc3da4b43293ccf46520f87f939b65",
         None,
     ),
     "reproduce-bon-vs-mcts": (
         0,
         "8dc4b37db0054bcd0d059586fc2e937fe6863343dd67d1b60c19bf407889485f",
-        "51e19a51cce2ac8ee841e3eb16935bc1a48916fec1d1f52974f5da7524ff58e9",
+        "0c8aed342fd6ba00a85e724598ac44e4ce2f7232d1adb4463acd009c120a1c59",
         "926a043fee264025b6b71a278eff70e2b1dffa318572e8ee5a9b0b3aac798bd3",
     ),
     "reproduce-bon-vs-mcts-fail": (
         1,
         "1dd218949991be5b8d8c7779aedfaab6d629e960e66b2c73642a463bb4b5f234",
-        "0eb2c7dafe5a013d64f7585bf311b28f3ff9c4c54d09d42a58ff982e00cc8320",
+        "e1bf52e94be26d3435c72153603957da76070c0b24a9001d494c1deb2739cf1d",
         None,
     ),
     "reproduce-calibration": (
         0,
         "d4c7e539d779152b49b13e6c02cba494213782bc80cf093540513a1747df85d3",
-        "a08a7732b080917c4ec4d29c059f90c1f7962c0860c4ee3044462e8d2f944699",
+        "b981bb6b56e2dc6f27160cf9e573ba4faea7b53021251d450c47da065abb6807",
         None,
     ),
     "reproduce-config": (
         0,
         "3e16f7aad4878261a8ce90e78e9818b18cf3f5f9f89aef98514e379f0f321418",
-        "60886f8a16211260cf93d72e4236456c8ec6a0a7d6f2ddd5de24825ec098c118",
+        "5785eff19984d0278af426e702b69c5236e0fd774e9b2ee6eec4ceef66d382f6",
         None,
     ),
     "reproduce-dominance": (
         0,
         "8aa51702d3a7eb09008ad4758226d28c11038e952a3237b33d98b0152ec3a34a",
-        "9ffd2f8b712e063c61d6cfd873c6b513e794836e41fc39b5a0501f3f6303a0a0",
+        "fea5e55eee5778366379093121c1d73f537a34ad7d6eb086d4f7c6344cf52e75",
         None,
     ),
     "reproduce-dominance-fail": (
         1,
         "6acf8febff1bd8fe368d49404084cd0f00bd091edc10ca513ecd7390017f307d",
-        "7bbdac185af30449fda99b74374f7e48bf3e390bb6c1bffc6be78487b910d28d",
+        "b709ba4b9354ecf6f71f041159d5851bdbced90bc6387b9fbc52d0a6b3e7c0ba",
         None,
     ),
     "reproduce-fano": (
         0,
         "8551efffe435a0197bbe7c5cfa19d7c32bff69e21073bf2d48b997b24057160c",
-        "b345824bf5a88a3b8a08f6b8bd346c51216f447d063c646c5985575c033cf141",
+        "533236f31ed3778780dd4c7ed880853dc05469f215e66b3b89523fa4384cf25b",
         None,
     ),
     "reproduce-gamma-sweep": (
         0,
         "20dcaddb3a011b02dc20610c1503facdc68fe02aef0e1aea751838e8053fa0f4",
-        "c678ff2e35e32d5e0fbea3b60dbb959eb16059a5fe3cef795d28d615e48473db",
+        "8b5de37affde836fca4b79632ce7bd5d5e97fe9eccf05fe46e822a664414bc9a",
         None,
     ),
     "reproduce-nmin": (
         0,
         "1a86bb5981c5314536aac5103077398aff1d025d5f437977f3a81b0cf492e9a0",
-        "a520894aba5da0bf616fd943be0d57428848a49048dadf403b5aed01cb3cb2a7",
+        "1b053354bdd1ff43982ecd8cbd3eaf04858997e41acd4c13f6d66c04dbaa464a",
         None,
     ),
     "reproduce-table1": (
         0,
         "a402bf8fb13c88a86ff5ea10b7568df33174703c888519d1065a70a735e494a0",
-        "99fa2b93dfbcb0d5bee96ad29c041e18f3530ca11c5868bf01ca5dac3103538a",
+        "ec1731a23e111e879b6148571730ccaa1fb16790e497620c9de3f3ee0af45465",
         None,
     ),
     "sim-beam-constant": (
         0,
         "0fd32331ed4d9d3f57302055bba89e18c02fd820426959ae400ed26654761d3d",
-        "9fc4bb4348f08db7ebd324ef02b5581905664ebbf84ba72f8d210942d480a079",
+        "d00337aac2f0f502f286876d9db215e0d0df916680900a5bfe1a62b832c0b945",
         None,
     ),
     "sim-beam-noisy": (
         0,
         "784b7465014b6b579134b5eb206b24fa489fe58874760218f301c51a6039f349",
-        "70997c1d3bd2ccaa137eca792a6f3205151381a7cb83ef2dd592c5e299201bbe",
+        "c5101b9e5a625cef6447982f60517dd443d75277cc13d1502b96b6baf1aea94f",
         None,
     ),
     "sim-beam-table-sweep": (
         0,
         "0b029b2e960953dd04c1f7bbf5fcece0c456075abc973b3eb1f87dd16c2f06c4",
-        "5ef67d90f89a7b8c7598501e63db60dccfff8289b02e74496f86a6d6dd3d8df3",
+        "5195e6c40ab17d71f6b546d05ad1101ac0daa53b33b10a79468ce3ad5fda0317",
         "bb1d4a2079fa69fd4e809d86811f41707debb50797694dd3ffeeeffb7f36523a",
     ),
     "sim-bon-max-sweep": (
         0,
         "86d73ae8f37febd848e16a4348474fd1806141d199f502c39c80b904a7b75084",
-        "86db3f30e3b2ad53fa9018308c423f64fabec000362d3390f1eca7aa88f4c862",
+        "f181f4795f331b5bbf1018d1b1ab6c4cb82698cf238f940cb54cae380c916980",
         "130c5968cb5002af514496acfead5f90d819acfa38e401ef30fe95f5e2586bd2",
     ),
     "sim-bon-max-sweep-fail": (
         1,
         "5a8d1ac2932558e4a09739d9fe664ee9815cb1defde4f3d52a9eecdd2d25867c",
-        "62ec0e739ca91077796ded79cbebe6269ef7aa57801b193bbb22f508742162fd",
+        "c2fed7e562e8675ba92d4da748278a41bc1d7b268d8260992b4eef79ecd2dea6",
         None,
     ),
     "sim-bon-sc-sweep": (
         0,
         "7fe6c11a415c7975eee7e337f243ad472e2fa1d54541f7726f6ec9ba2cc71644",
-        "6e83425880d2504c50fbf3ad3790137207adc1e05959a9edc5a1979a8732f00f",
+        "c2a7faf5f65491473ee295bf4caec6a42ac0e3968ce03ce473e655fa7da1bee9",
         None,
     ),
     "sim-bon-vote": (
         0,
         "563c13d9d49967ad9003ce73bc64f77302b73c577424d1abd0d1cc7f96c53764",
-        "f47d8db6021c1e4f192491d0dc70829027877880f990914df15327562e986363",
+        "853a90eab14bf6efef6e004d3adfa3862d313827ced7ecf01223d2d4df836d18",
         None,
     ),
     "sim-config": (
         0,
         "6a299657894cdeb69d9f0e274978d8243b8c6a8aa7f3655da4345d7273781ae9",
-        "9878e1601ee3a3944674a270d4ffbfaf388e2cbdadcb0512288690b9e10f2c7e",
+        "fa301ce36c51e7446e201c496241db2722e434b060dbc07bf4a282cb280dd163",
         None,
     ),
     "sim-config-override": (
         0,
         "836249c156594c7d939ebd3961dbd8ccfeb59d714d5848a305a230971f0d8877",
-        "55c15d225e31d56cc35438a5ebbeee6b189bc89c62aa18e93c0b141032aeefbf",
+        "48e843a6faef0925018e6327de7182fe66c1a19a3400cde2ff021b70f7a749c9",
         None,
     ),
     "sim-config-strategy-flag": (
         0,
         "c493eb7ce8255a0a11483715524bac20cc2b5392b3018908d9e3af2af97a14db",
-        "5c16c09bf2d4a86f7ceaf608a326526c60eda6fa70f41ebfd2f40a74b9d329e4",
+        "2f06488646fa6865962e3d0c4147eaab3287886444a12ad7c403b4c551c36b93",
         None,
     ),
     "sim-lookahead-noisy": (
         0,
         "d21b1cfe5b0cb4c2d5c981a35534351fd806a3c56ceee650b505bd95879aa9ee",
-        "462bd1c8d9f22bbed94aed8ff50efac613cb6462975636cd781c52ff0ffd6fc3",
+        "bc53c5c41939b4bbb8ab7eedf3bd2173c17950ca54f99c81ab8994e0813dbd5a",
         None,
     ),
     "sim-lookahead-sweep": (
         0,
         "de869be76596ffa62b91898b8dd815aa1f5154ab2b14550e64f70773ac40c094",
-        "b3fc534c3cdebfa6ee1a3ace1242f0e9e4b0b87e0641e24ea44e278de1189e89",
+        "0b021f3ffd6b148a127658a327f26c1e93bbb22fb1f1d31347ac459203c58d77",
         None,
     ),
     "sim-lookahead-sweep-plot": (
         0,
         "d4f30d397c6adde9746a54e546469a845f6c6c30113da885ca21cce042a0a289",
-        "4aca92555fa109b1076604d28899c66e160f06120a664749c76dc69ca5371bed",
+        "f56952b86cfa32d2b9ff2ac3f2fa6b941034437f39d2f6a5190159de6824e40a",
         "cb3d56e61f216816283dbc68353ee7f225a553d85015e8900da471ecc812f235",
     ),
     "sim-mcts-best": (
         0,
         "5be13523fb629fc2fb4175cec3e5cbe575972564cce41ed0fe96ee64c40c10da",
-        "a207400c953196c2017d6972a042c77b84b5555e0a1933ae0c8d33df22b80b6e",
+        "9024bfae94309cd419035236d333688e98edec945efb76fffdd9b4efda92f4a5",
         None,
     ),
     "sim-mcts-best-constant": (
         0,
         "173c42ad24f38931aa6ab9fb1064e342a6754cc2e84b6ee3cafe0415c80b4fe9",
-        "86f0dc07540f03de2ba9586102dc8cea7357811ad1fddec4713c5d774f9f06af",
+        "5a150dc484f65a1dba2bc628e920ea65239c4c02ea5e98f2713ab04eb5be8e62",
         None,
     ),
     "sim-mcts-best-noisy": (
         0,
         "abfc7a21fdd91a118ee77e33d9b711ea3cd46dc3c59a1007b5447154cda162f7",
-        "18fe387fdb9cd455e568c576735441c5abddbea6019a84b74d15f3a45284d7e7",
+        "ea16e17a9c5eca88b584c37ae845f4388250302ed50b38e0a423ae872ce4c398",
         None,
     ),
     "sim-mcts-worst-constant": (
         0,
         "016cc9c64921f9d1755abb1b6e16349fb8d825c6692e7d839b13b6d21010150d",
-        "5c288a4d42ed51ee908b6a512986a46c6b434eafe66b168809a543fcf69c0ca7",
+        "62d45019ceaa0e0c0b209c6e33d53ad129b503f383a510f07ea459fdfde68389",
         None,
     ),
     "sim-mcts-worst-noisy": (
         0,
         "b996b89b69686d5d102acc9c996f7d978e1c82dcb1f02f82da9717d029db6897",
-        "767829c334985a73f3b5fb573a68a0682c2a477e2c43dfb16605eddb4f1d2a4b",
+        "4059c3abbaec46fd9cffd2c84edc382f1fb0d8170e8f2558e9b300796dec6c75",
         None,
     ),
     "sim-single": (
         0,
         "3d8005e947151be74496c5e7b94b0da13bdee621decacf824c9f10f2a6acf711",
-        "ae5a96e21a5401f5b45c38a1909eb1f3eb28fd06d7b19c48f25a64ebdd98ca02",
+        "ec4d6715d601063d30674f6a583be79a4158c020b8978ca63bb05c8232b24781",
         None,
     ),
     "sim-single-table": (
         0,
         "3b6ea89101c6b3d844db7e1cf1841e34e74351dee6f52e1dd610ef1e20a33005",
-        "9650d50308dd3eb68513edb183809ec8d44fa4994ce15e0bb8bee6334bb4db46",
+        "5ae86e6a6bde5d56d1d2d16060379bd1370a48f27a0f1c416dd1193ef97ce204",
         None,
     ),
 }
@@ -397,6 +399,7 @@ def run_case(name: str, workdir: Path) -> tuple:
     try:
         rc = dispatch(CASES[name] + ["--out", "out.csv"])
         manifest = json.loads(Path("out.csv.manifest.json").read_text())
+        assert manifest.pop("version") == slowthink.__version__
         manifest.pop("wall_clock_s")
         manifest.pop("environment")
         svgs = sorted(Path(".").glob("*.svg"))
