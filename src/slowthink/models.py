@@ -79,7 +79,7 @@ class DecayModel:
 
     @classmethod
     def tabulated(cls, values) -> "DecayModel":
-        return cls(kind=TABULATED, table=tuple(values))
+        return cls(kind=TABULATED, table=values)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "DecayModel":

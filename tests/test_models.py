@@ -258,6 +258,8 @@ def _stray(owner, name):
                      "^epsilon must be a number", id="constant-bool"),
         pytest.param(lambda: DecayModel("tabulated", table=5),
                      "^tabulated decay table must be a list, got 5$", id="table-not-a-list"),
+        pytest.param(lambda: DecayModel.tabulated("0.9"),
+                     "^tabulated decay table must be a list, got '0.9'$", id="table-string"),
         pytest.param(lambda: StrategySpec("beam", k=4, b=2, N=5),
                      _stray("beam", "N"), id="beam-stray-N"),
         pytest.param(lambda: WrongModel(math.inf), "^lambda_delta must be finite", id="wrong-inf"),
