@@ -19,12 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import (
-    PreconditionError,
-    RangeError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import PreconditionError, ResourceLimitError, ValidationError, at_least
 from .models import (
     EXPONENTIAL,
     NOISY_SCORE,
@@ -64,10 +59,9 @@ def is_vacuous(bound: float) -> bool:
 
 def _check_counts(**counts: int) -> None:
     for name, v in counts.items():
-        if v < 1:
-            raise RangeError(f"{name} must be >= 1, got {v}")
+        at_least(v, 1, name)
         if v > sys.float_info.max:
-            raise RangeError(f"{name} is too large to evaluate as a float")
+            raise ValidationError(f"{name} is too large to evaluate as a float")
 
 
 def _log_eps(selector: SelectorModel, b: int) -> float:
@@ -239,7 +233,7 @@ def n_min(b: int, L: int, case: str) -> float:
     ``N = exp((target + L(L+1)/2) / L)`` for the envelope's log bound
     ``target``. N is polished to the nearest integer whenever that integer
     satisfies the equality exactly in floating point (the best case lands on
-    N = b this way). RangeError when N is past the double range.
+    N = b this way). ValidationError when N is past the double range.
     """
     _check_counts(b=b, L=L)
     if case not in ("best", "worst"):
@@ -253,7 +247,7 @@ def n_min(b: int, L: int, case: str) -> float:
     try:
         n_hat = math.exp((target + L * (L + 1) / 2) / L)
     except OverflowError:
-        raise RangeError(
+        raise ValidationError(
             f"N_min for b={b}, L={L} ({case} case) is past the double range"
         ) from None
     nearest = round(n_hat)
@@ -293,6 +287,4 @@ def lookahead_distinguishability_bound(
 def optimal_rollout(wrong: WrongModel, l: float) -> float:
     """Rollout depth maximizing the distinguishability bound when evaluating a
     layer-l candidate: ``max(ln(2*lambda_delta) - l, 0)``."""
-    if l < 0:
-        raise RangeError(f"layer index must be >= 0, got {l}")
-    return max(math.log(2.0 * wrong.lambda_delta) - l, 0.0)
+    return max(math.log(2.0 * wrong.lambda_delta) - at_least(l, 0, "layer index"), 0.0)

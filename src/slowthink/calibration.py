@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import TraceParseError, ValidationError, checked_number, text_lines
+from .errors import ValidationError, checked_number, text_lines
 
 
 @dataclass(frozen=True)
@@ -93,28 +93,28 @@ def integer_candidates(rng: NRange) -> tuple[int, int]:
 
 
 def parse_trace_record(text: str, where: str = "record") -> ExpansionTrace:
-    """One JSON trace record; a TraceParseError that starts with ``where``
+    """One JSON trace record; a ValidationError that starts with ``where``
     when it is malformed."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise TraceParseError(f"{where}: invalid JSON: {exc}") from None
+        raise ValidationError(f"{where}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
-        raise TraceParseError(f"{where}: not an object")
+        raise ValidationError(f"{where}: not an object")
     try:
         qid = obj["question_id"]
         events = obj["events"]
         length = obj["ideal_path_length"]
     except KeyError as exc:
-        raise TraceParseError(f"{where}: missing field {exc}") from None
+        raise ValidationError(f"{where}: missing field {exc}") from None
     if not isinstance(events, list) or not all(
         isinstance(e, list) and len(e) == 2 for e in events
     ):
-        raise TraceParseError(f"{where}: events must be an array of [depth, children] pairs")
+        raise ValidationError(f"{where}: events must be an array of [depth, children] pairs")
     try:
         return ExpansionTrace(str(qid), events, length)
     except ValidationError as exc:
-        raise TraceParseError(f"{where}: {exc}") from None
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def read_traces(path) -> list[ExpansionTrace]:

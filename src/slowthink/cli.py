@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     SlowthinkError,
     ValidationError,
+    at_least,
     checked_number,
     checked_section,
     reject_stray_keys,
@@ -577,8 +578,7 @@ def _preset_gamma_sweep(resolved: dict) -> _RunOutput:
     wrong = WrongModel(_number(resolved, "lambda_delta", math.e**3 / 2, float))
     layer = _number(resolved, "layer", 1)
     gammas = _int_list(resolved, "gammas", list(range(7)))
-    if min(gammas) < 0:
-        raise ValidationError(f"gammas must be >= 0, got {min(gammas)}")
+    at_least(min(gammas), 0, "gammas")
     trials = _number(resolved, "trials", 100_000)
     seed = _number(resolved, "seed", 0)
     gamma_star = bounds.optimal_rollout(wrong, layer)
@@ -605,9 +605,8 @@ def _preset_gamma_sweep(resolved: dict) -> _RunOutput:
 
 def _preset_dominance(resolved: dict) -> _RunOutput:
     trials = _number(resolved, "trials", 100_000)
-    seed = _number(resolved, "seed", 31_000)
-    if seed < 0:  # the runs draw from seed + 1 on, which the runner accepts from -1
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    # the runs draw from seed + 1 on, which the runner accepts from -1
+    seed = at_least(_number(resolved, "seed", 31_000), 0, "seed")
     header = (
         "lambda_tau", "L", "strategy", "estimate", "ci_low", "ci_high",
         "bound", "vacuous", "verify",

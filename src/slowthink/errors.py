@@ -9,11 +9,7 @@ class SlowthinkError(Exception):
 
 
 class ValidationError(SlowthinkError, ValueError):
-    """An input value violates a model or data contract."""
-
-
-class RangeError(SlowthinkError, ValueError):
-    """An index or argument lies outside its declared domain."""
+    """An input value (argument, config value, file record or fit point) is bad."""
 
 
 class PreconditionError(SlowthinkError, ValueError):
@@ -22,14 +18,6 @@ class PreconditionError(SlowthinkError, ValueError):
 
 class ResourceLimitError(SlowthinkError, RuntimeError):
     """A request would exceed an explicit size or node budget."""
-
-
-class TraceParseError(SlowthinkError, ValueError):
-    """A trace file record could not be parsed."""
-
-
-class FitError(SlowthinkError, RuntimeError):
-    """A curve fit has too few usable points to proceed."""
 
 
 def checked_number(value, name: str, kind=float):
@@ -52,6 +40,13 @@ def checked_number(value, name: str, kind=float):
     if kind is float and not math.isfinite(number):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def at_least(value, least, name: str):
+    """``value``, or a ValidationError naming ``name`` when it is below ``least``."""
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def text_lines(path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, ResourceLimitError, ValidationError, checked_number
+from .errors import ResourceLimitError, ValidationError, at_least, checked_number
 
 DEFAULT_SIGMA = 50.0
 # n x n float64 kernel matrices, 128 MiB each at the limit; a permutation test holds four
@@ -151,12 +151,10 @@ def permutation_null(
     the statistic on Kc and Lc[perm][:, perm], so the identity permutation
     gives the observed value bit for bit.
     """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    at_least(count, 1, "count")
     if count > MAX_PERMUTATIONS:
         raise ResourceLimitError(f"{count} permutations are over the {MAX_PERMUTATIONS} limit")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    at_least(seed, 0, "seed")
     kc, lc = _centered_grams(x, y, cfg)
     rng = np.random.default_rng(seed)
     # Gather into reused buffers (a fresh n x n array can page-fault on every
@@ -186,16 +184,16 @@ def fit_decay(points) -> tuple[FitResult, FitResult]:
     computed in the original y space over all points."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
-        raise FitError("points must be an m x 2 array of (x, y)")
+        raise ValidationError("points must be an m x 2 array of (x, y)")
     if not np.all(np.isfinite(pts)):
-        raise FitError("points must be finite")
+        raise ValidationError("points must be finite")
     x, y = pts[:, 0], pts[:, 1]
     if len(np.unique(x)) < 3:
-        raise FitError(f"need >= 3 distinct x values, got {len(np.unique(x))}")
+        raise ValidationError(f"need >= 3 distinct x values, got {len(np.unique(x))}")
 
     pos = y > 0
     if pos.sum() < 3:
-        raise FitError(
+        raise ValidationError(
             f"exponential fit needs >= 3 positive-y points, got {int(pos.sum())}"
         )
     slope, intercept = np.polyfit(x[pos], np.log(y[pos]), 1)

@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import RangeError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, at_least
 
 MASS_TOL = 1e-12
 _HOLD_TOL = 1e-12
@@ -209,7 +209,7 @@ def snowball(seq: ChannelSequence, l: int) -> float:
     """Cumulative information loss before layer l: sum over layers i < l of
     H(t_i | r_i). Defined for 2 <= l <= len(seq) + 1."""
     if not 2 <= l <= len(seq) + 1:
-        raise RangeError(f"l must be in 2..{len(seq) + 1}, got {l}")
+        raise ValidationError(f"l must be in 2..{len(seq) + 1}, got {l}")
     *_, (_, terms, snow, _, _) = _walk([j._terms for j in seq.layers[: l - 1]])
     return snow + terms[3]
 
@@ -227,7 +227,7 @@ def check_info_loss_inequality(seq: ChannelSequence, l: int) -> InfoLossReport:
     """Check H(t_l | r_l) >= (sum of earlier losses) / (l - 1) and report the
     two assumptions it rests on separately. One pass over layers 1..l."""
     if not 2 <= l <= len(seq):
-        raise RangeError(f"l must be in 2..{len(seq)}, got {l}")
+        raise ValidationError(f"l must be in 2..{len(seq)}, got {l}")
     *_, (_, terms, snow, mi_noninc, entropy_cond) = _walk([j._terms for j in seq.layers[:l]])
     return InfoLossReport(l=l, lhs=terms[3], rhs=snow / (l - 1), mi_nonincreasing=mi_noninc,
                           entropy_condition=entropy_cond,
@@ -253,7 +253,7 @@ def fano_check(seq: ChannelSequence, l: int) -> FanoReport:
     ``FiniteJoint`` computed once, when it was built.
     """
     if not 2 <= l <= len(seq):
-        raise RangeError(f"l must be in 2..{len(seq)}, got {l}")
+        raise ValidationError(f"l must be in 2..{len(seq)}, got {l}")
     *_, step = _walk([j._terms for j in seq.layers[:l]])
     return _fano_report(*step)
 
@@ -309,8 +309,7 @@ def random_sequence(rng: np.random.Generator, length: int,
     """Sequence of independent Dirichlet-uniform layers with support sizes
     drawn uniformly from ``support_range`` (inclusive)."""
     lo, hi = support_range
-    if length < 1:
-        raise ValidationError(f"length must be >= 1, got {length}")
+    at_least(length, 1, "length")
     cells, t_sizes, r_sizes, _ = _draw(rng, [length], _support_sizes(rng, lo, hi), (hi, hi))
     return ChannelSequence(tuple(FiniteJoint(cells[:t, :r, j])
                                  for j, (t, r) in enumerate(zip(t_sizes, r_sizes))))
@@ -346,12 +345,9 @@ def fano_suite(instances: int, support_range: tuple[int, int] = (3, 6), max_len:
     cells, then a scalar walk over each sequence's layers (O(L)), stopped at
     the first layer where the mutual information rises.
     """
-    if instances < 1:
-        raise ValidationError(f"instances must be >= 1, got {instances}")
-    if max_len < 2:
-        raise ValidationError(f"max_len must be >= 2, got {max_len}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    at_least(instances, 1, "instances")
+    at_least(max_len, 2, "max_len")
+    at_least(seed, 0, "seed")
     lo, hi = support_range
     if not 2 <= lo <= hi:
         raise ValidationError(f"support range must satisfy 2 <= min <= max, got min={lo}, "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    Kinds, RangeError, ValidationError, checked_number, checked_section, reject_stray_keys,
+    Kinds, ValidationError, at_least, checked_number, checked_section, reject_stray_keys,
 )
 
 # Each kind's fields, in the order errors list them; its other fields stay None.
@@ -164,9 +164,7 @@ class AnswerModel:
 
     def __post_init__(self) -> None:
         size = checked_number(self.answer_space_size, "answer_space_size", int)
-        if size < 1:
-            raise ValidationError(f"answer_space_size must be >= 1, got {size!r}")
-        object.__setattr__(self, "answer_space_size", size)
+        object.__setattr__(self, "answer_space_size", at_least(size, 1, "answer_space_size"))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AnswerModel":
@@ -177,12 +175,11 @@ class AnswerModel:
 def step_correct_prob(model: DecayModel, l: int) -> float:
     """Probability that the step generated at layer ``l`` is correct, given a
     correct prefix."""
-    if l < 1:
-        raise RangeError(f"layer index must be >= 1, got {l}")
+    at_least(l, 1, "layer index")
     if model.kind == EXPONENTIAL:
         return min(model.lambda_tau * math.exp(-l), 1.0)
     if l > len(model.table):
-        raise RangeError(
+        raise ValidationError(
             f"layer {l} outside tabulated range 1..{len(model.table)}"
         )
     return model.table[l - 1]
@@ -191,8 +188,7 @@ def step_correct_prob(model: DecayModel, l: int) -> float:
 def selector_success_prob(sel: SelectorModel, b: int) -> float:
     """Probability of picking a correct candidate out of ``b``, given at least
     one correct candidate exists; w(1, b) of ``_top_correct`` if noisy-score."""
-    if b < 1:
-        raise RangeError(f"candidate count must be >= 1, got {b}")
+    at_least(b, 1, "candidate count")
     if sel.kind == IDEAL:
         return 1.0
     if sel.kind == CONSTANT:

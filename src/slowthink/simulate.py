@@ -48,9 +48,9 @@ from . import bounds as _bounds
 from .errors import (
     Kinds,
     PreconditionError,
-    RangeError,
     ResourceLimitError,
     ValidationError,
+    at_least,
     checked_number,
 )
 from .models import (
@@ -108,13 +108,9 @@ class ProcessConfig:
 
     def __post_init__(self) -> None:
         L = checked_number(self.L, "L", int)
-        if L < 1:
-            raise ValidationError(f"L must be >= 1, got {L!r}")
-        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "L", at_least(L, 1, "L"))
         std = checked_number(self.score_noise_std, "score_noise_std")
-        if std < 0:
-            raise ValidationError(f"score_noise_std must be >= 0, got {std!r}")
-        object.__setattr__(self, "score_noise_std", std)
+        object.__setattr__(self, "score_noise_std", at_least(std, 0, "score_noise_std"))
         limit = self.decay.depth_limit
         if limit is not None and limit < self.L:
             raise ValidationError(
@@ -651,10 +647,8 @@ def monte_carlo_batch(runs: list) -> list[MonteCarloReport]:
         if width > NODE_LIMIT:
             raise ResourceLimitError(f"{strategy.describe()} needs per-trial arrays {width}"
                                      f" wide, over the {NODE_LIMIT} limit")
-        if trials < 1:
-            raise RangeError(f"trials must be >= 1, got {trials}")
-        if master_seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {master_seed}")
+        at_least(trials, 1, "trials")
+        at_least(master_seed, 0, "seed")
         args.append((cfg, strategy, _step_probs(cfg, cfg.L + (strategy.gamma or 0))))
         rows.append(int(min(BLOCK_TRIALS, max(1, _BLOCK_CELLS // width))))
     if _pool is None:
@@ -697,9 +691,7 @@ def exact_success(cfg: ProcessConfig, strategy: StrategySpec) -> float | None:
 def verify_bounds(report: MonteCarloReport, bound: float) -> bool:
     """True when an estimate does not statistically exceed its upper bound:
     the Wilson lower limit must not pass the bound."""
-    if bound < 0:
-        raise ValidationError(f"bound must be >= 0, got {bound}")
-    return report.ci_low <= bound
+    return report.ci_low <= at_least(bound, 0, "bound")
 
 
 def matching_bound(cfg: ProcessConfig, strategy: StrategySpec) -> float | None:

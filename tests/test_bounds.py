@@ -27,7 +27,6 @@ from slowthink.bounds import (
 )
 from slowthink.errors import (
     PreconditionError,
-    RangeError,
     ResourceLimitError,
     ValidationError,
 )
@@ -77,7 +76,7 @@ class TestSinglePath:
         assert single_path_bound(d, 3) == pytest.approx(0.125, rel=1e-12)
 
     def test_tabulated_domain_too_short(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             single_path_bound(DecayModel.tabulated([0.5]), 2)
 
     def test_strictly_decreasing_in_length(self):
@@ -230,7 +229,7 @@ class TestNMin:
 
     def test_past_double_range_raises_range_error(self):
         # N_min = 10**500.5 here; exp() of its log overflows
-        with pytest.raises(RangeError, match="double range"):
+        with pytest.raises(ValidationError, match="double range"):
             n_min(10, 1000, "worst")
 
     def test_known_small_cases(self):

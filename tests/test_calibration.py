@@ -18,7 +18,7 @@ from slowthink.calibration import (
     reasonable_n_range,
     traces_to_stats,
 )
-from slowthink.errors import TraceParseError, ValidationError
+from slowthink.errors import ValidationError
 
 # Reference tree-search statistics (avg_b, avg_p, avg_L) with previously
 # published budget-matched values; published inputs are rounded, hence the
@@ -145,15 +145,15 @@ class TestTraces:
             '{"question_id": "q", "events": [[0, 2]], "ideal_path_length": 2}\n'
             "not json\n"
         )
-        with pytest.raises(TraceParseError, match=re.escape(f"{path}:2: invalid JSON")):
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:2: invalid JSON")):
             read_traces(path)
 
     def test_missing_field_rejected(self):
-        with pytest.raises(TraceParseError, match="missing field"):
+        with pytest.raises(ValidationError, match="missing field"):
             parse_trace_record('{"question_id": "q", "events": [[0, 2]]}')
 
     def test_malformed_events_rejected(self):
-        with pytest.raises(TraceParseError):
+        with pytest.raises(ValidationError):
             parse_trace_record(
                 '{"question_id": "q", "events": [[0]], "ideal_path_length": 1}'
             )

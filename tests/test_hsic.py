@@ -7,7 +7,7 @@ import pytest
 
 from slowthink import hsic as hsic_module
 from slowthink.cli import dispatch
-from slowthink.errors import FitError, ResourceLimitError, ValidationError
+from slowthink.errors import ResourceLimitError, ValidationError
 from slowthink.hsic import (
     HsicConfig,
     _center,
@@ -262,13 +262,13 @@ class TestFitDecay:
         assert exp_fit.r2 > lin_fit.r2
 
     def test_requires_three_distinct_x(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ValidationError):
             fit_decay([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
-        with pytest.raises(FitError):
+        with pytest.raises(ValidationError):
             fit_decay([(1.0, 1.0), (2.0, 0.5)])
 
     def test_requires_positive_values_for_exponential(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ValidationError):
             fit_decay([(1.0, -1.0), (2.0, -0.5), (3.0, 0.0)])
 
     def test_predict_matches_models(self):

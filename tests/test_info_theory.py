@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slowthink import info_theory
-from slowthink.errors import RangeError, ValidationError
+from slowthink.errors import ValidationError
 from slowthink.info_theory import (
     ChannelSequence,
     FiniteJoint,
@@ -219,9 +219,9 @@ class TestSnowball:
 
     def test_range_errors(self):
         seq = ChannelSequence((perfect_channel(2),))
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             snowball(seq, 1)
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             snowball(seq, 3)
 
 

@@ -11,7 +11,7 @@ from scipy.special import log_ndtr as scipy_log_ndtr
 from scipy.special import ndtr
 
 from slowthink.calibration import TraceStats
-from slowthink.errors import RangeError, ValidationError
+from slowthink.errors import ValidationError
 from slowthink.hsic import HsicConfig
 from slowthink.models import (
     AnswerModel,
@@ -51,11 +51,11 @@ class TestDecayModel:
 
     def test_tabulated_out_of_range(self):
         d = DecayModel.tabulated([0.9, 0.5])
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             step_correct_prob(d, 3)
 
     def test_layer_index_must_be_positive(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             step_correct_prob(DecayModel.exponential(1.0), 0)
 
     def test_rejects_nonpositive_rate(self):
@@ -165,7 +165,7 @@ class TestSelectorModel:
         )
 
     def test_pool_size_must_be_positive(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             selector_success_prob(SelectorModel.ideal(), 0)
 
     def test_rejects_bad_parameters(self):

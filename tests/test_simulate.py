@@ -20,7 +20,7 @@ from scipy.stats import binom
 
 from slowthink import bounds, simulate
 from slowthink.cli import dispatch
-from slowthink.errors import RangeError, ResourceLimitError, ValidationError
+from slowthink.errors import ResourceLimitError, ValidationError
 from slowthink.models import (
     NOISY_SCORE,
     AnswerModel,
@@ -293,9 +293,9 @@ class TestLookahead:
     def test_tabulated_depth_must_cover_rollouts(self):
         cfg = ProcessConfig(decay=DecayModel.tabulated([1.0, 1.0]), L=2)
         spec = StrategySpec.lookahead(2, 1)
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             monte_carlo(cfg, spec, 10, 0)
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             exact_success(cfg, spec)
 
 
@@ -401,7 +401,7 @@ class TestMonteCarloMachinery:
         assert report.ci_low > 0.96
 
     def test_trials_must_be_positive(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(ValidationError):
             monte_carlo(cfg_exp(1), StrategySpec.single_path(), 0, 0)
 
     @pytest.mark.parametrize(
@@ -422,7 +422,7 @@ class TestMonteCarloMachinery:
         with mock.patch.object(simulate, "_run_block") as run_block:
             with pytest.raises(ResourceLimitError, match="over the 1000000 limit"):
                 simulate.monte_carlo_batch([fine, (cfg_exp(1, answer=answer), spec, 1, 0)])
-            with pytest.raises(RangeError):
+            with pytest.raises(ValidationError):
                 simulate.monte_carlo_batch([fine, (*fine[:2], 0, 0)])
             with pytest.raises(ValidationError, match="^seed must be >= 0, got -1"):
                 simulate.monte_carlo_batch([fine, (*fine[:2], 10, -1)])
