@@ -39,7 +39,7 @@ class SampleSet:
         x.flags.writeable = False
         object.__setattr__(self, "vectors", x)
         if self.lengths is not None:
-            lens = tuple(float(v) for v in self.lengths)
+            lens = tuple(checked_number(v, "lengths") for v in self.lengths)
             if len(lens) != x.shape[0]:
                 raise ValidationError("lengths length must match row count")
             if any(v <= 0 for v in lens):

@@ -541,6 +541,8 @@ class TestMalformedInput:
         (tmp_path / "x.csv").write_text("f0,f1\n1,2\n3,oops\n")
         (tmp_path / "y.csv").write_text("f0,f1\n1,2\n3,4\n")
         (tmp_path / "pts.csv").write_text("x,y\n1,2\nnan?,4\n")
+        (tmp_path / "inf_len.csv").write_text("length,f0\ninf,1\n2,3\n")
+        (tmp_path / "nan_len.csv").write_text("length,f0\nnan,1\n2,3\n")
         configs = {
             "strategy_str": {"strategy": "beam"},
             "strategy_k_str": {"strategy": {"kind": "beam", "k": "x", "b": 2}},
@@ -806,6 +808,9 @@ class TestMalformedInput:
             (["fit", "--points", "inf_pts.csv"], "error: points must be finite"),
             (["simulate", "--config", "lambda_bool.json"],
              "error: lambda_tau must be a number, got True"),
+            (["hsic", "--x", "inf_len.csv", "--y", "y.csv", "--per-token"],
+             "error: lengths must be finite, got inf"),
+            (["hsic", "--x", "nan_len.csv", "--y", "y.csv"], "error: lengths must be finite, got nan"),
         ],
     )
     def test_exits_2_with_one_error_line(self, inputs, capsys, argv, message):

@@ -207,6 +207,11 @@ class TestSampleSet:
         with pytest.raises(ValidationError):
             SampleSet(np.zeros((2, 2)), lengths=(1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_refuses_non_finite_lengths(self, bad):
+        with pytest.raises(ValidationError, match=f"^lengths must be finite, got {bad}$"):
+            SampleSet(np.zeros((2, 2)), lengths=(bad, 2.0))
+
     def test_mean_length(self):
         s = SampleSet(np.zeros((2, 2)), lengths=(2.0, 6.0))
         assert s.mean_length() == 4.0
