@@ -290,11 +290,10 @@ def _draw_counts(rng, mult, fed, p: float):
     return c, hist[c]
 
 
-def _tally(c, m=None):
-    """Occupied counts c > 0, ascending, and the trials at each: m[i] at c[i], or 1."""
-    c, inv = np.unique(c, return_inverse=True)
-    m = np.bincount(inv, m).astype(np.int64)
-    return c[(c > 0) & (m > 0)], m[(c > 0) & (m > 0)]
+def _tally(c):
+    """The occupied counts c > 0 among per-trial counts c, ascending, and the trials at each."""
+    c, m = np.unique(c, return_counts=True)
+    return c[c > 0], m[c > 0]
 
 
 def _sim_single(cfg, strategy, probs, n, rng) -> int:
@@ -360,7 +359,10 @@ def _sim_beam(cfg, k, b, probs, n, rng) -> int:
             return _tally(_noisy_hits(rng, np.repeat(c, m), width, sel.margin, sel.noise_std, top))
         at = np.arange(min(np.searchsorted(c, top) + 1, c.size))  # counts from top on merge
         c, m = np.minimum(c[: at.size], top), np.add.reduceat(m, at)
-        return (c, m) if sel.kind == IDEAL else _tally(c, rng.binomial(m, sel.epsilon))
+        if sel.kind == IDEAL:
+            return c, m
+        m = rng.binomial(m, sel.epsilon)  # c stays unique: drop the counts no trial keeps
+        return c[m > 0], m[m > 0]
 
     # open trials per alive-beam count; the root feeds all k candidates, as b do
     alive, m = np.array([b]), np.array([n])
@@ -378,7 +380,8 @@ def _sim_mcts_worst(cfg, strategy, probs, n, rng) -> int:
             c = np.repeat(c, m)
             c, m = _tally(c * (_noisy_hits(rng, c, b**depth, sel.margin, sel.noise_std) > 0))
         elif sel.kind != IDEAL:
-            c, m = _tally(c, rng.binomial(m, sel.epsilon))
+            m = rng.binomial(m, sel.epsilon)
+            c, m = c[m > 0], m[m > 0]
     return int(m.sum())
 
 
