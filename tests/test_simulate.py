@@ -3,6 +3,7 @@ equivalences, budget bookkeeping, bound dominance, and bit-level
 determinism."""
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -50,6 +51,7 @@ BON8_NOISELESS = 0.33538905027918684  # 1 - (1 - e^-3)^8
 
 EXP1 = DecayModel.exponential(1.0)
 IDEAL = SelectorModel.ideal()
+LAMBDAS = (0.3, 0.9, 1.5, 2.1, 2.7)
 
 
 def cfg_exp(L, selector=IDEAL, answer=1, noise=0.0, lam=1.0):
@@ -611,6 +613,32 @@ class TestExactOracle:
             exact = exact_success(cfg, spec)
             bound = matching_bound(cfg, spec)
             assert exact <= bound * (1 + 1e-12), spec.describe()
+
+    @pytest.mark.parametrize("s", [None, 0.25, 1.0])
+    def test_mcts_best_equals_best_of_n(self, s):
+        # mcts_best(b) keeps b independent paths and picks once, at the end,
+        # as orm_max Best-of-N does at N = b; a noisy:1,s pick is a pick over
+        # scores with noise s (ROADMAP item 2)
+        selector = IDEAL if s is None else SelectorModel.noisy_score(1.0, s)
+        for lam, L, b in itertools.product(LAMBDAS, range(1, 7), range(1, 9)):
+            decay = DecayModel.exponential(lam)
+            envelope = exact_success(ProcessConfig(decay, selector, L=L), StrategySpec.mcts_best(b))
+            bon = exact_success(ProcessConfig(decay, L=L, score_noise_std=s or 0.0),
+                                StrategySpec.bon(b, ORM_MAX))
+            assert envelope == pytest.approx(bon, rel=1e-12, abs=0), (lam, L, b)
+
+    @pytest.mark.parametrize(
+        "selector", [IDEAL, SelectorModel.constant(0.7), SelectorModel.noisy_score(1.0, 0.5)]
+    )
+    def test_lookahead_bounded_by_ideal_width_b_form(self, selector):
+        # a lookahead layer succeeds only if one of its b candidates is
+        # correct, so prod_l (1 - (1 - p_l)^b) bounds it under any selector
+        # (ROADMAP item 15)
+        for lam, L, b, gamma in itertools.product(LAMBDAS, range(1, 7), range(1, 9), range(4)):
+            decay = DecayModel.exponential(lam)
+            exact = exact_success(ProcessConfig(decay, selector, L=L), StrategySpec.lookahead(b, gamma))
+            bound = math.prod(1 - (1 - step_correct_prob(decay, l)) ** b for l in range(1, L + 1))
+            assert exact <= bound * (1 + 1e-12), (lam, L, b, gamma)
 
 
 CHUNK = simulate._CHUNK_CELLS
