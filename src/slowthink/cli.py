@@ -782,8 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_process(p)
     p.add_argument(
         "--strategy", type=lambda kind: {"kind": kind}, metavar="KIND",
-        help="single_path|bon|beam|mcts_best|mcts_worst|lookahead; "
-        "replaces the config's strategy section",
+        help=f"{'|'.join(simulate._REGISTRY)}; replaces the config's strategy section",
     )
     p.add_argument("--rule", dest="strategy.rule", help="bon rule: self_consistency|orm_vote|orm_max")
     p.add_argument("--N", dest="strategy.N", type=int)
