@@ -402,9 +402,10 @@ def _cmd_hsic(resolved: dict) -> _RunOutput:
     for key in ("x", "y"):
         if not _path(resolved, key):
             raise ValidationError(f"hsic requires --{key} FILE")
-    perm_count = checked_number(
+    # 0 means no test
+    perm_count = at_least(checked_number(
         resolved.get("permutation_test") or 0, "permutation_test", int
-    )
+    ), 0, "permutation_test")
     seed = _number(resolved, "seed", 0)
     svg_path = _path(resolved, "svg")
     if svg_path and not perm_count:

@@ -43,8 +43,9 @@ def checked_number(value, name: str, kind=float):
 
 
 def at_least(value, least, name: str):
-    """``value``, or a ValidationError naming ``name`` when it is below ``least``."""
-    if value < least:
+    """``value``, or a ValidationError naming ``name`` when it is below
+    ``least`` or is nan."""
+    if not value >= least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
     return value
 

@@ -15,21 +15,23 @@ Sibling candidates are sampled independently given their shared parent.
 ``monte_carlo_batch`` is the one entry point to the vectorized engines;
 ``monte_carlo`` is a batch of one run. It processes trials in fixed-size
 blocks, each drawing from its own counter-based stream keyed by (master_seed,
-block index), runs the blocks of many runs on one thread pool, a worker per
-usable CPU up to MAX_WORKERS, and sums integer successes, so results are
-bit-identical for fixed inputs whatever the worker count or the order blocks
-finish in. Peak memory is up to one block per worker; the widest measured
-blocks, at the 10^6 width limit, take about 32 MiB. A trial whose candidates
-are all wrong has failed, so after each layer an engine keeps only the trials
-still open. Every engine keeps them as a sparse histogram by correct count
-and draws each layer's counts through ``_draw_counts``; a constant pick keeps
-Bin(h, eps) of the h trials at a count. Only noisy picks and vote tallies
-expand the histogram into trials, in ascending count order: ``_noisy_hits``
-lays out a pick's rows from the counts, correct cells first, as a pick treats
-columns alike, and a pick without score noise draws nothing.
+block index), and sums integer successes, so results are bit-identical for
+fixed inputs whatever thread draws a block or the order blocks finish in.
+Blocks of runs that draw noise (noisy-score selectors, score noise,
+self-consistency) go to one thread pool, a worker per usable CPU up to
+MAX_WORKERS, built when the first such run arrives; the others are drawn on
+the calling thread. Peak memory is up to one block per worker; the widest
+measured blocks, at the 10^6 width limit, take about 32 MiB. A trial whose
+candidates are all wrong has failed, so after each layer an engine keeps only
+the trials still open. Every engine keeps them as a sparse histogram by
+correct count and draws each layer's counts through ``_draw_counts``; a
+constant pick keeps Bin(h, eps) of the h trials at a count. Only noisy picks
+and vote tallies expand the histogram into trials, in ascending count order:
+``_noisy_hits`` lays out a pick's rows from the counts, correct cells first,
+as a pick treats columns alike, and a pick without score noise draws nothing.
 ``exact_success`` computes the same success probabilities exactly, as small
-Markov chains over correct-candidate counts, and is the independent
-reference the engines are tested against.
+Markov chains over correct-candidate counts, and is the independent reference
+the engines are tested against.
 
 Everything that varies by strategy kind is one row of ``_REGISTRY``.
 """
@@ -641,8 +643,9 @@ def monte_carlo_batch(runs: list) -> list[MonteCarloReport]:
     """``monte_carlo`` of each (cfg, strategy, trials, master_seed) run. Every
     run is checked before any block is drawn. Block b of a run holds the next
     BLOCK_TRIALS trials, fewer when a row is wide, and draws from the stream
-    keyed by (master_seed, b); the blocks of all runs go to one thread pool,
-    at most 2 * MAX_WORKERS of them at a time."""
+    keyed by (master_seed, b). Runs that draw noise send their blocks to one
+    thread pool, built on the first such run, at most 2 * MAX_WORKERS of them
+    at a time; the calling thread draws the rest."""
     global _pool
     args, rows = [], []
     for cfg, strategy, trials, master_seed in runs:
@@ -654,21 +657,27 @@ def monte_carlo_batch(runs: list) -> list[MonteCarloReport]:
         at_least(master_seed, 0, "seed")
         args.append((cfg, strategy, _step_probs(cfg, cfg.L + (strategy.gamma or 0))))
         rows.append(int(min(BLOCK_TRIALS, max(1, _BLOCK_CELLS // width))))
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-        _pool = ThreadPoolExecutor(min(MAX_WORKERS, cpus or os.cpu_count() or 1))
     successes, pending = [0] * len(runs), []
     try:
-        for i, (_, strategy, trials, master_seed) in enumerate(runs):
+        for i, (cfg, strategy, trials, master_seed) in enumerate(runs):
             engine = _REGISTRY[strategy.kind].engine
+            # only a noise draw expands count histograms into per-trial rows
+            pooled = (cfg.selector.kind == NOISY_SCORE or cfg.score_noise_std > 0
+                      or strategy.rule == SELF_CONSISTENCY)
+            if pooled and _pool is None:
+                from concurrent.futures import ThreadPoolExecutor
+                cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
+                _pool = ThreadPoolExecutor(min(MAX_WORKERS, cpus or os.cpu_count() or 1))
             for b, start in enumerate(range(0, trials, rows[i])):
+                block = (engine, args[i], min(rows[i], trials - start),
+                         np.random.SeedSequence((master_seed, b)))
+                if not pooled:
+                    successes[i] += _run_block(*block)
+                    continue
                 if len(pending) == 2 * MAX_WORKERS:
                     j, done = pending.pop(0)
                     successes[j] += done.result()
-                seq = np.random.SeedSequence((master_seed, b))
-                pending.append((i, _pool.submit(_run_block, engine, args[i],
-                                                min(rows[i], trials - start), seq)))
+                pending.append((i, _pool.submit(_run_block, *block)))
         for j, done in pending:
             successes[j] += done.result()
     finally:

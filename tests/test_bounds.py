@@ -259,6 +259,17 @@ class TestCostTable:
             CostEntry("best", 0.0, 1.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: optimal_rollout(WrongModel(3.0), math.nan), "layer index must be >= 0, got nan"),
+    (lambda: cost_table(math.nan, 2), "b must be >= 1, got nan"),
+    (lambda: single_path_bound(EXP1, math.nan), "L must be >= 1, got nan"),
+], ids=["optimal_rollout", "cost_table", "single_path_bound"])
+def test_nan_argument_is_refused_by_name(call, message):
+    # nan compares false both ways, so a check written as `value < least` passed it
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
 class TestLookahead:
     def test_bound_vanishes_at_balance_point(self):
         v = lookahead_distinguishability_bound(math.e, WrongModel(math.e), 1.0)

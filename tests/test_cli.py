@@ -407,6 +407,40 @@ def test_commands_do_not_load_scipy(tmp_path):
     assert report["futures_at_import"] is False
 
 
+_THREAD_PROBE = """
+import json, sys, threading
+from slowthink import cli
+codes = [cli.dispatch(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "futures": "concurrent.futures" in sys.modules,
+                  "threads": threading.active_count()}))
+"""
+
+
+def test_histogram_only_commands_start_no_thread(tmp_path):
+    """Runs with ideal selectors and no score noise keep only count
+    histograms and draw every block on the calling thread: they build no
+    Monte Carlo pool and do not import concurrent.futures."""
+    commands = [
+        ["reproduce", "dominance", "--trials", "1000"],
+        ["reproduce", "gamma-sweep", "--trials", "1000"],
+        ["simulate", "--strategy", "beam", "--k", "8", "--b", "4", "--L", "5",
+         "--lambda", "2.5", "--trials", "100000"],
+    ]
+    commands = [argv + ["--out", f"out{i}.csv"] for i, argv in enumerate(commands)]
+    src = str(Path(slowthink.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE, json.dumps(commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert all(code in (0, 1) for code in report["codes"]), (report, proc.stderr)
+    assert report["futures"] is False
+    assert report["threads"] == 1
+
+
 def test_pool_threads_call_only_private_functions(tmp_path, monkeypatch):
     """The bench tracer times public functions on one span stack, which stays
     right only while the Monte Carlo pool's threads call none of them."""
@@ -686,6 +720,9 @@ class TestMalformedInput:
             (["bounds", "--config", "LL.json"], "the config takes no parameter LL;"),
             (["reproduce", "from-manifest", "--path", "tau_label_manifest.json"],
              "the config takes no parameter tau_label;"),
+            # the flag is checked, and named, before either file is read
+            (["hsic", "--x", "x.csv", "--y", "y.csv", "--permutation-test", "-1"],
+             "permutation_test must be >= 0, got -1"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):

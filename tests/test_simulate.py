@@ -392,6 +392,28 @@ class TestMonteCarloMachinery:
                 monte_carlo(cfg, spec, trials, 3)
         assert monte_carlo(cfg, spec, trials, 3) == expected
 
+    def test_only_noise_drawing_runs_reach_the_pool(self):
+        # count-histogram runs draw every block on the calling thread; a run
+        # whose candidates get a noise draw sends its blocks to the pool
+        class Refused(Exception):
+            pass
+
+        class Pool:
+            def submit(self, *args):
+                raise Refused
+
+        trials = 2 * BLOCK_TRIALS + 1000
+        for seed, (cfg, spec) in enumerate(EXACT_CASES.values()):
+            expected = monte_carlo(cfg, spec, trials, seed)
+            noisy = (cfg.selector.kind == NOISY_SCORE or cfg.score_noise_std > 0
+                     or spec.rule == SELF_CONSISTENCY)
+            with mock.patch.object(simulate, "_pool", Pool()):
+                if noisy:
+                    with pytest.raises(Refused):
+                        monte_carlo(cfg, spec, trials, seed)
+                else:
+                    assert monte_carlo(cfg, spec, trials, seed) == expected
+
     def test_single_trial_interval(self):
         report = monte_carlo(cfg_exp(1), StrategySpec.single_path(), 1, 0)
         assert report.estimate in (0.0, 1.0)
@@ -1012,9 +1034,9 @@ class TestBlockMemory:
         assert peak < simulate.MAX_WORKERS * 24 * 2**20
 
     def test_queued_blocks_are_bounded(self):
-        # a long run keeps at most 2 * MAX_WORKERS blocks unfinished at once,
-        # not one future per block
-        cfg, spec = cfg_exp(1), StrategySpec.single_path()
+        # a long pooled run keeps at most 2 * MAX_WORKERS blocks unfinished at
+        # once, not one future per block
+        cfg, spec = cfg_exp(1, NOISY), StrategySpec.mcts_worst(2)
         row, futures, unfinished = simulate._REGISTRY[spec.kind], [], []
 
         def slow(*args):
