@@ -48,11 +48,17 @@ CASES = {
     "bounds-single": ["bounds", "--lambda", "1", "--L", "2", "--strategy", "single"],
     "bounds-all": ["bounds", "--lambda", "1", "--L", "3", "--k", "4", "--b", "2",
                    "--N", "8", "--strategy", "all"],
+    "bounds-all-constant": ["bounds", "--lambda", "1", "--L", "3", "--k", "4", "--b", "2",
+                            "--N", "8", "--strategy", "all", "--selector", "constant:0.9"],
+    "bounds-all-noisy": ["bounds", "--lambda", "1", "--L", "3", "--k", "4", "--b", "2",
+                         "--N", "8", "--strategy", "all", "--selector", "noisy:1,0.5"],
     "bounds-table-constant": ["bounds", "--table", "0.9,0.8,0.7", "--L", "3", "--k", "2",
                               "--b", "2", "--selector", "constant:0.9",
                               "--strategy", "beam-exact"],
     "bounds-noisy-worst": ["bounds", "--lambda", "2", "--L", "3", "--b", "2",
                            "--selector", "noisy:1,0.5", "--strategy", "mcts-worst"],
+    "bounds-constant-worst": ["bounds", "--lambda", "2", "--L", "3", "--b", "2",
+                              "--selector", "constant:0.9", "--strategy", "mcts-worst"],
     "bounds-lookahead": ["bounds", "--lambda", "1", "--L", "2", "--lambda-delta", "10",
                          "--depth", "3", "--strategy", "lookahead"],
     "sim-single": SIM + ["--strategy", "single_path", "--lambda", "1", "--L", "2",
@@ -90,6 +96,14 @@ CASES = {
     "sim-lookahead-noisy": SIM + ["--strategy", "lookahead", "--b", "3", "--gamma", "2",
                                   "--lambda", "2.5", "--L", "3", "--seed", "9",
                                   "--selector", "noisy:1,0.25"],
+    # a constant selector leaves lookahead's pick to the process score noise
+    "sim-lookahead-constant": SIM + ["--strategy", "lookahead", "--b", "3", "--gamma", "2",
+                                     "--lambda", "2.5", "--L", "3", "--seed", "15",
+                                     "--selector", "constant:0.8"],
+    "sim-lookahead-constant-noise": SIM + ["--strategy", "lookahead", "--b", "3", "--gamma",
+                                           "2", "--lambda", "2.5", "--L", "3", "--seed", "16",
+                                           "--selector", "constant:0.8", "--score-noise",
+                                           "0.3"],
     "sim-lookahead-sweep": SIM + ["--strategy", "lookahead", "--b", "2", "--gamma", "1",
                                   "--score-noise", "0.3", "--lambda", "1", "--L", "2",
                                   "--seed", "10", "--sweep", "gamma=0:2"],
@@ -140,6 +154,24 @@ GOLDEN = {
         0,
         "7ebe74ef150c3b2c15e3d675cb5ba882bf3fea3239d6a984be2e133bf80f0a44",
         "db7095992adbe68a7c1bc693d105267357fd95f07c6d998541eba7e753c7030b",
+        None,
+    ),
+    "bounds-all-constant": (
+        0,
+        "242b0f4e83748fe635d339f65d1dff16a52586a741af5d0db6e76c8418492355",
+        "94c56df014ae56062120a8ebf5b8a006efb88d306d9fd53cd62618576c461551",
+        None,
+    ),
+    "bounds-all-noisy": (
+        0,
+        "4eabe2078409df7c2953336341ca46d5e57449df3edced5913f6e054907501ea",
+        "d0d83aabc9a8b13e543f67059781a009342feb292a8d03b77f63b29ea218d44b",
+        None,
+    ),
+    "bounds-constant-worst": (
+        0,
+        "c2a9433c6211b20198d04baf280f7d6fc2900397b99639ffb6fb0d51a88acd3c",
+        "22c08ff7e9355913bdce4a7f94f0deb8ec9e896d6ea7387ac5b20ccf08ccd234",
         None,
     ),
     "bounds-lookahead": (
@@ -320,6 +352,18 @@ GOLDEN = {
         0,
         "c493eb7ce8255a0a11483715524bac20cc2b5392b3018908d9e3af2af97a14db",
         "2f06488646fa6865962e3d0c4147eaab3287886444a12ad7c403b4c551c36b93",
+        None,
+    ),
+    "sim-lookahead-constant": (
+        0,
+        "f1b5802e329d045a60144d37e1734cf3adce7ff1397d9805f3f3b0a04a3c8519",
+        "2cd3e1380363623f69f058335116b2ad73aa6579fdbf20304b72ce3f5bbef2da",
+        None,
+    ),
+    "sim-lookahead-constant-noise": (
+        0,
+        "61b1f349d0c413285c10f47ac6d070234698eb6a825279742df4ac84cde2f750",
+        "3b5a555d8a0c03c5deb708189e20050c18f3805369394ec96625be33025c4c33",
         None,
     ),
     "sim-lookahead-noisy": (
