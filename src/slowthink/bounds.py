@@ -21,12 +21,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError, ResourceLimitError, ValidationError, at_least
 from .models import (
-    EXPONENTIAL,
-    NOISY_SCORE,
-    DecayModel,
-    SelectorModel,
-    WrongModel,
-    selector_success_prob,
+    EXPONENTIAL, DecayModel, SelectorModel, WrongModel, _SELECTOR_ROWS, selector_success_prob,
     step_correct_prob,
 )
 
@@ -205,9 +200,9 @@ def mcts_worst_bound(
     _check_counts(L=L, b=b)
     _require_no_clipping(decay)
     S = L * (L + 1) / 2
-    # Only a noisy-score selector depends on the pool b**l, and the limit
+    # Only a pick by score draws depends on the pool b**l, and the limit
     # stops it before the pool leaves float range; the others take one eps.
-    noisy = selector.kind == NOISY_SCORE and b > 1
+    noisy = _SELECTOR_ROWS[selector.kind].draws and b > 1
     log_eps = _log_eps(selector, 1)
     pool = 1
     eps_log = 0.0

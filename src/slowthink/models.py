@@ -2,6 +2,8 @@
 models, wrongness decay, and the synthetic answer-label model used by voting
 strategies.
 
+Everything that varies by selector kind is one row of ``_SELECTOR_ROWS``.
+
 All types are immutable after construction and every operation is a pure
 function of its inputs, so they are safe to share across threads.
 """
@@ -11,11 +13,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import (
-    Kinds, ValidationError, at_least, checked_number, checked_section, reject_stray_keys,
+    Kinds, ResourceLimitError, ValidationError, at_least, checked_number, checked_section,
+    reject_stray_keys,
 )
 
 # Each kind's fields, in the order errors list them; its other fields stay None.
@@ -26,11 +30,13 @@ _DECAYS = Kinds("decay", {EXPONENTIAL: ("lambda_tau",), TABULATED: ("table",)}, 
 IDEAL = "ideal"
 CONSTANT = "constant"
 NOISY_SCORE = "noisy_score"
-_SELECTORS = Kinds(
-    "selector",
-    {IDEAL: (), CONSTANT: ("epsilon",), NOISY_SCORE: ("margin", "noise_std")},
-    "{} selector",
-)
+
+# Largest array, in cells, that one Monte Carlo block or one exact evaluation
+# builds.
+_BLOCK_CELLS = 1 << 23
+# Engines make wide draws in row chunks of about this many cells, so that
+# their buffers stay in cache; no drawn value depends on the chunk size.
+_CHUNK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -187,13 +193,9 @@ def step_correct_prob(model: DecayModel, l: int) -> float:
 
 def selector_success_prob(sel: SelectorModel, b: int) -> float:
     """Probability of picking a correct candidate out of ``b``, given at least
-    one correct candidate exists; w(1, b) of ``_top_correct`` if noisy-score."""
+    one correct candidate exists: the eps_b of the selector's kind."""
     at_least(b, 1, "candidate count")
-    if sel.kind == IDEAL:
-        return 1.0
-    if sel.kind == CONSTANT:
-        return sel.epsilon
-    return float(_top_correct([1], b, sel.margin, sel.noise_std)[0])
+    return _SELECTOR_ROWS[sel.kind].eps(sel, b)
 
 
 _SQRT1_2 = math.sqrt(0.5)
@@ -232,14 +234,23 @@ def _log_ndtr_grid(shift: float) -> np.ndarray:
     return grid
 
 
+def _check_cells(cells: int) -> None:
+    if cells > _BLOCK_CELLS:
+        raise ResourceLimitError(
+            f"exact evaluation needs {cells} cells, over the {_BLOCK_CELLS} limit"
+        )
+
+
 def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
     """w(c, n) for each c: the chance that the best of c correct candidates,
     scored margin + std*Z, outscores the best of n - c wrong ones, scored
     std*Z. It is the integral of c phi(u) Phi(u)^(c-1) Phi(u + margin/std)^(n-c);
-    at std = 0 the argmax takes the first top score, a correct one if c > 0."""
+    at std = 0 the argmax takes the first top score, a correct one if c > 0.
+    Refused past the cell limit."""
     c = np.asarray(c, dtype=float)
     if std == 0.0:
         return (c > 0).astype(float)
+    _check_cells(c.size * _GRID.size)
     c = c[:, None]
     with np.errstate(divide="ignore"):
         log_f = (
@@ -247,3 +258,107 @@ def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
             + (n - c) * _log_ndtr_grid(margin / std)
         )
     return np.exp(log_f).sum(axis=1) * _STEP
+
+
+def _noisy_hits(rng, c, width: int, margin: float, std: float, b: int = 1) -> np.ndarray:
+    """Per row of ``width`` cells, the first ``c`` correct, how many of the b
+    top scores of ``margin * correct + std * Z``, Z standard normal, fall on
+    correct cells; at std = 0 (margin > 0) that is min(b, c), drawn from
+    nothing. Mask and Z are built a row chunk of about _CHUNK_CELLS cells at
+    a time, Z into one reused buffer in the order one dense draw reads it."""
+    if std == 0:
+        return np.minimum(b, c)
+    n = len(c)
+    step = max(1, _CHUNK_CELLS // width)
+    buf = np.empty(min(n, step) * width)
+    hits = np.empty(n, dtype=np.intp)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        ok = np.arange(width) < c[rows, None]
+        z = rng.standard_normal(out=buf[: ok.size].reshape(ok.shape))
+        z *= std
+        z += margin * ok
+        if b == 1:
+            hits[rows] = z.argmax(axis=1) < c[rows]
+        else:
+            # at or above the row's b-th highest score; a tie has probability 0
+            t = np.partition(z, width - b, axis=1)[:, width - b, None]
+            hits[rows] = (ok & (z >= t)).sum(axis=1)
+    return hits
+
+
+def _tally(c):
+    """The occupied counts c > 0 among per-trial counts c, ascending, and the trials at each."""
+    c, m = np.unique(c, return_counts=True)
+    return c[c > 0], m[c > 0]
+
+
+def _keep_ideal(sel, rng, c, m, width: int, top):
+    """The engine keep. m[i] open trials have c[i] > 0 of ``width`` candidates
+    correct, c ascending; returns the occupied counts of correct ones kept, at
+    most ``top``, and the trials at each. At top None a trial whose pick of
+    one candidate is correct keeps all c, and any other trial fails."""
+    if top is None:
+        return c, m
+    at = np.arange(min(np.searchsorted(c, top) + 1, c.size))  # counts from top on merge
+    return np.minimum(c[: at.size], top), np.add.reduceat(m, at)
+
+
+def _keep_constant(sel, rng, c, m, width: int, top):
+    # the ideal keep for the trials whose pick succeeds, Bin(trials, eps) of them
+    c, m = _keep_ideal(sel, rng, c, m, width, top)
+    m = rng.binomial(m, sel.epsilon)  # c stays unique: drop the counts no trial keeps
+    return c[m > 0], m[m > 0]
+
+
+def _keep_noisy(sel, rng, c, m, width: int, top):
+    # one pick over the trials, in ascending order of c
+    c = np.repeat(c, m)
+    hits = _noisy_hits(rng, c, width, sel.margin, sel.noise_std, top or 1)
+    return _tally(hits if top else c * (hits > 0))
+
+
+def _kernel(width: int, top: int, eps: float) -> np.ndarray:
+    """The exact keep: T[c, j], the chance that j of the ``top`` candidates
+    kept are correct when c of ``width`` are, for a pick that keeps correct
+    ones first with chance eps and none otherwise."""
+    c = np.arange(width + 1)
+    kernel = np.zeros((width + 1, top + 1))
+    kernel[c, np.minimum(c, top)] = eps
+    kernel[1:, 0] = 1.0 - eps
+    kernel[0, 0] = 1.0
+    return kernel
+
+
+def _kernel_noisy(sel, width: int, top: int) -> np.ndarray | None:
+    # the top score is correct with chance w(c, width), and keeping every
+    # candidate keeps all c; top-b of more noisy scores has no form here yet
+    if top == 1:
+        w = _top_correct(np.arange(width + 1), width, sel.margin, sel.noise_std)
+        return np.stack([1.0 - w, w], axis=1)
+    return np.eye(width + 1) if top == width else None
+
+
+class _Selector(NamedTuple):
+    """Everything that varies by selector kind."""
+
+    params: tuple[str, ...]  # SelectorModel fields and config keys
+    eps: Callable  # (sel, b) -> eps_b, the chance of picking the one correct of b
+    score: Callable  # (sel, score_noise_std) -> (margin, std) of a pick by scores
+    draws: bool  # picks by per-trial score draws, which depend on c and the pool
+    keep: Callable  # (sel, rng, c, m, width, top) -> see _keep_ideal
+    kernel: Callable  # (sel, width, top) -> see _kernel; None if intractable
+
+
+# Ideal and constant picks ignore the scores, which are then the process's.
+_SELECTOR_ROWS = {
+    IDEAL: _Selector((), lambda s, b: 1.0, lambda s, std: (1.0, std), False, _keep_ideal,
+                     lambda s, width, top: _kernel(width, top, 1.0)),
+    CONSTANT: _Selector(("epsilon",), lambda s, b: s.epsilon, lambda s, std: (1.0, std), False,
+                        _keep_constant, lambda s, width, top: _kernel(width, top, s.epsilon)),
+    NOISY_SCORE: _Selector(
+        ("margin", "noise_std"), lambda s, b: float(_top_correct([1], b, s.margin, s.noise_std)[0]),
+        lambda s, std: (s.margin, s.noise_std), True, _keep_noisy, _kernel_noisy,
+    ),
+}
+_SELECTORS = Kinds("selector", {k: row.params for k, row in _SELECTOR_ROWS.items()}, "{} selector")

@@ -6,11 +6,12 @@ probability if and only if its parent step is correct; every descendant of an
 incorrect step is incorrect (errors are irreversible). A trial succeeds when
 the strategy's selected final path has all of its steps correct.
 
-Selection semantics: ideal/constant selectors act as a single Bernoulli event
-per selection, conditioned on a correct candidate existing, and a failed
-selection derails the retained set; noisy-score selectors act mechanistically
-through sampled scores (margin for correct candidates plus Gaussian noise).
-Sibling candidates are sampled independently given their shared parent.
+Selection semantics are one row of ``models._SELECTOR_ROWS`` per selector
+kind: ideal/constant selectors act as a single Bernoulli event per selection,
+conditioned on a correct candidate existing, and a failed selection derails
+the retained set; noisy-score selectors act mechanistically through sampled
+scores (margin for correct candidates plus Gaussian noise). Sibling
+candidates are sampled independently given their shared parent.
 
 ``monte_carlo_batch`` is the one entry point to the vectorized engines;
 ``monte_carlo`` is a batch of one run. It processes trials in fixed-size
@@ -27,13 +28,15 @@ the trials still open. Every engine keeps them as a sparse histogram by
 correct count and draws each layer's counts through ``_draw_counts``; a
 constant pick keeps Bin(h, eps) of the h trials at a count. Only noisy picks
 and vote tallies expand the histogram into trials, in ascending count order:
-``_noisy_hits`` lays out a pick's rows from the counts, correct cells first,
-as a pick treats columns alike, and a pick without score noise draws nothing.
-``exact_success`` computes the same success probabilities exactly, as small
-Markov chains over correct-candidate counts, and is the independent reference
-the engines are tested against.
+``models._noisy_hits`` lays out a pick's rows from the counts, correct cells
+first, as a pick treats columns alike, and a pick without score noise draws
+nothing. ``exact_success`` computes the same success probabilities exactly,
+as small Markov chains over correct-candidate counts, and is the independent
+reference the engines are tested against.
 
-Everything that varies by strategy kind is one row of ``_REGISTRY``.
+Everything that varies by strategy kind is one row of ``_REGISTRY``, and by
+selector kind one row of the selector table: the engines keep candidates
+with its engine keep, the exact chains with its kernel.
 """
 
 from __future__ import annotations
@@ -46,25 +49,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import bounds as _bounds
+from . import bounds as _bounds, models as _models
 from .errors import (
-    Kinds,
-    PreconditionError,
-    ResourceLimitError,
-    ValidationError,
-    at_least,
-    checked_number,
+    Kinds, PreconditionError, ResourceLimitError, ValidationError, at_least, checked_number,
 )
 from .models import (
-    IDEAL,
-    NOISY_SCORE,
-    AnswerModel,
-    DecayModel,
-    SelectorModel,
-    _GRID,
-    _top_correct as _selection_integral,
-    selector_success_prob,
-    step_correct_prob,
+    NOISY_SCORE, AnswerModel, DecayModel, SelectorModel, _BLOCK_CELLS, _SELECTOR_ROWS,
+    _check_cells, _noisy_hits, _tally, _top_correct, step_correct_prob,
 )
 
 SINGLE_PATH = "single_path"
@@ -85,12 +76,8 @@ NODE_LIMIT = 10**6
 
 # Trials per block in monte_carlo; blocks shrink when per-trial arrays are wide.
 BLOCK_TRIALS = 32_768
-_BLOCK_CELLS = 1 << 23
 MAX_WORKERS = 4  # most threads drawing blocks at once; each holds one block
 _pool = None  # built on first use
-# Engines make wide draws in row chunks of about this many cells, so that
-# their buffers stay in cache; no drawn value depends on the chunk size.
-_CHUNK_CELLS = 1 << 17
 
 Z95 = 1.959963984540054  # normal 97.5% quantile
 
@@ -237,44 +224,9 @@ def _step_probs(cfg: ProcessConfig, depth: int) -> list[float]:
     return [step_correct_prob(cfg.decay, l) for l in range(1, depth + 1)]
 
 
-def _score_params(cfg: ProcessConfig) -> tuple[float, float]:
-    # Mechanistic scoring: noisy-score selectors carry their own margin and
-    # noise; otherwise score the correctness indicator with the process noise.
-    if cfg.selector.kind == NOISY_SCORE:
-        return cfg.selector.margin, cfg.selector.noise_std
-    return 1.0, cfg.score_noise_std
-
-
 # ---------------------------------------------------------------------------
 # Vectorized block engines
 # ---------------------------------------------------------------------------
-
-
-def _noisy_hits(rng, c, width: int, margin: float, std: float, b: int = 1) -> np.ndarray:
-    """Per row of ``width`` cells, the first ``c`` correct, how many of the b
-    top scores of ``margin * correct + std * Z``, Z standard normal, fall on
-    correct cells; at std = 0 (margin > 0) that is min(b, c), drawn from
-    nothing. Mask and Z are built a row chunk of about _CHUNK_CELLS cells at
-    a time, Z into one reused buffer in the order one dense draw reads it."""
-    if std == 0:
-        return np.minimum(b, c)
-    n = len(c)
-    step = max(1, _CHUNK_CELLS // width)
-    buf = np.empty(min(n, step) * width)
-    hits = np.empty(n, dtype=np.intp)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        ok = np.arange(width) < c[rows, None]
-        z = rng.standard_normal(out=buf[: ok.size].reshape(ok.shape))
-        z *= std
-        z += margin * ok
-        if b == 1:
-            hits[rows] = z.argmax(axis=1) < c[rows]
-        else:
-            # at or above the row's b-th highest score; a tie has probability 0
-            t = np.partition(z, width - b, axis=1)[:, width - b, None]
-            hits[rows] = (ok & (z >= t)).sum(axis=1)
-    return hits
 
 
 def _draw_counts(rng, mult, fed, p: float):
@@ -290,12 +242,6 @@ def _draw_counts(rng, mult, fed, p: float):
         hist[: f + 1] += rng.multinomial(m, _pmf_row(f, p))
     c = np.flatnonzero(hist[1:]) + 1
     return c, hist[c]
-
-
-def _tally(c):
-    """The occupied counts c > 0 among per-trial counts c, ascending, and the trials at each."""
-    c, m = np.unique(c, return_counts=True)
-    return c[c > 0], m[c > 0]
 
 
 def _sim_single(cfg, strategy, probs, n, rng) -> int:
@@ -321,7 +267,7 @@ def _sim_bon(cfg, strategy, probs, n, rng) -> int:
     wrong = N - c
     labels = rng.integers(1, width, int(wrong.sum()), dtype=np.int32)
     # one chunk of rows holds at most N labels and a + 1 tallies per row
-    step = max(1, _CHUNK_CELLS // max(N, width))
+    step = max(1, _models._CHUNK_CELLS // max(N, width))
     wins = 0
     for start, chunk in zip(range(0, len(c), step),
                             np.split(labels, np.cumsum(wrong)[step - 1 :: step])):
@@ -352,44 +298,27 @@ def _fed_candidates(k: int, b: int, alive):
 
 def _sim_beam(cfg, k, b, probs, n, rng) -> int:
     sel = cfg.selector
-
-    def keep(c, m, width, top):
-        # m[i] open trials have c[i] > 0 of width candidates correct, c ascending:
-        # the occupied counts of correct ones kept, at most top, and the trials at each
-        if sel.kind == NOISY_SCORE:
-            # one pick over the trials, in ascending order of c
-            return _tally(_noisy_hits(rng, np.repeat(c, m), width, sel.margin, sel.noise_std, top))
-        at = np.arange(min(np.searchsorted(c, top) + 1, c.size))  # counts from top on merge
-        c, m = np.minimum(c[: at.size], top), np.add.reduceat(m, at)
-        if sel.kind == IDEAL:
-            return c, m
-        m = rng.binomial(m, sel.epsilon)  # c stays unique: drop the counts no trial keeps
-        return c[m > 0], m[m > 0]
-
+    keep = _SELECTOR_ROWS[sel.kind].keep
     # open trials per alive-beam count; the root feeds all k candidates, as b do
     alive, m = np.array([b]), np.array([n])
     for p in probs:
-        alive, m = keep(*_draw_counts(rng, m, _fed_candidates(k, b, alive), p), k, b)
-    return int(keep(alive, m, b, 1)[1].sum())
+        alive, m = keep(sel, rng, *_draw_counts(rng, m, _fed_candidates(k, b, alive), p), k, b)
+    return int(keep(sel, rng, alive, m, b, 1)[1].sum())
 
 
 def _sim_mcts_worst(cfg, strategy, probs, n, rng) -> int:
     b, sel = strategy.b, cfg.selector
+    keep = _SELECTOR_ROWS[sel.kind].keep
     c, m = np.array([1]), np.array([n])  # open trials per correct-node count of the deepest layer
     for depth, p in enumerate(probs, start=1):
-        c, m = _draw_counts(rng, m, b * c, p)
-        if sel.kind == NOISY_SCORE:
-            c = np.repeat(c, m)
-            c, m = _tally(c * (_noisy_hits(rng, c, b**depth, sel.margin, sel.noise_std) > 0))
-        elif sel.kind != IDEAL:
-            m = rng.binomial(m, sel.epsilon)
-            c, m = c[m > 0], m[m > 0]
+        # a layer's pick of one node must be correct; then every correct node goes on
+        c, m = keep(sel, rng, *_draw_counts(rng, m, b * c, p), b**depth, None)
     return int(m.sum())
 
 
 def _sim_lookahead(cfg, strategy, probs, n, rng) -> int:
     b, gamma = strategy.b, strategy.gamma
-    margin, std = _score_params(cfg)
+    margin, std = _SELECTOR_ROWS[cfg.selector.kind].score(cfg.selector, cfg.score_noise_std)
     for l in range(1, cfg.L + 1):
         # m[i] open trials have a[i] > 0 A candidates: correct, with a correct
         # rollout. A pick off them (every pick at a = 0) falls uniformly on one
@@ -405,13 +334,6 @@ def _sim_lookahead(cfg, strategy, probs, n, rng) -> int:
 # ---------------------------------------------------------------------------
 # Exact success probabilities
 # ---------------------------------------------------------------------------
-
-def _check_cells(cells: int) -> None:
-    if cells > _BLOCK_CELLS:
-        raise ResourceLimitError(
-            f"exact evaluation needs {cells} cells, over the {_BLOCK_CELLS} limit"
-        )
-
 
 _LOG_FACT = np.zeros(1)  # lgamma(i + 1) for i = 0.., never written in place
 
@@ -452,13 +374,6 @@ def _pmf_row(f: int, p: float) -> np.ndarray:
     row /= row.sum()
     row.flags.writeable = False
     return row
-
-
-def _top_correct(c, n: int, margin: float, std: float) -> np.ndarray:
-    """``models._top_correct``, refused past the cell limit."""
-    if std > 0.0:
-        _check_cells(np.size(c) * _GRID.size)
-    return _selection_integral(c, n, margin, std)
 
 
 def _plurality_win(c: int, n: int, a: int) -> float:
@@ -503,42 +418,40 @@ def _exact_bon(cfg, strategy) -> float | None:
 
 
 def _exact_beam(cfg, k: int, b: int) -> float | None:
-    """Chain over the alive-beam count 0..b. alive = 0 is absorbing and
-    fails, so ``dist[0]`` is left unnormalized: it only feeds itself."""
+    """Chain over the alive-beam count 0..b, where alive = 0 is absorbing and
+    fails; None where the selector has no kernel for top b of k."""
     sel = cfg.selector
+    kernel = _SELECTOR_ROWS[sel.kind].kernel
+    keep = kernel(sel, k, b)
+    if keep is None:
+        return None
     alive = np.arange(b + 1)
-    if sel.kind == NOISY_SCORE:
-        if k > b:
-            return None  # top-b of k noisy scores: no tractable form
-        # k = b keeps every candidate; the final pick is over scores
-        keep, final = 1.0, _top_correct(alive, b, sel.margin, sel.noise_std)
-    else:
-        keep = selector_success_prob(sel, b)
-        final = keep * (alive > 0)
     dist = (alive == b).astype(float)
     for p in _step_probs(cfg, cfg.L):
-        ncorr = dist @ _binom_pmf(_fed_candidates(k, b, alive), p, k)
-        dist = keep * np.append(ncorr[:b], ncorr[b:].sum())
-    return float(dist @ final)
+        dist = (dist @ _binom_pmf(_fed_candidates(k, b, alive), p, k)) @ keep
+    # a contiguous column: a strided one sums the dot product in another order
+    return float(dist @ kernel(sel, b, 1)[:, 1].copy())
 
 
 def _exact_mcts_worst(cfg, strategy) -> float:
     b, sel = strategy.b, cfg.selector
+    row = _SELECTOR_ROWS[sel.kind]
     probs = _step_probs(cfg, cfg.L)
-    if sel.kind != NOISY_SCORE:
+    if not row.draws:
+        # a pick without score draws succeeds with eps whatever the counts, so
         # every layer needs a correct node and then one selection event;
         # s is the chance a correct node's subtree holds a correct leaf, by
         # the branching-process recursion s_l = 1 - (1 - p s_{l+1})**b
         s = 1.0
         for p in reversed(probs):
             s = -math.expm1(b * math.log1p(-p * s)) if p * s < 1 else 1.0
-        return s * selector_success_prob(sel, b) ** cfg.L
+        return s * row.eps(sel, b) ** cfg.L
     # forward over the correct count c at each layer: c_l ~ Bin(b c_{l-1}, p_l),
     # weighted by the chance the layer's selection picks a correct node
     dist = np.array([0.0, 1.0])
     for depth, p in enumerate(probs, start=1):
         width = b**depth
-        pick = _top_correct(np.arange(width + 1), width, sel.margin, sel.noise_std)
+        pick = row.kernel(sel, width, 1)[:, 1]
         dist = (dist @ _binom_pmf(b * np.arange(dist.size), p, width)) * pick
     return float(dist.sum())
 
@@ -549,7 +462,7 @@ def _exact_lookahead(cfg, strategy) -> float:
     rollout wrong) or wrong. The pick is an A with chance w(n_A, b), else
     uniform over the b - n_A others: a B with mean chance q given n_A."""
     b, gamma = strategy.b, strategy.gamma
-    margin, std = _score_params(cfg)
+    margin, std = _SELECTOR_ROWS[cfg.selector.kind].score(cfg.selector, cfg.score_noise_std)
     n_a = np.arange(b + 1)
     w = _top_correct(n_a, b, margin, std)
     total = 1.0
@@ -662,7 +575,7 @@ def monte_carlo_batch(runs: list) -> list[MonteCarloReport]:
         for i, (cfg, strategy, trials, master_seed) in enumerate(runs):
             engine = _REGISTRY[strategy.kind].engine
             # only a noise draw expands count histograms into per-trial rows
-            pooled = (cfg.selector.kind == NOISY_SCORE or cfg.score_noise_std > 0
+            pooled = (_SELECTOR_ROWS[cfg.selector.kind].draws or cfg.score_noise_std > 0
                       or strategy.rule == SELF_CONSISTENCY)
             if pooled and _pool is None:
                 from concurrent.futures import ThreadPoolExecutor
@@ -695,7 +608,7 @@ def exact_success(cfg: ProcessConfig, strategy: StrategySpec) -> float | None:
     """Exact success probability of the process ``monte_carlo`` samples.
 
     None where no tractable form exists: beam search with a noisy-score
-    selector and k > b (top-b selection over noisy scores), and orm_vote
+    selector and k > b > 1 (top-b selection over noisy scores), and orm_vote
     Best-of-N with score noise above 0 (sums of noisy scores per label)."""
     return _REGISTRY[strategy.kind].exact(cfg, strategy)
 

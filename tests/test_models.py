@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import log_ndtr as scipy_log_ndtr
 from scipy.special import ndtr
 
+from slowthink import models
 from slowthink.calibration import TraceStats
 from slowthink.errors import ValidationError
 from slowthink.hsic import HsicConfig
@@ -185,6 +186,45 @@ class TestSelectorModel:
     def test_probabilities_stay_in_unit_interval(self, margin, std, b):
         sel = SelectorModel.noisy_score(margin=margin, noise_std=std)
         assert 0.0 <= selector_success_prob(sel, b) <= 1.0
+
+
+ROW_TRIALS = 4000
+
+
+@pytest.mark.parametrize("kind", sorted(models._SELECTOR_ROWS))
+def test_selector_row_keep_draws_its_kernel(kind):
+    """Every selector row, at every width and top its kernel covers: each
+    kernel row is a pmf with no mass above min(c, top), and the engine keep
+    of ROW_TRIALS trials at one correct count draws that pmf within 4 SE. At
+    top None the keep must pass a trial, with all c kept, as often as the
+    top-1 kernel keeps a correct candidate. Each field of the kind is 0.8."""
+    row = models._SELECTOR_ROWS[kind]
+    sel = SelectorModel(kind, **dict.fromkeys(row.params, 0.8))
+    rng = np.random.Generator(np.random.Philox(5))
+    for width in range(1, 5):
+        for top in (*range(1, width + 1), None):
+            kernel = row.kernel(sel, width, top or 1)
+            if kernel is None:
+                continue  # no exact form
+            assert kernel.shape == (width + 1, (top or 1) + 1)
+            np.testing.assert_allclose(kernel.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert kernel.min() >= -1e-12  # 1 - w(c, c) may round below 0
+            for c in range(width + 1):
+                assert not kernel[c, min(c, top or 1) + 1 :].any(), (width, top, c)
+            for c in range(1, width + 1):
+                kept, trials = row.keep(sel, rng, np.array([c]), np.array([ROW_TRIALS]),
+                                        width, top)
+                assert (np.diff(kept) > 0).all() and (kept > 0).all() and (trials > 0).all()
+                counts = np.zeros(kernel.shape[1])
+                if top is None:
+                    assert set(kept.tolist()) <= {c}
+                    counts[1] = trials.sum()
+                else:
+                    counts[kept] = trials
+                counts[0] = ROW_TRIALS - counts.sum()
+                want = ROW_TRIALS * kernel[c]
+                se = np.sqrt(np.maximum(want * (1 - kernel[c]), 0.0))
+                assert (np.abs(counts - want) <= 4 * se + 1e-6).all(), (width, top, c, counts)
 
 
 class TestLogNdtr:

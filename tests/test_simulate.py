@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import math
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import binom
 
-from slowthink import bounds, simulate
+from slowthink import bounds, models, simulate
 from slowthink.cli import dispatch
 from slowthink.errors import ResourceLimitError, ValidationError
 from slowthink.models import (
@@ -378,19 +379,27 @@ class TestMonteCarloMachinery:
         assert batches[0] == batches[1] == [monte_carlo(*run) for run in runs]
 
     def test_engine_errors_surface_and_leave_the_pool_working(self):
-        cfg, spec, trials = cfg_exp(2), StrategySpec.single_path(), 3 * BLOCK_TRIALS + 5
-        expected = monte_carlo(cfg, spec, trials, 3)
-        row = simulate._REGISTRY[spec.kind]
+        # single_path draws its blocks on the calling thread; a noisy
+        # mcts_worst draws them on the pool's threads
+        trials = 3 * BLOCK_TRIALS + 5
+        for cfg, spec, pooled in (
+            (cfg_exp(2), StrategySpec.single_path(), False),
+            (cfg_exp(2, SelectorModel.noisy_score(1.0, 0.25)), StrategySpec.mcts_worst(2), True),
+        ):
+            expected = monte_carlo(cfg, spec, trials, 3)
+            row, raised_on_pool = simulate._REGISTRY[spec.kind], []
 
-        def engine(cfg, spec, probs, n, rng):
-            if n < BLOCK_TRIALS:
-                raise FloatingPointError("tail block")
-            return row.engine(cfg, spec, probs, n, rng)
+            def engine(cfg, spec, probs, n, rng):
+                if n < BLOCK_TRIALS:
+                    raised_on_pool.append(threading.current_thread() is not threading.main_thread())
+                    raise FloatingPointError("tail block")
+                return row.engine(cfg, spec, probs, n, rng)
 
-        with mock.patch.dict(simulate._REGISTRY, {spec.kind: row._replace(engine=engine)}):
-            with pytest.raises(FloatingPointError, match="tail block"):
-                monte_carlo(cfg, spec, trials, 3)
-        assert monte_carlo(cfg, spec, trials, 3) == expected
+            with mock.patch.dict(simulate._REGISTRY, {spec.kind: row._replace(engine=engine)}):
+                with pytest.raises(FloatingPointError, match="tail block"):
+                    monte_carlo(cfg, spec, trials, 3)
+            assert raised_on_pool == [pooled]
+            assert monte_carlo(cfg, spec, trials, 3) == expected
 
     def test_only_noise_drawing_runs_reach_the_pool(self):
         # count-histogram runs draw every block on the calling thread; a run
@@ -541,6 +550,17 @@ class TestExactOracle:
         exact = exact_success(cfg_exp(3, lam=2.0), spec)
         assert within_4se(monte_carlo(noisy_cfg, spec, EXACT_TRIALS, 2025), exact)
 
+    def test_noisy_beam_keeping_one_is_exact(self):
+        # keeping one of k noisy scores keeps the top one, so one layer is
+        # orm_max Best-of-k with that score noise
+        noisy = SelectorModel.noisy_score(1.0, 0.5)
+        for k in (2, 4, 7):
+            beam = exact_success(cfg_exp(1, noisy, lam=2.0), StrategySpec.beam(k, 1))
+            bon = exact_success(cfg_exp(1, lam=2.0, noise=0.5), StrategySpec.bon(k, ORM_MAX))
+            assert beam == pytest.approx(bon, rel=1e-12, abs=0)
+        cfg, spec = cfg_exp(3, noisy, lam=2.0), StrategySpec.beam(4, 1)
+        assert within_4se(monte_carlo(cfg, spec, EXACT_TRIALS, 2027), exact_success(cfg, spec))
+
     def test_noisy_vote_approaches_noiseless_vote(self):
         spec = StrategySpec.bon(5, ORM_VOTE)
         noisy_cfg = cfg_exp(2, lam=2.0, answer=5, noise=0.01)
@@ -663,7 +683,7 @@ class TestExactOracle:
             assert exact <= bound * (1 + 1e-12), (lam, L, b, gamma)
 
 
-CHUNK = simulate._CHUNK_CELLS
+CHUNK = models._CHUNK_CELLS
 # a margin other than 1 shows a dropped or misplaced margin factor
 NOISY_M15 = SelectorModel.noisy_score(margin=1.5, noise_std=0.8)
 
@@ -729,7 +749,7 @@ class TestStreamIdentity:
         for spec in specs:
             counts = set()
             for chunk in (1, 9, 64, CHUNK):
-                with mock.patch.object(simulate, "_CHUNK_CELLS", chunk):
+                with mock.patch.object(models, "_CHUNK_CELLS", chunk):
                     counts.add(monte_carlo(cfg, spec, n, seed).successes)
             assert len(counts) == 1, (spec.describe(), counts)
 
@@ -789,7 +809,7 @@ class TestStreamIdentity:
             calls = []
             logged = Logged(rng, calls, lambda name, args, out: (
                 name, np.ndim(args[0]) if args else None, len(args)))
-            with mock.patch.object(simulate, "_CHUNK_CELLS", simulate._BLOCK_CELLS):
+            with mock.patch.object(models, "_CHUNK_CELLS", simulate._BLOCK_CELLS):
                 won = engine(cfg, spec, simulate._step_probs(cfg, L), n, logged)
             assert won > 0 or n == 3
             expected = 0 if picks is None else L + 1
