@@ -35,7 +35,7 @@ from .errors import (
     reject_stray_keys,
     text_lines,
 )
-from .models import DecayModel, SelectorModel, WrongModel
+from .models import _SELECTORS, DecayModel, SelectorModel, WrongModel
 
 # Reference tree-search statistics (avg_b, avg_p, avg_L) and previously
 # published budget-matched N values for the calibration preset.
@@ -104,15 +104,14 @@ def _int_list(resolved: dict, key: str, default: list) -> list[int]:
 
 
 def _selector(text: str) -> dict:
+    # KIND[:V1,V2,...], one value per field of the kind's row in the selector table
     name, _, params = text.partition(":")
+    kind = "noisy_score" if name == "noisy" else name
+    fields = _SELECTORS.params.get(kind)
+    values = params.split(",") if params else []
     try:
-        if name == "ideal":
-            return {"kind": "ideal"}
-        if name == "constant":
-            return {"kind": "constant", "epsilon": float(params)}
-        if name in ("noisy", "noisy_score"):
-            margin, noise = params.split(",")
-            return {"kind": "noisy_score", "margin": float(margin), "noise_std": float(noise)}
+        if fields is not None and len(values) == len(fields):
+            return {"kind": kind, **{f: float(v) for f, v in zip(fields, values)}}
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(

@@ -31,8 +31,7 @@ IDEAL = "ideal"
 CONSTANT = "constant"
 NOISY_SCORE = "noisy_score"
 
-# Largest array, in cells, that one Monte Carlo block or one exact evaluation
-# builds.
+# Largest array, in cells, that one Monte Carlo block or exact evaluation builds
 _BLOCK_CELLS = 1 << 23
 # Engines make wide draws in row chunks of about this many cells, so that
 # their buffers stay in cache; no drawn value depends on the chunk size.
@@ -318,15 +317,14 @@ def _keep_noisy(sel, rng, c, m, width: int, top):
     return _tally(hits if top else c * (hits > 0))
 
 
-def _kernel(width: int, top: int, eps: float) -> np.ndarray:
+def _kernel(width: int, top: int, eps) -> np.ndarray:
     """The exact keep: T[c, j], the chance that j of the ``top`` candidates
     kept are correct when c of ``width`` are, for a pick that keeps correct
-    ones first with chance eps and none otherwise."""
+    ones first with chance eps (a scalar, or one per c) and none otherwise."""
     c = np.arange(width + 1)
     kernel = np.zeros((width + 1, top + 1))
-    kernel[c, np.minimum(c, top)] = eps
-    kernel[1:, 0] = 1.0 - eps
-    kernel[0, 0] = 1.0
+    kernel[:, 0] = 1.0 - eps
+    kernel[c, np.minimum(c, top)] += eps
     return kernel
 
 
@@ -334,9 +332,9 @@ def _kernel_noisy(sel, width: int, top: int) -> np.ndarray | None:
     # the top score is correct with chance w(c, width), and keeping every
     # candidate keeps all c; top-b of more noisy scores has no form here yet
     if top == 1:
-        w = _top_correct(np.arange(width + 1), width, sel.margin, sel.noise_std)
-        return np.stack([1.0 - w, w], axis=1)
-    return np.eye(width + 1) if top == width else None
+        return _kernel(width, 1, _top_correct(np.arange(width + 1), width, sel.margin,
+                                              sel.noise_std))
+    return _kernel(width, top, 1.0) if top == width else None
 
 
 class _Selector(NamedTuple):
@@ -345,7 +343,7 @@ class _Selector(NamedTuple):
     params: tuple[str, ...]  # SelectorModel fields and config keys
     eps: Callable  # (sel, b) -> eps_b, the chance of picking the one correct of b
     score: Callable  # (sel, score_noise_std) -> (margin, std) of a pick by scores
-    draws: bool  # picks by per-trial score draws, which depend on c and the pool
+    draws: bool  # picks by score draws per trial: eps_b depends on b, runs use the pool
     keep: Callable  # (sel, rng, c, m, width, top) -> see _keep_ideal
     kernel: Callable  # (sel, width, top) -> see _kernel; None if intractable
 

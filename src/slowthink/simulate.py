@@ -6,12 +6,11 @@ probability if and only if its parent step is correct; every descendant of an
 incorrect step is incorrect (errors are irreversible). A trial succeeds when
 the strategy's selected final path has all of its steps correct.
 
-Selection semantics are one row of ``models._SELECTOR_ROWS`` per selector
-kind: ideal/constant selectors act as a single Bernoulli event per selection,
-conditioned on a correct candidate existing, and a failed selection derails
-the retained set; noisy-score selectors act mechanistically through sampled
-scores (margin for correct candidates plus Gaussian noise). Sibling
-candidates are sampled independently given their shared parent.
+Selection semantics: ideal/constant selectors act as a single Bernoulli event
+per selection, conditioned on a correct candidate existing, and a failed
+selection derails the retained set; noisy-score selectors act mechanistically
+through sampled scores (margin for correct candidates plus Gaussian noise).
+Sibling candidates are sampled independently given their shared parent.
 
 ``monte_carlo_batch`` is the one entry point to the vectorized engines;
 ``monte_carlo`` is a batch of one run. It processes trials in fixed-size
@@ -35,8 +34,8 @@ as small Markov chains over correct-candidate counts, and is the independent
 reference the engines are tested against.
 
 Everything that varies by strategy kind is one row of ``_REGISTRY``, and by
-selector kind one row of the selector table: the engines keep candidates
-with its engine keep, the exact chains with its kernel.
+selector kind one row of ``models._SELECTOR_ROWS``: the engines keep
+candidates with its engine keep, and the exact chains with its kernel.
 """
 
 from __future__ import annotations

@@ -723,6 +723,8 @@ class TestMalformedInput:
             # the flag is checked, and named, before either file is read
             (["hsic", "--x", "x.csv", "--y", "y.csv", "--permutation-test", "-1"],
              "permutation_test must be >= 0, got -1"),
+            # an ideal selector takes no value
+            (["bounds", "--selector", "ideal:0.5"], "selector must be ideal"),
         ],
     )
     def test_exits_2(self, inputs, capsys, argv, message):
